@@ -3,16 +3,17 @@
 #include "fault/CampaignEngine.h"
 
 #include "support/Diagnostics.h"
+#include "support/FileIO.h"
 #include "support/Json.h"
 #include "support/ThreadPool.h"
 #include "telemetry/LiveExport.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <cstdlib>
+#include <set>
 #include <thread>
 #include <unistd.h>
 
@@ -33,6 +34,18 @@ std::string CampaignEngine::getLatencyHistogramName(BranchErrorCategory Cat) {
   return std::string("fault.latency.cat_") + getCategoryName(Cat);
 }
 
+std::string CampaignEngine::coordinatorBatchPath(const std::string &Dir,
+                                                 unsigned Shard,
+                                                 uint64_t Batch) {
+  return Dir + "/shard_" + std::to_string(Shard) + ".batch_" +
+         std::to_string(Batch) + ".json";
+}
+
+std::string CampaignEngine::coordinatorLivePath(const std::string &Dir,
+                                                unsigned Shard) {
+  return Dir + "/shard_" + std::to_string(Shard) + ".live.json";
+}
+
 namespace {
 
 std::string getSkipCounterName(BranchErrorCategory Cat) {
@@ -43,35 +56,17 @@ std::string getReallocCounterName(BranchErrorCategory Cat) {
   return std::string("fault.engine.realloc.cat_") + getCategoryName(Cat);
 }
 
-uint64_t fnv1a(uint64_t Hash, uint64_t Value) {
-  for (unsigned I = 0; I < 8; ++I) {
-    Hash ^= (Value >> (I * 8)) & 0xff;
-    Hash *= 0x100000001b3ULL;
-  }
+/// Folds \p Values (each as 8 little-endian bytes) into FNV-1a \p Hash.
+template <typename... Ts> uint64_t fnv1a(uint64_t Hash, Ts... Values) {
+  for (uint64_t Value : {static_cast<uint64_t>(Values)...})
+    for (unsigned I = 0; I < 8; ++I) {
+      Hash ^= (Value >> (I * 8)) & 0xff;
+      Hash *= 0x100000001b3ULL;
+    }
   return Hash;
 }
 
-/// Deterministic fingerprint of the plan and the knobs that shape it.
-/// A checkpoint taken under a different program, seed, model or budget
-/// must never silently continue into this plan.
-uint64_t hashPlan(const EngineConfig &Engine,
-                  const std::vector<PlannedFault> &Candidates) {
-  uint64_t Hash = 0xcbf29ce484222325ULL;
-  Hash = fnv1a(Hash, Engine.NumInjections);
-  Hash = fnv1a(Hash, Engine.Seed);
-  Hash = fnv1a(Hash, static_cast<uint64_t>(Engine.Sites));
-  Hash = fnv1a(Hash, static_cast<uint64_t>(Engine.Model));
-  Hash = fnv1a(Hash, Engine.NumShards);
-  for (const PlannedFault &F : Candidates) {
-    Hash = fnv1a(Hash, F.Instance);
-    Hash = fnv1a(Hash, static_cast<uint64_t>(F.Kind));
-    Hash = fnv1a(Hash, F.Mask);
-    Hash = fnv1a(Hash, static_cast<uint64_t>(F.Category));
-    Hash = fnv1a(Hash, F.SiteAddr);
-    Hash = fnv1a(Hash, F.InstrSite ? 1 : 0);
-  }
-  return Hash;
-}
+constexpr uint64_t FnvOffsetBasis = 0xcbf29ce484222325ULL;
 
 std::string toHex(uint64_t Value) {
   char Buf[24];
@@ -80,20 +75,36 @@ std::string toHex(uint64_t Value) {
 }
 
 bool fromHex(const std::string &Text, uint64_t &Out) {
-  if (Text.empty() || Text.size() > 16)
+  if (Text.empty() || Text.size() > 16 ||
+      Text.find_first_not_of("0123456789abcdef") != std::string::npos)
     return false;
-  Out = 0;
-  for (char C : Text) {
-    unsigned Digit;
-    if (C >= '0' && C <= '9')
-      Digit = C - '0';
-    else if (C >= 'a' && C <= 'f')
-      Digit = 10 + (C - 'a');
-    else
-      return false;
-    Out = (Out << 4) | Digit;
-  }
+  Out = std::strtoull(Text.c_str(), nullptr, 16);
   return true;
+}
+
+/// Reads the shard spec of a checkpoint or result file exactly; false
+/// unless both are integers and the index is below a non-zero count.
+bool readShardSpec(const json::JsonValue &Root, unsigned &Shard,
+                   unsigned &NumShards) {
+  uint64_t Index, Count;
+  if (!json::readUnsigned(Root["shard"], Index, UINT_MAX) ||
+      !json::readUnsigned(Root["num_shards"], Count, UINT_MAX) ||
+      Count == 0 || Index >= Count)
+    return false;
+  Shard = static_cast<unsigned>(Index);
+  NumShards = static_cast<unsigned>(Count);
+  return true;
+}
+
+/// The shard-spec and batch-size check both engines' constructors run.
+void checkEngineSpec(unsigned ShardIndex, unsigned NumShards,
+                     uint64_t CheckpointInterval, const char *Noun) {
+  if (NumShards < 1 || ShardIndex >= NumShards)
+    reportFatalErrorf("invalid shard spec %u/%u: the shard index must be "
+                      "below the shard count",
+                      ShardIndex, NumShards);
+  if (CheckpointInterval < 1)
+    reportFatalErrorf("%s checkpoint interval must be at least 1", Noun);
 }
 
 /// The error categories cells range over (NoError is never scheduled).
@@ -107,15 +118,16 @@ struct CellState {
   bool Closed = false;
 };
 
+using CellStates = std::array<CellState, NumBranchErrorCategories>;
+
 /// Rebuilds per-cell tallies and Wilson intervals from the cumulative
 /// snapshot — the only state that survives a kill, so closing decisions
 /// are identical between an interrupted-and-resumed run and an
 /// uninterrupted one.
-std::array<CellState, NumBranchErrorCategories>
-computeCells(const telemetry::RegistrySnapshot &Snap, double StopHalfWidth,
-             double StopZ) {
+CellStates computeCells(const telemetry::RegistrySnapshot &Snap,
+                        double StopHalfWidth, double StopZ) {
   CampaignResult Result = campaignResultFromSnapshot(Snap);
-  std::array<CellState, NumBranchErrorCategories> Cells;
+  CellStates Cells;
   for (unsigned C = 0; C < NumBranchErrorCategories; ++C) {
     auto Cat = static_cast<BranchErrorCategory>(C);
     CellState &Cell = Cells[C];
@@ -128,28 +140,16 @@ computeCells(const telemetry::RegistrySnapshot &Snap, double StopHalfWidth,
   return Cells;
 }
 
-/// Total early-stopping skips recorded in \p Snap.
-uint64_t totalSkipped(const telemetry::RegistrySnapshot &Snap) {
-  uint64_t Total = 0;
-  for (unsigned C = 0; C < NumBranchErrorCategories; ++C) {
-    auto Cat = static_cast<BranchErrorCategory>(C);
-    if (isCellCategory(Cat))
-      Total += Snap.counterOr(getSkipCounterName(Cat));
-  }
-  return Total;
-}
-
 /// Heartbeat for a live snapshot: this shard's progress, its own
 /// per-cell counts/intervals (\p OwnCells — so merging heartbeats
-/// across shards never double-counts), and the closure flags of the
-/// state the last stopping decision actually used (\p DecisionCells —
-/// the merged state in coordinated mode).
-telemetry::Heartbeat
-makeHeartbeat(const EngineConfig &Engine, uint64_t Cursor, uint64_t Planned,
-              uint64_t Completed, const telemetry::RegistrySnapshot &Own,
-              const std::array<CellState, NumBranchErrorCategories> &OwnCells,
-              const std::array<CellState, NumBranchErrorCategories>
-                  &DecisionCells) {
+/// across shards never double-counts), and the closure flags of
+/// \p ClosedCells.
+telemetry::Heartbeat makeHeartbeat(const EngineConfig &Engine,
+                                   uint64_t Cursor, uint64_t Planned,
+                                   uint64_t Completed,
+                                   const telemetry::RegistrySnapshot &Own,
+                                   const CellStates &OwnCells,
+                                   const CellStates &ClosedCells) {
   telemetry::Heartbeat Beat;
   Beat.Present = true;
   Beat.Shard = Engine.ShardIndex;
@@ -157,20 +157,16 @@ makeHeartbeat(const EngineConfig &Engine, uint64_t Cursor, uint64_t Planned,
   Beat.Cursor = Cursor;
   Beat.Planned = Planned;
   Beat.Completed = Completed;
-  Beat.Skipped = totalSkipped(Own);
   Beat.Rung = telemetry::recoveryRungFromSnapshot(Own);
   for (unsigned C = 0; C < NumBranchErrorCategories; ++C) {
     auto Cat = static_cast<BranchErrorCategory>(C);
     if (!isCellCategory(Cat))
       continue;
-    telemetry::HeartbeatCell Cell;
-    Cell.Name = getCategoryName(Cat);
-    Cell.Total = OwnCells[C].Counts.total();
-    Cell.Sdc = OwnCells[C].Counts.Sdc;
-    Cell.Low = OwnCells[C].Interval.Low;
-    Cell.High = OwnCells[C].Interval.High;
-    Cell.Closed = DecisionCells[C].Closed;
-    Beat.Cells.push_back(std::move(Cell));
+    Beat.Skipped += Own.counterOr(getSkipCounterName(Cat));
+    const CellState &Cell = OwnCells[C];
+    Beat.Cells.push_back({getCategoryName(Cat), Cell.Counts.total(),
+                          Cell.Counts.Sdc, Cell.Interval.Low,
+                          Cell.Interval.High, ClosedCells[C].Closed});
   }
   return Beat;
 }
@@ -192,27 +188,6 @@ void publishLiveFile(const std::string &Path, const std::string &RunId,
   std::string Error;
   if (!telemetry::writeLiveSnapshot(Path, Snap, Error))
     reportFatalErrorf("live export failed: %s", Error.c_str());
-}
-
-/// Run id stamped into live snapshots.
-std::string effectiveRunId(const EngineConfig &Engine) {
-  return Engine.RunId.empty() ? "campaign-" + std::to_string(Engine.Seed)
-                              : Engine.RunId;
-}
-
-/// Folds one injection's propagation provenance into the cumulative
-/// registry (a no-op when the campaign does not track propagation).
-/// Runs inside the serial position-indexed tally loops, so the prop.*
-/// instruments inherit their jobs/shard invariance.
-void tallyPropagation(telemetry::MetricsRegistry &Cumulative,
-                      BranchErrorCategory Cat, const InjectionReport &Report,
-                      const std::vector<uint64_t> &DistBounds) {
-  if (!Report.Prop.Enabled)
-    return;
-  Cumulative.counter(getPropagationCounterName(Cat, Report.Prop.Class)).inc();
-  if (Report.Prop.Class == telemetry::PropClass::DetectedAfterDivergence)
-    Cumulative.histogram(getPropagationDistanceName(Cat), DistBounds)
-        .observe(Report.Prop.InsnsCrossed);
 }
 
 } // namespace
@@ -256,50 +231,24 @@ constexpr const char *AttackCheckpointKind = "cfed-attack-checkpoint";
 bool writeCheckpointKind(const std::string &Path,
                          const EngineCheckpoint &Ckpt, const char *Kind,
                          std::string &Error) {
-  // Temp file + rename: readers (and a resume after a kill landing
-  // anywhere in here) see either the previous checkpoint or the new
-  // one, never a torn write.
-  std::string Tmp = Path + ".tmp";
-  std::FILE *File = std::fopen(Tmp.c_str(), "w");
-  if (!File) {
-    Error = "cannot open '" + Tmp + "' for writing";
-    return false;
-  }
-  std::string Json = checkpointToJson(Ckpt, Kind);
-  Json += '\n';
-  bool Ok = std::fwrite(Json.data(), 1, Json.size(), File) == Json.size();
-  Ok = std::fflush(File) == 0 && Ok;
-  Ok = std::fclose(File) == 0 && Ok;
-  if (!Ok) {
-    Error = "short write to '" + Tmp + '\'';
-    std::remove(Tmp.c_str());
-    return false;
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    Error = "cannot rename '" + Tmp + "' to '" + Path + '\'';
-    std::remove(Tmp.c_str());
-    return false;
-  }
-  return true;
+  return writeFileAtomic(Path, checkpointToJson(Ckpt, Kind) + '\n', Error);
 }
 
 using LoadStatus = CampaignEngine::LoadStatus;
 
 LoadStatus loadCheckpointKind(const std::string &Path, EngineCheckpoint &Out,
                               const char *Kind, std::string &Error) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In.is_open())
+  std::string Text;
+  if (!readWholeFile(Path, Text))
     return LoadStatus::Missing;
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Text = Buffer.str();
-
+  auto Corrupt = [&](const std::string &Why) {
+    Error = "checkpoint '" + Path + "' " + Why;
+    return LoadStatus::Corrupt;
+  };
   json::JsonValue Root;
   json::JsonParser Parser(Text);
-  if (!Parser.parse(Root) || Root.K != json::JsonValue::Object) {
-    Error = "checkpoint '" + Path + "' is truncated or not valid JSON";
-    return LoadStatus::Corrupt;
-  }
+  if (!Parser.parse(Root) || Root.K != json::JsonValue::Object)
+    return Corrupt("is truncated or not valid JSON");
   if (Root["kind"].Str != Kind) {
     Error = "'" + Path +
             (Kind == std::string(AttackCheckpointKind)
@@ -307,40 +256,31 @@ LoadStatus loadCheckpointKind(const std::string &Path, EngineCheckpoint &Out,
                  : "' is not a campaign checkpoint");
     return LoadStatus::Corrupt;
   }
-  Out.Version = static_cast<uint64_t>(Root["version"].Num);
-  if (Out.Version != EngineCheckpointVersion) {
-    Error = "checkpoint '" + Path + "' has version " +
-            std::to_string(Out.Version) + "; this build reads version " +
-            std::to_string(EngineCheckpointVersion);
-    return LoadStatus::Corrupt;
-  }
-  if (!fromHex(Root["plan_hash"].Str, Out.PlanHash)) {
-    Error = "checkpoint '" + Path + "' has a malformed plan hash";
-    return LoadStatus::Corrupt;
-  }
+  if (!json::readUnsigned(Root["version"], Out.Version) ||
+      Out.Version != EngineCheckpointVersion)
+    return Corrupt("has version '" + Root["version"].Literal +
+                   "'; this build reads version " +
+                   std::to_string(EngineCheckpointVersion));
+  if (!fromHex(Root["plan_hash"].Str, Out.PlanHash))
+    return Corrupt("has a malformed plan hash");
+  if (!readShardSpec(Root, Out.Shard, Out.NumShards))
+    return Corrupt("has a malformed shard spec");
   const json::JsonValue &Reserve = Root["reserve_cursors"];
-  if (Root["cursor"].K != json::JsonValue::Number ||
-      Root["completed"].K != json::JsonValue::Number ||
-      Reserve.K != json::JsonValue::Array ||
-      Reserve.Items.size() != NumBranchErrorCategories) {
-    Error = "checkpoint '" + Path + "' has a malformed progress record";
-    return LoadStatus::Corrupt;
-  }
-  Out.Shard = static_cast<unsigned>(Root["shard"].Num);
-  Out.NumShards = static_cast<unsigned>(Root["num_shards"].Num);
-  Out.Cursor = static_cast<uint64_t>(Root["cursor"].Num);
-  Out.Completed = static_cast<uint64_t>(Root["completed"].Num);
+  bool Progress = json::readUnsigned(Root["cursor"], Out.Cursor) &&
+                  json::readUnsigned(Root["completed"], Out.Completed) &&
+                  Reserve.K == json::JsonValue::Array &&
+                  Reserve.Items.size() == NumBranchErrorCategories;
+  for (unsigned C = 0; Progress && C < NumBranchErrorCategories; ++C)
+    Progress = json::readUnsigned(Reserve.Items[C], Out.ReserveCursors[C]);
+  if (!Progress)
+    return Corrupt("has a malformed progress record");
   // Absent in pre-coordinator checkpoints, which were by definition
   // uncoordinated.
   Out.Coordinated = Root["coordinated"].B;
-  for (unsigned C = 0; C < NumBranchErrorCategories; ++C)
-    Out.ReserveCursors[C] = static_cast<uint64_t>(Reserve.Items[C].Num);
   std::string SnapError;
   if (!telemetry::snapshotFromJson(Root["registry"], Out.Registry,
-                                   SnapError)) {
-    Error = "checkpoint '" + Path + "' registry: " + SnapError;
-    return LoadStatus::Corrupt;
-  }
+                                   SnapError))
+    return Corrupt("registry: " + SnapError);
   return LoadStatus::Ok;
 }
 
@@ -374,22 +314,45 @@ AttackEngine::loadCheckpoint(const std::string &Path, EngineCheckpoint &Out,
 // Result files and shard merging
 //===----------------------------------------------------------------------===//
 
-std::string CampaignEngine::resultToJson(const EngineReport &Report,
-                                         const EngineConfig &Engine) {
+namespace {
+
+/// The one campaign-result writer. Fault and attack shards share kind
+/// "cfed-campaign-result", so parseShardResult and mergeShards fold them
+/// alike (the registries carry fault.* or attack.* counters).
+std::string resultJson(unsigned Shard, unsigned NumShards, uint64_t Seed,
+                       const char *Model, uint64_t Completed,
+                       uint64_t Skipped, bool Finished,
+                       const telemetry::RegistrySnapshot &Registry) {
   std::string Out = "{\"kind\":\"cfed-campaign-result\",\"version\":1";
-  Out += ",\"shard\":" + std::to_string(Engine.ShardIndex);
-  Out += ",\"num_shards\":" + std::to_string(Engine.NumShards);
-  Out += ",\"seed\":" + std::to_string(Engine.Seed);
+  Out += ",\"shard\":" + std::to_string(Shard);
+  Out += ",\"num_shards\":" + std::to_string(NumShards);
+  Out += ",\"seed\":" + std::to_string(Seed);
   Out += ",\"model\":\"";
-  Out += getFaultModelName(Engine.Model);
-  Out += "\",\"completed\":" + std::to_string(Report.Completed);
-  Out += ",\"skipped\":" + std::to_string(Report.Skipped);
+  Out += Model;
+  Out += "\",\"completed\":" + std::to_string(Completed);
+  Out += ",\"skipped\":" + std::to_string(Skipped);
   Out += ",\"finished\":";
-  Out += Report.Finished ? "true" : "false";
+  Out += Finished ? "true" : "false";
   Out += ",\"registry\":";
-  Out += Report.Registry.toJson();
+  Out += Registry.toJson();
   Out += '}';
   return Out;
+}
+
+} // namespace
+
+std::string CampaignEngine::resultToJson(const EngineReport &Report,
+                                         const EngineConfig &Engine) {
+  return resultJson(Engine.ShardIndex, Engine.NumShards, Engine.Seed,
+                    getFaultModelName(Engine.Model), Report.Completed,
+                    Report.Skipped, Report.Finished, Report.Registry);
+}
+
+std::string AttackEngine::resultToJson(const AttackEngineReport &Report,
+                                       const AttackEngineConfig &Engine) {
+  return resultJson(Engine.ShardIndex, Engine.NumShards, Engine.Seed,
+                    "attack", Report.Completed, /*Skipped=*/0,
+                    Report.Finished, Report.Registry);
 }
 
 bool CampaignEngine::parseShardResult(const std::string &Text,
@@ -415,11 +378,23 @@ bool CampaignEngine::parseShardResult(const std::string &Text,
     Error = "not a campaign result file (kind '" + Kind + "')";
     return false;
   }
-  Out.Shard = static_cast<unsigned>(Root["shard"].Num);
-  Out.NumShards = static_cast<unsigned>(Root["num_shards"].Num);
-  Out.Seed = static_cast<uint64_t>(Root["seed"].Num);
-  Out.Completed = static_cast<uint64_t>(Root["completed"].Num);
-  Out.Skipped = static_cast<uint64_t>(Root["skipped"].Num);
+  uint64_t Version = 0;
+  if (!json::readUnsigned(Root["version"], Version) || Version != 1) {
+    Error = "malformed or unsupported version (this build reads 1)";
+    return false;
+  }
+  if (!readShardSpec(Root, Out.Shard, Out.NumShards)) {
+    Error = "malformed shard spec (shard must be an integer below a "
+            "non-zero integer num_shards)";
+    return false;
+  }
+  if (!json::readUnsigned(Root["seed"], Out.Seed) ||
+      !json::readUnsigned(Root["completed"], Out.Completed) ||
+      !json::readUnsigned(Root["skipped"], Out.Skipped)) {
+    Error = "malformed seed, completed or skipped count (each must be a "
+            "non-negative 64-bit integer)";
+    return false;
+  }
   Out.Finished = Root["finished"].B;
   std::string SnapError;
   if (!telemetry::snapshotFromJson(Root["registry"], Out.Registry,
@@ -436,7 +411,8 @@ bool CampaignEngine::mergeShards(const std::vector<ShardResult> &Shards,
     Error = "no shard results to merge";
     return false;
   }
-  std::vector<bool> Seen(Shards[0].NumShards, false);
+  // A set, not a bitmap sized by the (file-supplied) shard count.
+  std::set<unsigned> Seen;
   for (const ShardResult &S : Shards) {
     if (S.Seed != Shards[0].Seed || S.NumShards != Shards[0].NumShards) {
       Error = "shard results disagree on seed or shard count; they are "
@@ -448,12 +424,11 @@ bool CampaignEngine::mergeShards(const std::vector<ShardResult> &Shards,
               " out of range for " + std::to_string(S.NumShards) + " shards";
       return false;
     }
-    if (Seen[S.Shard]) {
+    if (!Seen.insert(S.Shard).second) {
       Error = "shard " + std::to_string(S.Shard) +
               " appears twice; merging it would double-count";
       return false;
     }
-    Seen[S.Shard] = true;
   }
 
   // Counters and histograms are pure sums over disjoint injection sets,
@@ -476,19 +451,379 @@ bool CampaignEngine::mergeShards(const std::vector<ShardResult> &Shards,
 }
 
 //===----------------------------------------------------------------------===//
-// Engine
+// The batch loop
 //===----------------------------------------------------------------------===//
+//
+// Every engine mode runs this loop over the *global* primary schedule,
+// executing only the slots it owns (see the header and DESIGN.md §13). A
+// plain shard's batches span CheckpointInterval x NumShards global slots,
+// so each holds CheckpointInterval owned slots. A coordinated shard walks
+// the unsharded batches and publishes a batch file after each, before its
+// checkpoint (a kill in between only republishes identical content); with
+// early stopping it first merges every sibling's previous batch file into
+// its boundary state (the barrier). Each shard replays the whole global
+// batch construction but counts skips and reallocations only for owned
+// slots, so merged shards equal the unsharded run byte for byte.
+//
+// A campaign kind plugs in through a policy class providing:
+//   Slot, SlotResult          planned-slot and per-slot result types
+//   CheckpointKind, Noun      checkpoint kind string, diagnostic noun
+//   category(Slot)            the early-stopping cell of a slot
+//   inject(Slot)              one injection, thread-safe
+//   tally(Registry, Slot, R)  serial fold into the cumulative registry
+
+namespace {
+
+/// A kind's deterministic plan: the primary schedule, the per-category
+/// reserve early stopping reallocates from (empty for kinds that never
+/// stop early), and the fingerprint a checkpoint must match.
+template <typename Slot> struct SlotPlan {
+  std::vector<const Slot *> Primary;
+  std::array<std::vector<const Slot *>, NumBranchErrorCategories> Reserve;
+  uint64_t Hash = 0;
+};
+
+/// Runs \p Plan and fills the Registry/Completed/Planned/Finished/Resumed
+/// fields of \p Out. Returns the state the final closure decision reads:
+/// the merged campaign registry for a finished coordinated
+/// early-stopping shard, else Out.Registry.
+template <typename Kind, typename Report>
+telemetry::RegistrySnapshot
+runBatchLoop(const EngineConfig &Engine, const Kind &K,
+             const SlotPlan<typename Kind::Slot> &Plan, Report &Out) {
+  using Slot = typename Kind::Slot;
+  const uint64_t Total = Plan.Primary.size();
+  const uint64_t NumShards = Engine.NumShards;
+  const uint64_t Shard = Engine.ShardIndex;
+  const bool Coordinated = !Engine.CoordinatorDir.empty();
+  const bool EarlyStop = Engine.StopHalfWidth > 0.0;
+  const uint64_t Interval = Engine.CheckpointInterval;
+  const uint64_t BatchSlots =
+      Coordinated ? Interval
+                  : (Interval > UINT64_MAX / NumShards ? UINT64_MAX
+                                                       : Interval * NumShards);
+  auto OwnedBefore = [&](uint64_t Global) -> uint64_t {
+    return Global > Shard ? (Global - Shard + NumShards - 1) / NumShards : 0;
+  };
+  const uint64_t Planned = OwnedBefore(Total);
+  // A plain shard is done after its last owned slot; a coordinated one
+  // walks every global batch, because siblings wait on its batch files.
+  const uint64_t End =
+      Coordinated ? Total
+                  : (Planned ? Shard + (Planned - 1) * NumShards + 1 : 0);
+  auto CheckpointCursor = [&](uint64_t Global) {
+    return Coordinated ? Global : OwnedBefore(Global);
+  };
+  const uint64_t CheckpointLimit = Coordinated ? Total : Planned;
+
+  const std::string RunId = Engine.RunId.empty()
+                                ? "campaign-" + std::to_string(Engine.Seed)
+                                : Engine.RunId;
+  const std::string LivePath =
+      !Engine.LiveExportFile.empty() || !Coordinated
+          ? Engine.LiveExportFile
+          : CampaignEngine::coordinatorLivePath(Engine.CoordinatorDir,
+                                                Engine.ShardIndex);
+
+  // Cumulative state; a checkpoint restores it exactly.
+  telemetry::MetricsRegistry Cumulative;
+  uint64_t Cursor = 0;
+  uint64_t Completed = 0;
+  std::array<uint64_t, NumBranchErrorCategories> ReserveCursors{};
+  bool Resumed = false;
+
+  if (!Engine.CheckpointFile.empty()) {
+    const char *Path = Engine.CheckpointFile.c_str();
+    EngineCheckpoint Ckpt;
+    std::string Error;
+    switch (loadCheckpointKind(Path, Ckpt, Kind::CheckpointKind, Error)) {
+    case LoadStatus::Missing:
+      break;
+    case LoadStatus::Corrupt:
+      reportFatalErrorf("%s (delete the file to restart the campaign "
+                        "from scratch)",
+                        Error.c_str());
+      break;
+    case LoadStatus::Ok:
+      if (Ckpt.PlanHash != Plan.Hash)
+        reportFatalErrorf(
+            "checkpoint '%s' belongs to a different %s (plan hash %s, "
+            "this campaign is %s); refusing to mix results",
+            Path, Kind::Noun, toHex(Ckpt.PlanHash).c_str(),
+            toHex(Plan.Hash).c_str());
+      if (Ckpt.Shard != Engine.ShardIndex ||
+          Ckpt.NumShards != Engine.NumShards)
+        reportFatalErrorf("checkpoint '%s' was written by shard %u/%u, not "
+                          "%u/%u",
+                          Path, Ckpt.Shard, Ckpt.NumShards,
+                          Engine.ShardIndex, Engine.NumShards);
+      if (Ckpt.Coordinated != Coordinated)
+        reportFatalErrorf(
+            Coordinated
+                ? "checkpoint '%s' was written without "
+                  "--campaign-coordinator (its cursor counts shard slots, "
+                  "not global slots); continue it uncoordinated or delete it"
+                : "checkpoint '%s' was written by a coordinated run (its "
+                  "cursor counts global slots, not shard slots); pass "
+                  "--campaign-coordinator to continue it",
+            Path);
+      if (Ckpt.Cursor > CheckpointLimit)
+        reportFatalErrorf("checkpoint '%s' cursor %llu exceeds the plan "
+                          "(%llu slots)",
+                          Path, static_cast<unsigned long long>(Ckpt.Cursor),
+                          static_cast<unsigned long long>(CheckpointLimit));
+      Cumulative.merge(Ckpt.Registry);
+      // A plain cursor counts owned slots; each batch ends on a multiple
+      // of NumShards global slots, the last one at End.
+      Cursor = Coordinated               ? Ckpt.Cursor
+               : Ckpt.Cursor < Planned ? Ckpt.Cursor * NumShards
+                                       : End;
+      Completed = Ckpt.Completed;
+      ReserveCursors = Ckpt.ReserveCursors;
+      Resumed = true;
+      break;
+    }
+  }
+
+  // Waits for sibling \p Sibling's batch \p Batch file. Files are
+  // written atomically, so an unparsable one is corruption, never an
+  // in-progress write.
+  auto AwaitSibling = [&](unsigned Sibling,
+                          uint64_t Batch) -> telemetry::RegistrySnapshot {
+    std::string Path = CampaignEngine::coordinatorBatchPath(
+        Engine.CoordinatorDir, Sibling, Batch);
+    auto Deadline = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(Engine.CoordinatorTimeoutMs);
+    for (std::string Text;;) {
+      if (readWholeFile(Path, Text)) {
+        json::JsonValue Root;
+        json::JsonParser Parser(Text);
+        telemetry::LiveSnapshot Snap;
+        std::string Error = "not valid JSON";
+        if (!Parser.parse(Root) ||
+            !telemetry::liveSnapshotFromJson(Root, Snap, Error))
+          reportFatalErrorf("campaign coordinator: snapshot '%s' is corrupt: "
+                            "%s",
+                            Path.c_str(), Error.c_str());
+        if (!Snap.Beat.Present || Snap.Beat.Shard != Sibling ||
+            Snap.Beat.NumShards != Engine.NumShards)
+          reportFatalErrorf(
+              "campaign coordinator: snapshot '%s' was published by "
+              "shard %u/%u, expected shard %u of %u",
+              Path.c_str(), Snap.Beat.Shard, Snap.Beat.NumShards, Sibling,
+              Engine.NumShards);
+        return Snap.Registry;
+      }
+      if (std::chrono::steady_clock::now() >= Deadline)
+        reportFatalErrorf(
+            "campaign coordinator: shard %u has not published batch %llu "
+            "in '%s' within %llu ms; restart the missing shard (it "
+            "resumes from its checkpoint) or raise the timeout",
+            Sibling, static_cast<unsigned long long>(Batch),
+            Engine.CoordinatorDir.c_str(),
+            static_cast<unsigned long long>(Engine.CoordinatorTimeoutMs));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+
+  // Campaign state at the boundary after batch \p Batch - 1: this
+  // shard's own, plus the siblings' when coordinated (the barrier).
+  auto BoundaryState = [&](const telemetry::RegistrySnapshot &Own,
+                           uint64_t Batch) {
+    if (!Coordinated || Batch == 0 || NumShards == 1)
+      return Own;
+    telemetry::MetricsRegistry Merged;
+    Merged.merge(Own);
+    for (unsigned J = 0; J < NumShards; ++J)
+      if (J != Engine.ShardIndex)
+        Merged.merge(AwaitSibling(J, Batch - 1));
+    return Merged.snapshot();
+  };
+
+  ThreadPool Pool(Engine.Jobs);
+  uint64_t Batches = 0;
+  bool Finished = true;
+
+  while (Cursor < End) {
+    if (Engine.MaxBatches && Batches >= Engine.MaxBatches) {
+      Finished = false;
+      break;
+    }
+    ++Batches;
+    const uint64_t Batch = Cursor / BatchSlots;
+    const uint64_t BatchBegin = Batch * BatchSlots;
+    const uint64_t BatchEnd =
+        End - BatchBegin > BatchSlots ? BatchBegin + BatchSlots : End;
+
+    // Skip decisions read only tallies frozen at the last boundary, so
+    // the schedule is a pure function of checkpointed state. Without
+    // early stopping coordinated shards never wait.
+    CellStates Decision{};
+    if (EarlyStop)
+      Decision = computeCells(BoundaryState(Cumulative.snapshot(), Batch),
+                              Engine.StopHalfWidth, Engine.StopZ);
+
+    std::vector<const Slot *> Mine;
+    for (; Cursor < BatchEnd; ++Cursor) {
+      const Slot *Chosen = Plan.Primary[Cursor];
+      const bool Owned = Cursor % NumShards == Shard;
+      BranchErrorCategory Cat = Kind::category(*Chosen);
+      if (EarlyStop && Decision[static_cast<unsigned>(Cat)].Closed) {
+        // The cell closed: record the skip (never silently) and hand
+        // the slot to the loosest still-open cell with reserve left.
+        if (Owned)
+          Cumulative.counter(getSkipCounterName(Cat)).inc();
+        int Loosest = -1;
+        for (unsigned C = 0; C < NumBranchErrorCategories; ++C) {
+          if (!isCellCategory(static_cast<BranchErrorCategory>(C)) ||
+              Decision[C].Closed ||
+              ReserveCursors[C] >= Plan.Reserve[C].size())
+            continue;
+          if (Loosest < 0 || Decision[C].Interval.halfWidth() >
+                                 Decision[Loosest].Interval.halfWidth())
+            Loosest = static_cast<int>(C);
+        }
+        Chosen = nullptr;
+        if (Loosest >= 0) {
+          Chosen = Plan.Reserve[Loosest][ReserveCursors[Loosest]++];
+          if (Owned)
+            Cumulative.counter(getReallocCounterName(Kind::category(*Chosen)))
+                .inc();
+        }
+      }
+      if (Chosen && Owned)
+        Mine.push_back(Chosen);
+    }
+
+    if (!Mine.empty()) {
+      std::vector<typename Kind::SlotResult> Results(Mine.size());
+      Pool.parallelFor(Mine.size(),
+                       [&](uint64_t I) { Results[I] = K.inject(*Mine[I]); });
+      for (size_t I = 0; I < Mine.size(); ++I)
+        K.tally(Cumulative, *Mine[I], Results[I]);
+      Completed += Mine.size();
+    }
+
+    telemetry::RegistrySnapshot Boundary = Cumulative.snapshot();
+    if (!LivePath.empty()) {
+      // One publish per batch, numbered by batch so a resumed run
+      // continues the sequence. A coordinated heartbeat shows the merged
+      // decision the batch used, a plain one the state after it.
+      CellStates Own =
+          computeCells(Boundary, Engine.StopHalfWidth, Engine.StopZ);
+      telemetry::Heartbeat Beat = makeHeartbeat(
+          Engine, CheckpointCursor(Cursor), Coordinated ? Total : Planned,
+          Completed, Boundary, Own, Coordinated ? Decision : Own);
+      if (Coordinated)
+        publishLiveFile(CampaignEngine::coordinatorBatchPath(
+                            Engine.CoordinatorDir, Engine.ShardIndex, Batch),
+                        RunId, Batch + 1, Boundary, Beat);
+      publishLiveFile(LivePath, RunId, Batch + 1, Boundary, Beat);
+      if (Coordinated && Batch >= 2)
+        std::remove(CampaignEngine::coordinatorBatchPath(
+                        Engine.CoordinatorDir, Engine.ShardIndex, Batch - 2)
+                        .c_str());
+    }
+
+    if (!Engine.CheckpointFile.empty()) {
+      EngineCheckpoint Ckpt;
+      Ckpt.Version = EngineCheckpointVersion;
+      Ckpt.PlanHash = Plan.Hash;
+      Ckpt.Shard = Engine.ShardIndex;
+      Ckpt.NumShards = Engine.NumShards;
+      Ckpt.Cursor = CheckpointCursor(Cursor);
+      Ckpt.Completed = Completed;
+      Ckpt.Coordinated = Coordinated;
+      Ckpt.ReserveCursors = ReserveCursors;
+      Ckpt.Registry = std::move(Boundary);
+      std::string Error;
+      if (!writeCheckpointKind(Engine.CheckpointFile, Ckpt,
+                               Kind::CheckpointKind, Error))
+        reportFatalErrorf("%s checkpoint failed: %s", Kind::Noun,
+                          Error.c_str());
+      if (Engine.OnCheckpoint)
+        Engine.OnCheckpoint(Completed);
+    }
+  }
+
+  Out.Registry = Cumulative.snapshot();
+  Out.Completed = Completed;
+  Out.Planned = Planned;
+  Out.Finished = Finished;
+  Out.Resumed = Resumed;
+  // Every shard publishes its final batch before waiting here, so this
+  // last barrier cannot deadlock.
+  if (!EarlyStop || !Finished || Total == 0)
+    return Out.Registry;
+  return BoundaryState(Out.Registry, (Total - 1) / BatchSlots + 1);
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// Fault campaigns
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Deterministic fingerprint of the plan and the knobs that shape it.
+/// A checkpoint taken under a different program, seed, model or budget
+/// must never silently continue into this plan.
+uint64_t hashPlan(const EngineConfig &Engine,
+                  const std::vector<PlannedFault> &Candidates) {
+  uint64_t Hash = fnv1a(FnvOffsetBasis, Engine.NumInjections, Engine.Seed,
+                        Engine.Sites, Engine.Model, Engine.NumShards);
+  for (const PlannedFault &F : Candidates)
+    Hash = fnv1a(Hash, F.Instance, F.Kind, F.Mask, F.Category, F.SiteAddr,
+                 F.InstrSite);
+  return Hash;
+}
+
+/// Branch-fault slots: outcome counters, detection-latency histograms
+/// and (when tracked) propagation provenance per category.
+struct FaultSlots {
+  using Slot = PlannedFault;
+  using SlotResult = InjectionReport;
+  static constexpr const char *CheckpointKind = CampaignCheckpointKind;
+  static constexpr const char *Noun = "campaign";
+
+  const FaultCampaign &Campaign;
+  std::vector<uint64_t> LatBounds = CampaignEngine::latencyBounds();
+  std::vector<uint64_t> DistBounds = telemetry::propDistanceBounds();
+
+  static BranchErrorCategory category(const Slot &Fault) {
+    return Fault.Category;
+  }
+  SlotResult inject(const Slot &Fault) const {
+    return Campaign.injectDetailed(Fault);
+  }
+  void tally(telemetry::MetricsRegistry &Cumulative, const Slot &Fault,
+             const SlotResult &Report) const {
+    BranchErrorCategory Cat = Fault.Category;
+    Cumulative.counter(getOutcomeCounterName(Cat, Report.Result)).inc();
+    Cumulative.counter("fault.injections").inc();
+    if (Report.Fired && (Report.Result == Outcome::DetectedSignature ||
+                         Report.Result == Outcome::DetectedHardware))
+      Cumulative.histogram(CampaignEngine::getLatencyHistogramName(Cat),
+                           LatBounds)
+          .observe(Report.LatencyInsns);
+    if (Report.Prop.Enabled) {
+      Cumulative.counter(getPropagationCounterName(Cat, Report.Prop.Class))
+          .inc();
+      if (Report.Prop.Class == telemetry::PropClass::DetectedAfterDivergence)
+        Cumulative.histogram(getPropagationDistanceName(Cat), DistBounds)
+            .observe(Report.Prop.InsnsCrossed);
+    }
+  }
+};
+
+} // namespace
 
 CampaignEngine::CampaignEngine(const AsmProgram &Program, DbtConfig Config,
                                EngineConfig Engine)
     : Program(Program), Config(Config), Engine(std::move(Engine)) {
-  if (this->Engine.NumShards < 1 ||
-      this->Engine.ShardIndex >= this->Engine.NumShards)
-    reportFatalErrorf("invalid shard spec %u/%u: the shard index must be "
-                      "below the shard count",
-                      this->Engine.ShardIndex, this->Engine.NumShards);
-  if (this->Engine.CheckpointInterval < 1)
-    reportFatalError("campaign checkpoint interval must be at least 1");
+  checkEngineSpec(this->Engine.ShardIndex, this->Engine.NumShards,
+                  this->Engine.CheckpointInterval, "campaign");
   if (this->Engine.StopHalfWidth > 0.0 && this->Engine.NumShards > 1 &&
       this->Engine.CoordinatorDir.empty())
     reportFatalError(
@@ -498,18 +833,6 @@ CampaignEngine::CampaignEngine(const AsmProgram &Program, DbtConfig Config,
         "--campaign-coordinator=DIR so shards stop on merged cell "
         "counts, run the sharded campaign without a stop width, or run "
         "early stopping unsharded.");
-}
-
-std::string CampaignEngine::coordinatorBatchPath(const std::string &Dir,
-                                                 unsigned Shard,
-                                                 uint64_t Batch) {
-  return Dir + "/shard_" + std::to_string(Shard) + ".batch_" +
-         std::to_string(Batch) + ".json";
-}
-
-std::string CampaignEngine::coordinatorLivePath(const std::string &Dir,
-                                                unsigned Shard) {
-  return Dir + "/shard_" + std::to_string(Shard) + ".live.json";
 }
 
 EngineReport CampaignEngine::run() {
@@ -529,534 +852,38 @@ EngineReport CampaignEngine::run() {
   std::vector<PlannedFault> Candidates =
       Campaign.plan(Engine.NumInjections * 4, Engine.Seed, Engine.Sites,
                     Engine.Model);
-  std::vector<const PlannedFault *> Primary;
-  std::array<std::vector<const PlannedFault *>, NumBranchErrorCategories>
-      Reserve;
+  SlotPlan<PlannedFault> Plan;
   for (const PlannedFault &Fault : Candidates) {
     if (Fault.Category == BranchErrorCategory::NoError)
       continue;
-    if (Primary.size() < Engine.NumInjections)
-      Primary.push_back(&Fault);
+    if (Plan.Primary.size() < Engine.NumInjections)
+      Plan.Primary.push_back(&Fault);
     else
-      Reserve[static_cast<unsigned>(Fault.Category)].push_back(&Fault);
+      Plan.Reserve[static_cast<unsigned>(Fault.Category)].push_back(&Fault);
   }
-  uint64_t PlanHash = hashPlan(Engine, Candidates);
-
-  // Coordinated mode iterates the *global* schedule in lockstep with
-  // its siblings; everything below here is the independent-shard path.
-  if (!Engine.CoordinatorDir.empty())
-    return runCoordinated(Campaign, Primary, Reserve, PlanHash);
-
-  // This shard's deterministic slice of the primary schedule.
-  std::vector<const PlannedFault *> ShardPlan;
-  for (size_t I = Engine.ShardIndex; I < Primary.size();
-       I += Engine.NumShards)
-    ShardPlan.push_back(Primary[I]);
-
-  // Cumulative state; a checkpoint restores it exactly.
-  telemetry::MetricsRegistry Cumulative;
-  uint64_t Cursor = 0;
-  uint64_t Completed = 0;
-  std::array<uint64_t, NumBranchErrorCategories> ReserveCursors{};
-  bool Resumed = false;
-
-  if (!Engine.CheckpointFile.empty()) {
-    EngineCheckpoint Ckpt;
-    std::string Error;
-    switch (loadCheckpoint(Engine.CheckpointFile, Ckpt, Error)) {
-    case LoadStatus::Missing:
-      break;
-    case LoadStatus::Corrupt:
-      reportFatalErrorf("%s (delete the file to restart the campaign "
-                        "from scratch)",
-                        Error.c_str());
-      break;
-    case LoadStatus::Ok:
-      if (Ckpt.PlanHash != PlanHash)
-        reportFatalErrorf(
-            "checkpoint '%s' belongs to a different campaign (plan hash "
-            "%s, this campaign is %s); refusing to mix results",
-            Engine.CheckpointFile.c_str(), toHex(Ckpt.PlanHash).c_str(),
-            toHex(PlanHash).c_str());
-      if (Ckpt.Shard != Engine.ShardIndex ||
-          Ckpt.NumShards != Engine.NumShards)
-        reportFatalErrorf("checkpoint '%s' was written by shard %u/%u, not "
-                          "%u/%u",
-                          Engine.CheckpointFile.c_str(), Ckpt.Shard,
-                          Ckpt.NumShards, Engine.ShardIndex,
-                          Engine.NumShards);
-      if (Ckpt.Coordinated)
-        reportFatalErrorf(
-            "checkpoint '%s' was written by a coordinated run (its "
-            "cursor counts global slots, not shard slots); pass "
-            "--campaign-coordinator to continue it",
-            Engine.CheckpointFile.c_str());
-      if (Ckpt.Cursor > ShardPlan.size())
-        reportFatalErrorf("checkpoint '%s' cursor %llu exceeds the plan "
-                          "(%zu slots)",
-                          Engine.CheckpointFile.c_str(),
-                          static_cast<unsigned long long>(Ckpt.Cursor),
-                          ShardPlan.size());
-      Cumulative.merge(Ckpt.Registry);
-      Cursor = Ckpt.Cursor;
-      Completed = Ckpt.Completed;
-      ReserveCursors = Ckpt.ReserveCursors;
-      Resumed = true;
-      break;
-    }
-  }
-
-  const bool EarlyStop = Engine.StopHalfWidth > 0.0;
-  std::array<CellState, NumBranchErrorCategories> Cells = computeCells(
-      Cumulative.snapshot(), Engine.StopHalfWidth, Engine.StopZ);
-
-  ThreadPool Pool(Engine.Jobs);
-  std::vector<uint64_t> LatBounds = latencyBounds();
-  std::vector<uint64_t> DistBounds = telemetry::propDistanceBounds();
-  uint64_t Batches = 0;
-  bool Finished = true;
-
-  while (Cursor < ShardPlan.size()) {
-    if (Engine.MaxBatches && Batches >= Engine.MaxBatches) {
-      Finished = false;
-      break;
-    }
-    ++Batches;
-
-    // Build the batch serially: skip/reallocate decisions read only the
-    // cumulative tallies frozen at the last batch boundary, so the
-    // schedule is a pure function of checkpointed state.
-    std::vector<const PlannedFault *> Batch;
-    Batch.reserve(Engine.CheckpointInterval);
-    for (uint64_t Slot = 0;
-         Slot < Engine.CheckpointInterval && Cursor < ShardPlan.size();
-         ++Slot, ++Cursor) {
-      const PlannedFault *Fault = ShardPlan[Cursor];
-      unsigned Cat = static_cast<unsigned>(Fault->Category);
-      if (!EarlyStop || !Cells[Cat].Closed) {
-        Batch.push_back(Fault);
-        continue;
-      }
-      // The cell closed: record the skip (never silently) and hand the
-      // slot to the loosest still-open cell with reserve left.
-      Cumulative.counter(getSkipCounterName(Fault->Category)).inc();
-      int Loosest = -1;
-      for (unsigned C = 0; C < NumBranchErrorCategories; ++C) {
-        auto CellCat = static_cast<BranchErrorCategory>(C);
-        if (!isCellCategory(CellCat) || Cells[C].Closed ||
-            ReserveCursors[C] >= Reserve[C].size())
-          continue;
-        if (Loosest < 0 || Cells[C].Interval.halfWidth() >
-                               Cells[Loosest].Interval.halfWidth())
-          Loosest = static_cast<int>(C);
-      }
-      if (Loosest >= 0) {
-        const PlannedFault *Replacement =
-            Reserve[Loosest][ReserveCursors[Loosest]++];
-        Cumulative.counter(getReallocCounterName(Replacement->Category))
-            .inc();
-        Batch.push_back(Replacement);
-      }
-    }
-
-    if (!Batch.empty()) {
-      // Work-stealing dispatch: workers pull batch indices off the
-      // pool's atomic cursor and write into their own slot; the tally
-      // below replays the slots serially in batch order, so the
-      // registry is byte-identical for any job count.
-      std::vector<InjectionReport> Reports(Batch.size());
-      Pool.parallelFor(Batch.size(), [&](uint64_t I) {
-        Reports[I] = Campaign.injectDetailed(*Batch[I]);
-      });
-      for (size_t I = 0; I < Batch.size(); ++I) {
-        const InjectionReport &Report = Reports[I];
-        BranchErrorCategory Cat = Batch[I]->Category;
-        Cumulative.counter(getOutcomeCounterName(Cat, Report.Result)).inc();
-        Cumulative.counter("fault.injections").inc();
-        if (Report.Fired &&
-            (Report.Result == Outcome::DetectedSignature ||
-             Report.Result == Outcome::DetectedHardware))
-          Cumulative.histogram(getLatencyHistogramName(Cat), LatBounds)
-              .observe(Report.LatencyInsns);
-        tallyPropagation(Cumulative, Cat, Report, DistBounds);
-      }
-      Completed += Batch.size();
-    }
-
-    telemetry::RegistrySnapshot Boundary = Cumulative.snapshot();
-    if (EarlyStop || !Engine.LiveExportFile.empty())
-      Cells = computeCells(Boundary, Engine.StopHalfWidth, Engine.StopZ);
-
-    // Deterministic inline live export: one publish per batch boundary,
-    // sequence-numbered by batch so a resumed run continues the
-    // sequence instead of restarting it.
-    if (!Engine.LiveExportFile.empty())
-      publishLiveFile(Engine.LiveExportFile, effectiveRunId(Engine),
-                      (Cursor + Engine.CheckpointInterval - 1) /
-                          Engine.CheckpointInterval,
-                      Boundary,
-                      makeHeartbeat(Engine, Cursor, ShardPlan.size(),
-                                    Completed, Boundary, Cells, Cells));
-
-    if (!Engine.CheckpointFile.empty()) {
-      EngineCheckpoint Ckpt;
-      Ckpt.Version = EngineCheckpointVersion;
-      Ckpt.PlanHash = PlanHash;
-      Ckpt.Shard = Engine.ShardIndex;
-      Ckpt.NumShards = Engine.NumShards;
-      Ckpt.Cursor = Cursor;
-      Ckpt.Completed = Completed;
-      Ckpt.ReserveCursors = ReserveCursors;
-      Ckpt.Registry = Boundary;
-      std::string Error;
-      if (!writeCheckpoint(Engine.CheckpointFile, Ckpt, Error))
-        reportFatalErrorf("campaign checkpoint failed: %s", Error.c_str());
-      if (Engine.OnCheckpoint)
-        Engine.OnCheckpoint(Completed);
-    }
-  }
+  Plan.Hash = hashPlan(Engine, Candidates);
 
   EngineReport Report;
-  Report.Registry = Cumulative.snapshot();
+  telemetry::RegistrySnapshot Decision =
+      runBatchLoop(Engine, FaultSlots{Campaign}, Plan, Report);
   Report.Result = campaignResultFromSnapshot(Report.Registry);
-  Report.Completed = Completed;
-  Report.Planned = ShardPlan.size();
-  Report.Finished = Finished;
-  Report.Resumed = Resumed;
-  Cells = computeCells(Report.Registry, Engine.StopHalfWidth, Engine.StopZ);
-  for (unsigned C = 0; C < NumBranchErrorCategories; ++C) {
-    auto Cat = static_cast<BranchErrorCategory>(C);
-    if (!isCellCategory(Cat))
-      continue;
-    CellReport Cell;
-    Cell.Category = Cat;
-    Cell.Counts = Cells[C].Counts;
-    Cell.Interval = Cells[C].Interval;
-    Cell.Stopped = Cells[C].Closed;
-    uint64_t Total = Cell.Counts.total();
-    Cell.SdcRate = Total == 0 ? 0.0
-                              : static_cast<double>(Cell.Counts.Sdc) /
-                                    static_cast<double>(Total);
-    Cell.Skipped = Report.Registry.counterOr(getSkipCounterName(Cat));
-    Cell.Reallocated = Report.Registry.counterOr(getReallocCounterName(Cat));
-    Report.Skipped += Cell.Skipped;
-    Report.Cells.push_back(Cell);
-  }
-  return Report;
-}
 
-//===----------------------------------------------------------------------===//
-// Coordinated (lockstep) shards
-//===----------------------------------------------------------------------===//
-//
-// The coordinated protocol lifts the stop-x-shard refusal by making
-// every shard take its stopping decisions on the *merged* campaign
-// state, in lockstep over the global batch sequence:
-//
-//  1. All shards iterate the same global batches (CheckpointInterval
-//     slots of the global primary schedule per batch).
-//  2. Before constructing batch B > 0, a shard waits for every
-//     sibling's batch B-1 snapshot in CoordinatorDir and merges those
-//     registries with its own cumulative registry. By induction this
-//     merged state equals the unsharded run's cumulative state at the
-//     same boundary, so computeCells closes exactly the same cells.
-//  3. Each shard then *replays the whole global batch construction* —
-//     the skip decisions and the global reserve-cursor advancement are
-//     pure functions of the (shared) merged boundary state — but
-//     executes only the slots it owns (global slot index mod NumShards)
-//     and bumps skip/realloc counters only for owned slots. Summed over
-//     shards, every counter therefore matches the unsharded run, which
-//     is what makes `cfed-stat merge` byte-identical to the unsharded
-//     --campaign-stop-ci reference.
-//  4. After the batch it publishes its snapshot (atomic tmp+rename)
-//     BEFORE writing its checkpoint: a kill between the two re-executes
-//     the batch on resume and republishes identical registry content,
-//     so siblings never block on durably-completed work.
-//
-// A sibling can be at most one barrier ahead (it cannot pass barrier X
-// without this shard's batch X-1 file), so deleting one's own batch
-// files two generations back is safe and keeps the directory bounded.
-
-EngineReport CampaignEngine::runCoordinated(
-    FaultCampaign &Campaign,
-    const std::vector<const PlannedFault *> &Primary,
-    std::array<std::vector<const PlannedFault *>, NumBranchErrorCategories>
-        &Reserve,
-    uint64_t PlanHash) {
-  const uint64_t Interval = Engine.CheckpointInterval;
-  const bool EarlyStop = Engine.StopHalfWidth > 0.0;
-  const std::string RunId = effectiveRunId(Engine);
-  const std::string LivePath =
-      Engine.LiveExportFile.empty()
-          ? coordinatorLivePath(Engine.CoordinatorDir, Engine.ShardIndex)
-          : Engine.LiveExportFile;
-
-  // This shard's share of the global schedule (for the report; the
-  // cursor below counts global slots).
-  uint64_t OwnPlanned = 0;
-  for (size_t I = Engine.ShardIndex; I < Primary.size();
-       I += Engine.NumShards)
-    ++OwnPlanned;
-
-  telemetry::MetricsRegistry Cumulative;
-  uint64_t Cursor = 0;
-  uint64_t Completed = 0;
-  std::array<uint64_t, NumBranchErrorCategories> ReserveCursors{};
-  bool Resumed = false;
-
-  if (!Engine.CheckpointFile.empty()) {
-    EngineCheckpoint Ckpt;
-    std::string Error;
-    switch (loadCheckpoint(Engine.CheckpointFile, Ckpt, Error)) {
-    case LoadStatus::Missing:
-      break;
-    case LoadStatus::Corrupt:
-      reportFatalErrorf("%s (delete the file to restart the campaign "
-                        "from scratch)",
-                        Error.c_str());
-      break;
-    case LoadStatus::Ok:
-      if (Ckpt.PlanHash != PlanHash)
-        reportFatalErrorf(
-            "checkpoint '%s' belongs to a different campaign (plan hash "
-            "%s, this campaign is %s); refusing to mix results",
-            Engine.CheckpointFile.c_str(), toHex(Ckpt.PlanHash).c_str(),
-            toHex(PlanHash).c_str());
-      if (Ckpt.Shard != Engine.ShardIndex ||
-          Ckpt.NumShards != Engine.NumShards)
-        reportFatalErrorf("checkpoint '%s' was written by shard %u/%u, not "
-                          "%u/%u",
-                          Engine.CheckpointFile.c_str(), Ckpt.Shard,
-                          Ckpt.NumShards, Engine.ShardIndex,
-                          Engine.NumShards);
-      if (!Ckpt.Coordinated)
-        reportFatalErrorf(
-            "checkpoint '%s' was written without --campaign-coordinator "
-            "(its cursor counts shard slots, not global slots); continue "
-            "it uncoordinated or delete it",
-            Engine.CheckpointFile.c_str());
-      if (Ckpt.Cursor > Primary.size())
-        reportFatalErrorf("checkpoint '%s' cursor %llu exceeds the plan "
-                          "(%zu slots)",
-                          Engine.CheckpointFile.c_str(),
-                          static_cast<unsigned long long>(Ckpt.Cursor),
-                          Primary.size());
-      Cumulative.merge(Ckpt.Registry);
-      Cursor = Ckpt.Cursor;
-      Completed = Ckpt.Completed;
-      ReserveCursors = Ckpt.ReserveCursors;
-      Resumed = true;
-      break;
-    }
-  }
-
-  // Waits for sibling \p Shard's batch \p Batch snapshot. Snapshots are
-  // written atomically, so an unparsable file is corruption, never an
-  // in-progress write.
-  auto AwaitSibling = [&](unsigned Shard,
-                          uint64_t Batch) -> telemetry::LiveSnapshot {
-    std::string Path =
-        coordinatorBatchPath(Engine.CoordinatorDir, Shard, Batch);
-    auto Deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(Engine.CoordinatorTimeoutMs);
-    for (;;) {
-      std::ifstream In(Path, std::ios::binary);
-      if (In.is_open()) {
-        std::stringstream Buffer;
-        Buffer << In.rdbuf();
-        std::string Text = Buffer.str();
-        json::JsonValue Root;
-        json::JsonParser Parser(Text);
-        telemetry::LiveSnapshot Snap;
-        std::string Error;
-        if (!Parser.parse(Root) ||
-            !telemetry::liveSnapshotFromJson(Root, Snap, Error))
-          reportFatalErrorf(
-              "campaign coordinator: snapshot '%s' is corrupt: %s",
-              Path.c_str(), Error.empty() ? "not valid JSON"
-                                          : Error.c_str());
-        if (!Snap.Beat.Present || Snap.Beat.Shard != Shard ||
-            Snap.Beat.NumShards != Engine.NumShards)
-          reportFatalErrorf(
-              "campaign coordinator: snapshot '%s' was published by "
-              "shard %u/%u, expected shard %u of %u",
-              Path.c_str(), Snap.Beat.Shard, Snap.Beat.NumShards, Shard,
-              Engine.NumShards);
-        return Snap;
-      }
-      if (std::chrono::steady_clock::now() >= Deadline)
-        reportFatalErrorf(
-            "campaign coordinator: shard %u has not published batch %llu "
-            "in '%s' within %llu ms; restart the missing shard (it "
-            "resumes from its checkpoint) or raise the timeout",
-            Shard, static_cast<unsigned long long>(Batch),
-            Engine.CoordinatorDir.c_str(),
-            static_cast<unsigned long long>(Engine.CoordinatorTimeoutMs));
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
-
-  // Merged campaign state at the boundary before batch \p Batch.
-  auto MergedBoundary = [&](uint64_t Batch) -> telemetry::RegistrySnapshot {
-    telemetry::MetricsRegistry Merged;
-    Merged.merge(Cumulative.snapshot());
-    if (Batch > 0)
-      for (unsigned J = 0; J < Engine.NumShards; ++J)
-        if (J != Engine.ShardIndex)
-          Merged.merge(AwaitSibling(J, Batch - 1).Registry);
-    return Merged.snapshot();
-  };
-
-  ThreadPool Pool(Engine.Jobs);
-  std::vector<uint64_t> LatBounds = latencyBounds();
-  std::vector<uint64_t> DistBounds = telemetry::propDistanceBounds();
-  uint64_t Batches = 0;
-  bool Finished = true;
-
-  while (Cursor < Primary.size()) {
-    if (Engine.MaxBatches && Batches >= Engine.MaxBatches) {
-      Finished = false;
-      break;
-    }
-    ++Batches;
-    uint64_t Batch = Cursor / Interval;
-
-    // Stopping decisions for this batch read the merged boundary state
-    // (the barrier). Without early stopping no decision depends on
-    // siblings, so the shards run free.
-    std::array<CellState, NumBranchErrorCategories> DecisionCells =
-        computeCells(EarlyStop ? MergedBoundary(Batch)
-                               : Cumulative.snapshot(),
-                     Engine.StopHalfWidth, Engine.StopZ);
-
-    // Replay the global batch construction; execute only owned slots.
-    std::vector<const PlannedFault *> Mine;
-    uint64_t BatchEnd =
-        std::min<uint64_t>(Primary.size(), (Batch + 1) * Interval);
-    for (; Cursor < BatchEnd; ++Cursor) {
-      const PlannedFault *Fault = Primary[Cursor];
-      bool Owned = Cursor % Engine.NumShards == Engine.ShardIndex;
-      unsigned Cat = static_cast<unsigned>(Fault->Category);
-      const PlannedFault *Chosen = nullptr;
-      if (!EarlyStop || !DecisionCells[Cat].Closed) {
-        Chosen = Fault;
-      } else {
-        if (Owned)
-          Cumulative.counter(getSkipCounterName(Fault->Category)).inc();
-        int Loosest = -1;
-        for (unsigned C = 0; C < NumBranchErrorCategories; ++C) {
-          auto CellCat = static_cast<BranchErrorCategory>(C);
-          if (!isCellCategory(CellCat) || DecisionCells[C].Closed ||
-              ReserveCursors[C] >= Reserve[C].size())
-            continue;
-          if (Loosest < 0 ||
-              DecisionCells[C].Interval.halfWidth() >
-                  DecisionCells[Loosest].Interval.halfWidth())
-            Loosest = static_cast<int>(C);
-        }
-        if (Loosest >= 0) {
-          const PlannedFault *Replacement =
-              Reserve[Loosest][ReserveCursors[Loosest]++];
-          if (Owned)
-            Cumulative.counter(getReallocCounterName(Replacement->Category))
-                .inc();
-          Chosen = Replacement;
-        }
-      }
-      if (Chosen && Owned)
-        Mine.push_back(Chosen);
-    }
-
-    if (!Mine.empty()) {
-      std::vector<InjectionReport> Reports(Mine.size());
-      Pool.parallelFor(Mine.size(), [&](uint64_t I) {
-        Reports[I] = Campaign.injectDetailed(*Mine[I]);
-      });
-      for (size_t I = 0; I < Mine.size(); ++I) {
-        const InjectionReport &Report = Reports[I];
-        BranchErrorCategory Cat = Mine[I]->Category;
-        Cumulative.counter(getOutcomeCounterName(Cat, Report.Result)).inc();
-        Cumulative.counter("fault.injections").inc();
-        if (Report.Fired &&
-            (Report.Result == Outcome::DetectedSignature ||
-             Report.Result == Outcome::DetectedHardware))
-          Cumulative.histogram(getLatencyHistogramName(Cat), LatBounds)
-              .observe(Report.LatencyInsns);
-        tallyPropagation(Cumulative, Cat, Report, DistBounds);
-      }
-      Completed += Mine.size();
-    }
-
-    // Publish before checkpointing (see the protocol comment above).
-    telemetry::RegistrySnapshot Boundary = Cumulative.snapshot();
-    std::array<CellState, NumBranchErrorCategories> OwnCells =
-        computeCells(Boundary, Engine.StopHalfWidth, Engine.StopZ);
-    telemetry::Heartbeat Beat =
-        makeHeartbeat(Engine, Cursor, Primary.size(), Completed, Boundary,
-                      OwnCells, DecisionCells);
-    publishLiveFile(coordinatorBatchPath(Engine.CoordinatorDir,
-                                         Engine.ShardIndex, Batch),
-                    RunId, Batch + 1, Boundary, Beat);
-    publishLiveFile(LivePath, RunId, Batch + 1, Boundary, Beat);
-    if (Batch >= 2)
-      std::remove(coordinatorBatchPath(Engine.CoordinatorDir,
-                                       Engine.ShardIndex, Batch - 2)
-                      .c_str());
-
-    if (!Engine.CheckpointFile.empty()) {
-      EngineCheckpoint Ckpt;
-      Ckpt.Version = EngineCheckpointVersion;
-      Ckpt.PlanHash = PlanHash;
-      Ckpt.Shard = Engine.ShardIndex;
-      Ckpt.NumShards = Engine.NumShards;
-      Ckpt.Cursor = Cursor;
-      Ckpt.Completed = Completed;
-      Ckpt.Coordinated = true;
-      Ckpt.ReserveCursors = ReserveCursors;
-      Ckpt.Registry = Boundary;
-      std::string Error;
-      if (!writeCheckpoint(Engine.CheckpointFile, Ckpt, Error))
-        reportFatalErrorf("campaign checkpoint failed: %s", Error.c_str());
-      if (Engine.OnCheckpoint)
-        Engine.OnCheckpoint(Completed);
-    }
-  }
-
-  EngineReport Report;
-  Report.Registry = Cumulative.snapshot();
-  Report.Result = campaignResultFromSnapshot(Report.Registry);
-  Report.Completed = Completed;
-  Report.Planned = OwnPlanned;
-  Report.Finished = Finished;
-  Report.Resumed = Resumed;
-
-  // Per-cell counts/intervals describe this shard's own slice, but
-  // Stopped reports the *coordinated* decision: the closure set of the
-  // merged state at the final boundary, identical on every shard and
-  // equal to the unsharded run's. Every shard publishes its final batch
-  // before waiting here, so the final barrier cannot deadlock.
-  std::array<CellState, NumBranchErrorCategories> OwnCells =
+  // Per-cell counts/intervals describe this shard's own slice; Stopped
+  // reports the closure decision (the merged one when coordinated,
+  // identical on every shard and equal to the unsharded run's).
+  CellStates Own =
       computeCells(Report.Registry, Engine.StopHalfWidth, Engine.StopZ);
-  std::array<CellState, NumBranchErrorCategories> FinalCells = OwnCells;
-  uint64_t NumBatches = (Primary.size() + Interval - 1) / Interval;
-  if (EarlyStop && Finished && Engine.NumShards > 1 && NumBatches > 0) {
-    telemetry::MetricsRegistry Merged;
-    Merged.merge(Report.Registry);
-    for (unsigned J = 0; J < Engine.NumShards; ++J)
-      if (J != Engine.ShardIndex)
-        Merged.merge(AwaitSibling(J, NumBatches - 1).Registry);
-    FinalCells = computeCells(Merged.snapshot(), Engine.StopHalfWidth,
-                              Engine.StopZ);
-  }
+  CellStates Final =
+      computeCells(Decision, Engine.StopHalfWidth, Engine.StopZ);
   for (unsigned C = 0; C < NumBranchErrorCategories; ++C) {
     auto Cat = static_cast<BranchErrorCategory>(C);
     if (!isCellCategory(Cat))
       continue;
     CellReport Cell;
     Cell.Category = Cat;
-    Cell.Counts = OwnCells[C].Counts;
-    Cell.Interval = OwnCells[C].Interval;
-    Cell.Stopped = FinalCells[C].Closed;
+    Cell.Counts = Own[C].Counts;
+    Cell.Interval = Own[C].Interval;
+    Cell.Stopped = Final[C].Closed;
     uint64_t Total = Cell.Counts.total();
     Cell.SdcRate = Total == 0 ? 0.0
                               : static_cast<double>(Cell.Counts.Sdc) /
@@ -1070,7 +897,7 @@ EngineReport CampaignEngine::runCoordinated(
 }
 
 //===----------------------------------------------------------------------===//
-// Attack engine
+// Attack campaigns
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -1081,52 +908,48 @@ namespace {
 /// those).
 uint64_t hashAttackPlan(const AttackEngineConfig &Engine,
                         const std::vector<PlannedAttack> &Candidates) {
-  uint64_t Hash = 0xcbf29ce484222325ULL;
-  Hash = fnv1a(Hash, Engine.NumAttacks);
-  Hash = fnv1a(Hash, Engine.Seed);
-  Hash = fnv1a(Hash, Engine.NumShards);
-  for (const PlannedAttack &A : Candidates) {
-    Hash = fnv1a(Hash, A.Instance);
-    Hash = fnv1a(Hash, static_cast<uint64_t>(A.Family));
-    Hash = fnv1a(Hash, A.SiteAddr);
-    Hash = fnv1a(Hash, A.RealTarget);
-    Hash = fnv1a(Hash, A.ForgedTarget);
-    Hash = fnv1a(Hash, A.GadgetValid ? 1 : 0);
-  }
+  uint64_t Hash =
+      fnv1a(FnvOffsetBasis, Engine.NumAttacks, Engine.Seed, Engine.NumShards);
+  for (const PlannedAttack &A : Candidates)
+    Hash = fnv1a(Hash, A.Instance, A.Family, A.SiteAddr, A.RealTarget,
+                 A.ForgedTarget, A.GadgetValid);
   return Hash;
 }
+
+/// Attack slots: per-family outcome counters plus attack.attacks and
+/// attack.gadget_valid.
+struct AttackSlots {
+  using Slot = PlannedAttack;
+  using SlotResult = AttackOutcome;
+  static constexpr const char *CheckpointKind = AttackCheckpointKind;
+  static constexpr const char *Noun = "attack campaign";
+
+  const AttackCampaign &Campaign;
+
+  /// Attack slots belong to no early-stopping cell (and the attack
+  /// engine never stops early).
+  static BranchErrorCategory category(const Slot &) {
+    return BranchErrorCategory::NoError;
+  }
+  SlotResult inject(const Slot &Attack) const {
+    return Campaign.injectAttack(Attack).Result;
+  }
+  void tally(telemetry::MetricsRegistry &Cumulative, const Slot &Attack,
+             SlotResult Result) const {
+    Cumulative.counter(getAttackCounterName(Attack.Family, Result)).inc();
+    Cumulative.counter("attack.attacks").inc();
+    if (Attack.GadgetValid)
+      Cumulative.counter("attack.gadget_valid").inc();
+  }
+};
 
 } // namespace
 
 AttackEngine::AttackEngine(const AsmProgram &Program, DbtConfig Config,
                            AttackEngineConfig Engine)
     : Program(Program), Config(Config), Engine(std::move(Engine)) {
-  if (this->Engine.NumShards < 1 ||
-      this->Engine.ShardIndex >= this->Engine.NumShards)
-    reportFatalErrorf("invalid shard spec %u/%u: the shard index must be "
-                      "below the shard count",
-                      this->Engine.ShardIndex, this->Engine.NumShards);
-  if (this->Engine.CheckpointInterval < 1)
-    reportFatalError("attack checkpoint interval must be at least 1");
-}
-
-std::string AttackEngine::resultToJson(const AttackEngineReport &Report,
-                                       const AttackEngineConfig &Engine) {
-  // Kind "cfed-campaign-result" on purpose: parseShardResult and
-  // mergeShards treat attack shards exactly like fault shards (the
-  // registries carry attack.* counters instead of fault.*).
-  std::string Out = "{\"kind\":\"cfed-campaign-result\",\"version\":1";
-  Out += ",\"shard\":" + std::to_string(Engine.ShardIndex);
-  Out += ",\"num_shards\":" + std::to_string(Engine.NumShards);
-  Out += ",\"seed\":" + std::to_string(Engine.Seed);
-  Out += ",\"model\":\"attack\"";
-  Out += ",\"completed\":" + std::to_string(Report.Completed);
-  Out += ",\"skipped\":0,\"finished\":";
-  Out += Report.Finished ? "true" : "false";
-  Out += ",\"registry\":";
-  Out += Report.Registry.toJson();
-  Out += '}';
-  return Out;
+  checkEngineSpec(this->Engine.ShardIndex, this->Engine.NumShards,
+                  this->Engine.CheckpointInterval, "attack");
 }
 
 AttackEngineReport AttackEngine::run() {
@@ -1139,123 +962,29 @@ AttackEngineReport AttackEngine::run() {
   // programs do not starve the primary schedule.
   std::vector<PlannedAttack> Candidates =
       Campaign.plan(Engine.NumAttacks * 2, Engine.Seed);
-  std::vector<const PlannedAttack *> Primary;
+  SlotPlan<PlannedAttack> Plan;
   for (const PlannedAttack &Attack : Candidates) {
     if (!Attack.ForgedTarget)
       continue;
-    if (Primary.size() >= Engine.NumAttacks)
+    if (Plan.Primary.size() >= Engine.NumAttacks)
       break;
-    Primary.push_back(&Attack);
+    Plan.Primary.push_back(&Attack);
   }
-  uint64_t PlanHash = hashAttackPlan(Engine, Candidates);
+  Plan.Hash = hashAttackPlan(Engine, Candidates);
 
-  // This shard's deterministic slice of the primary schedule.
-  std::vector<const PlannedAttack *> ShardPlan;
-  for (size_t I = Engine.ShardIndex; I < Primary.size();
-       I += Engine.NumShards)
-    ShardPlan.push_back(Primary[I]);
-
-  telemetry::MetricsRegistry Cumulative;
-  uint64_t Cursor = 0;
-  uint64_t Completed = 0;
-  bool Resumed = false;
-
-  if (!Engine.CheckpointFile.empty()) {
-    EngineCheckpoint Ckpt;
-    std::string Error;
-    switch (loadCheckpoint(Engine.CheckpointFile, Ckpt, Error)) {
-    case CampaignEngine::LoadStatus::Missing:
-      break;
-    case CampaignEngine::LoadStatus::Corrupt:
-      reportFatalErrorf("%s (delete the file to restart the campaign "
-                        "from scratch)",
-                        Error.c_str());
-      break;
-    case CampaignEngine::LoadStatus::Ok:
-      if (Ckpt.PlanHash != PlanHash)
-        reportFatalErrorf(
-            "checkpoint '%s' belongs to a different attack campaign; "
-            "refusing to mix results",
-            Engine.CheckpointFile.c_str());
-      if (Ckpt.Shard != Engine.ShardIndex ||
-          Ckpt.NumShards != Engine.NumShards)
-        reportFatalErrorf("checkpoint '%s' was written by shard %u/%u, not "
-                          "%u/%u",
-                          Engine.CheckpointFile.c_str(), Ckpt.Shard,
-                          Ckpt.NumShards, Engine.ShardIndex,
-                          Engine.NumShards);
-      if (Ckpt.Cursor > ShardPlan.size())
-        reportFatalErrorf("checkpoint '%s' cursor %llu exceeds the plan "
-                          "(%zu slots)",
-                          Engine.CheckpointFile.c_str(),
-                          static_cast<unsigned long long>(Ckpt.Cursor),
-                          ShardPlan.size());
-      Cumulative.merge(Ckpt.Registry);
-      Cursor = Ckpt.Cursor;
-      Completed = Ckpt.Completed;
-      Resumed = true;
-      break;
-    }
-  }
-
-  ThreadPool Pool(Engine.Jobs);
-  uint64_t Batches = 0;
-  bool Finished = true;
-
-  while (Cursor < ShardPlan.size()) {
-    if (Engine.MaxBatches && Batches >= Engine.MaxBatches) {
-      Finished = false;
-      break;
-    }
-    ++Batches;
-
-    size_t BatchBegin = Cursor;
-    size_t BatchEnd = std::min<size_t>(
-        Cursor + Engine.CheckpointInterval, ShardPlan.size());
-    Cursor = BatchEnd;
-    size_t BatchSize = BatchEnd - BatchBegin;
-
-    // Work-stealing dispatch into position-indexed slots; the tally
-    // below replays the slots serially in batch order, so the registry
-    // is byte-identical for any job count.
-    std::vector<AttackOutcome> Outcomes(BatchSize);
-    Pool.parallelFor(BatchSize, [&](uint64_t I) {
-      Outcomes[I] =
-          Campaign.injectAttack(*ShardPlan[BatchBegin + I]).Result;
-    });
-    for (size_t I = 0; I < BatchSize; ++I) {
-      const PlannedAttack &Attack = *ShardPlan[BatchBegin + I];
-      Cumulative.counter(getAttackCounterName(Attack.Family, Outcomes[I]))
-          .inc();
-      Cumulative.counter("attack.attacks").inc();
-      if (Attack.GadgetValid)
-        Cumulative.counter("attack.gadget_valid").inc();
-    }
-    Completed += BatchSize;
-
-    if (!Engine.CheckpointFile.empty()) {
-      EngineCheckpoint Ckpt;
-      Ckpt.Version = EngineCheckpointVersion;
-      Ckpt.PlanHash = PlanHash;
-      Ckpt.Shard = Engine.ShardIndex;
-      Ckpt.NumShards = Engine.NumShards;
-      Ckpt.Cursor = Cursor;
-      Ckpt.Completed = Completed;
-      Ckpt.Registry = Cumulative.snapshot();
-      std::string Error;
-      if (!writeCheckpoint(Engine.CheckpointFile, Ckpt, Error))
-        reportFatalErrorf("attack checkpoint failed: %s", Error.c_str());
-      if (Engine.OnCheckpoint)
-        Engine.OnCheckpoint(Completed);
-    }
-  }
-
+  // The loop knobs the attack engine supports: no early stopping,
+  // coordination or live export.
+  EngineConfig Loop;
+  Loop.Seed = Engine.Seed;
+  Loop.Jobs = Engine.Jobs;
+  Loop.CheckpointInterval = Engine.CheckpointInterval;
+  Loop.CheckpointFile = Engine.CheckpointFile;
+  Loop.ShardIndex = Engine.ShardIndex;
+  Loop.NumShards = Engine.NumShards;
+  Loop.MaxBatches = Engine.MaxBatches;
+  Loop.OnCheckpoint = Engine.OnCheckpoint;
   AttackEngineReport Report;
-  Report.Registry = Cumulative.snapshot();
+  runBatchLoop(Loop, AttackSlots{Campaign}, Plan, Report);
   Report.Result = attackResultFromSnapshot(Report.Registry);
-  Report.Completed = Completed;
-  Report.Planned = ShardPlan.size();
-  Report.Finished = Finished;
-  Report.Resumed = Resumed;
   return Report;
 }

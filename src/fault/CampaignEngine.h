@@ -5,35 +5,32 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The campaign engine: a long-running fault-injection service layered
-/// on FaultCampaign that adds what the paper's "soft-error injection"
-/// future-work item needs at scale:
+/// The campaign engine: the long-running, resumable injection service
+/// behind the paper's "soft-error injection" future-work item. One batch
+/// loop drives every mode of both fault (CampaignEngine) and attack
+/// (AttackEngine) campaigns:
 ///
-///  - Persistent resumable campaigns. Progress is checkpointed to a
-///    versioned file (injection cursor, reserve cursors, the merged
-///    metrics snapshot) atomically every CheckpointInterval schedule
-///    slots, so a killed run continues exactly where it stopped. The
-///    plan is re-derived deterministically from the seed on resume and
-///    validated against the checkpoint's plan hash.
-///
-///  - Work-stealing batch scheduling plus multi-process sharding.
-///    Within a batch the injections self-schedule over the ThreadPool's
-///    atomic cursor into position-indexed slots; across processes the
-///    primary schedule is partitioned deterministically (slot i belongs
-///    to shard i mod NumShards), and shard result files merge into one
-///    report identical to the unsharded run for any job/shard split.
-///
-///  - Statistical early stopping. Per branch-error-category cell the
-///    engine tracks a Wilson confidence interval on the SDC rate; once
-///    an interval is tighter than the configured half-width the cell
-///    closes, its remaining scheduled injections are skipped (counted,
-///    never silently dropped), and the freed budget is reallocated to
-///    the loosest still-open cell from the reserve plan.
-///
-///  - Detection-latency histograms: per-cell "fault.latency.cat_*"
-///    instruments (instructions from fault firing to detection), the
-///    quantity the relaxed checking policies of Section 6 trade
-///    against performance.
+///  - The plan is a pure function of the seed: a primary schedule plus a
+///    per-category reserve, fingerprinted by a plan hash.
+///  - The loop walks the global primary schedule in batches, executing
+///    only the slots this shard owns (slot i belongs to shard
+///    i mod NumShards; unsharded is NumShards = 1). A batch is built
+///    serially, injected in parallel into position-indexed slots and
+///    tallied serially, so results never depend on the job count.
+///  - After every batch the cumulative registry and cursors are
+///    checkpointed atomically, so a killed run resumes exactly where it
+///    stopped; shard result files merge into a report identical to the
+///    unsharded run.
+///  - Early stopping closes a branch-error-category cell once the Wilson
+///    interval on its SDC rate is tight enough, skipping (and counting)
+///    its remaining slots and reallocating them from the reserve.
+///  - Plain sharding is coordination without the barrier or batch
+///    files. A coordinated shard (CoordinatorDir) walks the unsharded
+///    run's batches, publishes a batch file after each and, when stopping
+///    early, merges its siblings' files before every decision, so the
+///    merged result equals the unsharded early-stopping run; a plain
+///    shard takes CheckpointInterval owned slots per batch and never
+///    waits (DESIGN.md §13).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,9 +45,6 @@
 #include <string>
 
 namespace cfed {
-namespace json {
-struct JsonValue;
-} // namespace json
 
 /// Engine configuration on top of a FaultCampaign's program/DbtConfig.
 struct EngineConfig {
@@ -63,12 +57,11 @@ struct EngineConfig {
   uint64_t MaxInsns = 50000000;
   unsigned Jobs = 1;
 
-  /// Schedule slots per batch; a checkpoint is written after every
-  /// batch. Injections within a batch run in parallel, so this is also
-  /// the unit of work lost to a kill.
+  /// Schedule slots per batch (owned ones; global ones when
+  /// coordinated). A checkpoint follows every batch, so this is also the
+  /// unit of work lost to a kill.
   uint64_t CheckpointInterval = 64;
-  /// Checkpoint file path; empty disables checkpointing (the run is
-  /// then neither resumable nor killable without losing everything).
+  /// Checkpoint file path; empty disables checkpointing and resume.
   std::string CheckpointFile;
 
   /// This process handles primary schedule slots with
@@ -84,46 +77,34 @@ struct EngineConfig {
   /// Critical value of the Wilson interval (1.96 = 95%).
   double StopZ = 1.96;
 
-  /// Cross-shard coordination directory (DESIGN.md §13). When set, the
-  /// shards of one campaign run in lockstep over the *global* batch
-  /// sequence: each shard deterministically replays every batch's
-  /// skip/reallocation decisions but executes only the slots it owns
-  /// (global slot index mod NumShards), publishes an atomic live
-  /// snapshot of its cumulative registry after every batch, and waits
-  /// for its siblings' snapshots before opening the next batch. Early
-  /// stopping then closes cells on the *merged* counts, so the merged
-  /// campaign result is byte-identical to the unsharded early-stopping
-  /// run.
+  /// Cross-shard coordination directory (DESIGN.md §13): shards walk
+  /// the unsharded batch sequence, publish a snapshot per batch here and
+  /// stop early on the *merged* counts, so the merged result is
+  /// byte-identical to the unsharded early-stopping run.
   std::string CoordinatorDir;
   /// Fatal timeout waiting for a sibling's batch snapshot.
   uint64_t CoordinatorTimeoutMs = 120000;
 
-  /// Live telemetry: when set, the engine publishes a live snapshot
-  /// (registry + heartbeat) to this file atomically at every batch
-  /// boundary (deterministic inline mode). Coordinated runs default to
-  /// CoordinatorDir/shard_<K>.live.json when empty.
+  /// Live telemetry: when set, a live snapshot (registry + heartbeat) is
+  /// published here atomically after every batch. Coordinated runs
+  /// default to CoordinatorDir/shard_<K>.live.json.
   std::string LiveExportFile;
   /// Run identifier stamped into live snapshots; defaults to
   /// "campaign-<seed>".
   std::string RunId;
 
-  /// Fault-propagation provenance (DESIGN.md §14): the golden run
-  /// records a digest oracle and every injection replays against it,
-  /// feeding prop.cat_*.* funnel counters and prop.distance.cat_*
-  /// histograms into the cumulative registry. The prop.* instruments
-  /// live in the same checkpointed registry as the outcome counters,
-  /// so they are jobs- and shard-invariant and resume-safe for free.
-  /// Note the digest markers change the code-cache layout: a
-  /// propagation campaign's plan is not interchangeable with a plain
-  /// one (the plan hash differs, so checkpoints refuse the mix).
+  /// Fault-propagation provenance (DESIGN.md §14): every injection
+  /// replays against the golden run's digest oracle, feeding prop.*
+  /// funnel counters and distance histograms into the cumulative
+  /// (checkpointed, shard-invariant) registry. The digest markers change
+  /// the code-cache layout, so the plan hash differs from a plain run's.
   bool TrackPropagation = false;
   /// When non-empty (and TrackPropagation), the golden run's digest
   /// oracle is also saved to this file after prepare().
   std::string GoldenTraceFile;
 
-  /// Test hook: stop (with Finished = false) after this many batches.
-  /// 0 = run to completion. A subsequent run with the same checkpoint
-  /// file continues where this one stopped.
+  /// Test hook: stop (with Finished = false) after this many batches;
+  /// 0 = run to completion. A rerun with the same checkpoint continues.
   uint64_t MaxBatches = 0;
   /// Test hook: invoked after every successful checkpoint write with
   /// the number of completed injections.
@@ -158,8 +139,7 @@ struct EngineReport {
   uint64_t Planned = 0;
   /// Slots skipped by early stopping, total.
   uint64_t Skipped = 0;
-  /// False when MaxBatches truncated the run before the schedule was
-  /// exhausted.
+  /// False when MaxBatches cut the run short.
   bool Finished = true;
   /// The run continued from an existing checkpoint.
   bool Resumed = false;
@@ -182,10 +162,9 @@ struct EngineCheckpoint {
   uint64_t PlanHash = 0;
   unsigned Shard = 0;
   unsigned NumShards = 1;
-  /// Index of the next unprocessed slot. Counts this shard's own
-  /// schedule slots normally, but *global* schedule slots when the
-  /// checkpoint was written in coordinated mode — the two are not
-  /// interchangeable, so Coordinated is validated on resume.
+  /// Index of the next unprocessed slot: this shard's own slots for a
+  /// plain run, *global* slots for a coordinated one (so Coordinated is
+  /// validated on resume).
   uint64_t Cursor = 0;
   uint64_t Completed = 0;
   /// The checkpoint was written by a coordinated (lockstep) run.
@@ -205,10 +184,9 @@ public:
   CampaignEngine(const AsmProgram &Program, DbtConfig Config,
                  EngineConfig Engine);
 
-  /// Runs the campaign: golden run, deterministic plan, batched
-  /// injection with checkpointing, early stopping, and final report.
-  /// Resumes from Engine.CheckpointFile when it holds a matching
-  /// checkpoint; fatal when it holds a corrupt or mismatching one.
+  /// Runs the campaign: golden run, deterministic plan, the batch loop
+  /// and the final report. Resumes from a matching checkpoint in
+  /// Engine.CheckpointFile; fatal on a corrupt or mismatching one.
   EngineReport run();
 
   /// Serializes \p Report as a single-line campaign result file.
@@ -260,43 +238,26 @@ public:
                                          unsigned Shard);
 
 private:
-  EngineReport runCoordinated(
-      FaultCampaign &Campaign,
-      const std::vector<const PlannedFault *> &Primary,
-      std::array<std::vector<const PlannedFault *>,
-                 NumBranchErrorCategories> &Reserve,
-      uint64_t PlanHash);
-
   const AsmProgram &Program;
   DbtConfig Config;
   EngineConfig Engine;
 };
 
 /// Engine configuration for adversarial attack campaigns — the subset
-/// of EngineConfig the attack engine supports (no early stopping or
-/// coordination: attack plans are small and every slot is actionable).
+/// of EngineConfig the attack engine supports, with the same meanings
+/// (no early stopping or coordination: attack plans are small and every
+/// slot is actionable).
 struct AttackEngineConfig {
   /// Primary attack budget (schedule slots across all shards).
   uint64_t NumAttacks = 0;
   uint64_t Seed = 1;
-  /// Golden-run instruction budget handed to prepare().
   uint64_t MaxInsns = 50000000;
   unsigned Jobs = 1;
-
-  /// Schedule slots per batch; a checkpoint is written after every
-  /// batch.
   uint64_t CheckpointInterval = 64;
-  /// Checkpoint file path; empty disables checkpointing.
   std::string CheckpointFile;
-
-  /// This process handles primary schedule slots with
-  /// index % NumShards == ShardIndex.
   unsigned ShardIndex = 0;
   unsigned NumShards = 1;
-
-  /// Test hook: stop (with Finished = false) after this many batches.
   uint64_t MaxBatches = 0;
-  /// Test hook: invoked after every successful checkpoint write.
   std::function<void(uint64_t)> OnCheckpoint;
 };
 
@@ -312,13 +273,11 @@ struct AttackEngineReport {
   bool Resumed = false;
 };
 
-/// Resumable, shardable adversarial campaigns on top of AttackCampaign.
-/// Reuses the campaign engine's machinery: the same EngineCheckpoint
-/// record (written under kind "cfed-attack-checkpoint" so fault and
-/// attack checkpoints can never be confused), the same atomic
-/// temp-and-rename discipline, and result files of kind
-/// "cfed-campaign-result" so CampaignEngine::parseShardResult and
-/// mergeShards fold attack shards exactly like fault shards.
+/// Resumable, shardable adversarial campaigns on top of AttackCampaign,
+/// run by the campaign engine's batch loop: the same EngineCheckpoint
+/// record (under kind "cfed-attack-checkpoint", so fault and attack
+/// checkpoints never mix) and result files of kind
+/// "cfed-campaign-result", which mergeShards folds like fault shards.
 class AttackEngine {
 public:
   /// Validates \p Engine (fatal on an invalid shard spec or a zero
@@ -326,11 +285,9 @@ public:
   AttackEngine(const AsmProgram &Program, DbtConfig Config,
                AttackEngineConfig Engine);
 
-  /// Runs the campaign: golden run, deterministic plan, batched
-  /// injection with checkpointing. Resumes from Engine.CheckpointFile
-  /// when it holds a matching checkpoint; byte-identical to an
-  /// uninterrupted run for any kill/resume point, job count, or shard
-  /// split.
+  /// Runs the campaign like CampaignEngine::run (without early
+  /// stopping); byte-identical to an uninterrupted run for any
+  /// kill/resume point, job count, or shard split.
   AttackEngineReport run();
 
   /// Serializes \p Report as a single-line campaign result file
@@ -338,8 +295,7 @@ public:
   static std::string resultToJson(const AttackEngineReport &Report,
                                   const AttackEngineConfig &Engine);
 
-  /// Checkpoint I/O under the attack kind; same structure and
-  /// atomicity as CampaignEngine's.
+  /// CampaignEngine's checkpoint I/O under the attack kind.
   static bool writeCheckpoint(const std::string &Path,
                               const EngineCheckpoint &Ckpt,
                               std::string &Error);

@@ -18,6 +18,7 @@
 #define CFED_SUPPORT_JSON_H
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -31,6 +32,9 @@ struct JsonValue {
   bool B = false;
   double Num = 0.0;
   std::string Str;
+  /// Number: the literal as written. Num rounds through double, which
+  /// loses integers above 2^53; readUnsigned() reads this text exactly.
+  std::string Literal;
   std::vector<JsonValue> Items;
   std::map<std::string, JsonValue> Fields;
 
@@ -153,11 +157,33 @@ private:
     if (End == Pos)
       return false;
     Out.K = JsonValue::Number;
-    Out.Num = std::strtod(Text.substr(Pos, End - Pos).c_str(), nullptr);
+    Out.Literal = Text.substr(Pos, End - Pos);
+    Out.Num = std::strtod(Out.Literal.c_str(), nullptr);
     Pos = End;
     return true;
   }
 };
+
+/// Reads \p V exactly as an unsigned integer no greater than \p Max.
+/// Only a number written as plain decimal digits qualifies: a negative,
+/// fractional, exponent-form or overflowing literal fails, as does any
+/// value that is not a number.
+inline bool readUnsigned(const JsonValue &V, uint64_t &Out,
+                         uint64_t Max = UINT64_MAX) {
+  if (V.K != JsonValue::Number || V.Literal.empty())
+    return false;
+  uint64_t Value = 0;
+  for (char C : V.Literal) {
+    if (C < '0' || C > '9')
+      return false;
+    uint64_t Digit = static_cast<uint64_t>(C - '0');
+    if (Digit > Max || Value > (Max - Digit) / 10)
+      return false;
+    Value = Value * 10 + Digit;
+  }
+  Out = Value;
+  return true;
+}
 
 } // namespace json
 } // namespace cfed

@@ -2,6 +2,7 @@
 
 #include "telemetry/LiveExport.h"
 
+#include "support/FileIO.h"
 #include "support/Json.h"
 
 #include <chrono>
@@ -234,31 +235,7 @@ const char *telemetry::recoveryRungFromSnapshot(const RegistrySnapshot &Snap) {
 bool telemetry::writeLiveSnapshot(const std::string &Path,
                                   const LiveSnapshot &Snap,
                                   std::string &Error) {
-  // Same discipline as campaign checkpoints: write a sibling temp file,
-  // then rename over the destination. rename(2) is atomic within a
-  // filesystem, so a concurrent reader sees the old file or the new
-  // one, never a prefix.
-  std::string Tmp = Path + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "w");
-  if (!F) {
-    Error = "cannot open live snapshot temp file '" + Tmp + "'";
-    return false;
-  }
-  std::string Text = liveSnapshotToJson(Snap);
-  Text += '\n';
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  Ok = std::fclose(F) == 0 && Ok;
-  if (!Ok) {
-    Error = "cannot write live snapshot temp file '" + Tmp + "'";
-    std::remove(Tmp.c_str());
-    return false;
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    Error = "cannot rename live snapshot '" + Tmp + "' to '" + Path + "'";
-    std::remove(Tmp.c_str());
-    return false;
-  }
-  return true;
+  return writeFileAtomic(Path, liveSnapshotToJson(Snap) + '\n', Error);
 }
 
 //===----------------------------------------------------------------------===//

@@ -418,3 +418,50 @@ TEST(AttackTest, PrecisionRenderingIsExact) {
   EXPECT_FALSE(hasAttackTallies(Empty.snapshot()));
   EXPECT_EQ(renderPrecisionMatrix(Empty.snapshot()), "");
 }
+
+TEST(AttackDeathTest, ForeignCheckpointIsRefused) {
+  AsmProgram Program = allFamiliesProgram();
+  std::string Path = tempPath("attack_foreign.ckpt");
+  AttackEngineConfig First = makeEngine(17, 18, 6);
+  First.CheckpointFile = Path;
+  First.MaxBatches = 1;
+  AttackEngine(Program, edgcfConfig(), First).run();
+
+  AttackEngineConfig Other = First;
+  Other.Seed = 99; // Different plan, same checkpoint file.
+  EXPECT_DEATH(AttackEngine(Program, edgcfConfig(), Other).run(),
+               "belongs to a different attack campaign");
+  std::remove(Path.c_str());
+}
+
+// tests/fixtures/attack_checkpoint_shard1of2.json was written, one batch
+// into shard 1/2 of makeEngine(17, 18, 3), by the engine that kept a
+// separate attack loop. Its cursor counts shard slots; the global-cursor
+// loop must continue it to the uninterrupted shard's registry.
+TEST(AttackTest, EarlierFormatShardCheckpointResumesToReference) {
+  AsmProgram Program = allFamiliesProgram();
+  AttackEngineConfig Shard1 = makeEngine(17, 18, 3);
+  Shard1.ShardIndex = 1;
+  Shard1.NumShards = 2;
+  AttackEngineReport Uncut =
+      AttackEngine(Program, edgcfConfig(), Shard1).run();
+
+  std::string Path = tempPath("attack_fixture.ckpt");
+  {
+    std::ifstream In(std::string(CFED_TEST_FIXTURE_DIR) +
+                     "/attack_checkpoint_shard1of2.json");
+    ASSERT_TRUE(In.is_open());
+    std::ofstream Out(Path);
+    Out << In.rdbuf();
+  }
+  AttackEngineConfig Resume = Shard1;
+  Resume.CheckpointFile = Path;
+  AttackEngineReport Resumed =
+      AttackEngine(Program, edgcfConfig(), Resume).run();
+  EXPECT_TRUE(Resumed.Resumed);
+  EXPECT_TRUE(Resumed.Finished);
+  EXPECT_EQ(Resumed.Completed, Uncut.Completed);
+  EXPECT_EQ(AttackEngine::resultToJson(Resumed, Shard1),
+            AttackEngine::resultToJson(Uncut, Shard1));
+  std::remove(Path.c_str());
+}

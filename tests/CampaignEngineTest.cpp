@@ -819,3 +819,235 @@ TEST(CampaignEngineDeathTest, CoordinatedAndPlainCheckpointsDoNotMix) {
   std::remove(CoordCkpt.c_str());
   std::remove(PlainCkpt.c_str());
 }
+
+//===----------------------------------------------------------------------===//
+// One batch loop: plain-shard resume and checkpoint-format compatibility
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs shard 0 of \p Base and merges it with \p Shard1 (a shard-1/2
+/// report of the same campaign).
+ShardResult mergeWithShard0(const AsmProgram &Program,
+                            const EngineConfig &Base,
+                            const EngineReport &Shard1) {
+  std::vector<ShardResult> Shards(2);
+  for (unsigned S = 0; S < 2; ++S) {
+    EngineConfig E = Base;
+    E.ShardIndex = S;
+    E.NumShards = 2;
+    EngineReport Part =
+        S ? Shard1 : CampaignEngine(Program, makeDbtConfig(), E).run();
+    std::string Error;
+    EXPECT_TRUE(CampaignEngine::parseShardResult(
+        CampaignEngine::resultToJson(Part, E), Shards[S], Error))
+        << Error;
+  }
+  ShardResult Merged;
+  std::string Error;
+  EXPECT_TRUE(CampaignEngine::mergeShards(Shards, Merged, Error)) << Error;
+  return Merged;
+}
+
+} // namespace
+
+TEST(CampaignEngineTest, PlainShardCutAfterOneBatchResumesIdentically) {
+  AsmProgram Program = makeProgram();
+  DbtConfig Config = makeDbtConfig();
+  EngineConfig Base = makeEngine(404, 40, 8);
+  EngineReport Reference = CampaignEngine(Program, Config, Base).run();
+  EngineConfig Shard1 = Base;
+  Shard1.ShardIndex = 1;
+  Shard1.NumShards = 2;
+  EngineReport Uncut = CampaignEngine(Program, Config, Shard1).run();
+
+  // Shard 1 owns 20 of the 40 slots: one batch is 8 of them.
+  std::string Path = tempPath("plain_shard_cut.ckpt");
+  EngineConfig Cut = Shard1;
+  Cut.CheckpointFile = Path;
+  Cut.MaxBatches = 1;
+  EngineReport Partial = CampaignEngine(Program, Config, Cut).run();
+  EXPECT_FALSE(Partial.Finished);
+  EXPECT_EQ(Partial.Completed, 8u);
+  EngineCheckpoint Ckpt;
+  std::string Error;
+  ASSERT_EQ(CampaignEngine::loadCheckpoint(Path, Ckpt, Error),
+            CampaignEngine::LoadStatus::Ok)
+      << Error;
+  // Plain checkpoints keep counting this shard's own slots.
+  EXPECT_EQ(Ckpt.Cursor, 8u);
+  EXPECT_FALSE(Ckpt.Coordinated);
+
+  EngineConfig Resume = Shard1;
+  Resume.CheckpointFile = Path;
+  EngineReport Resumed = CampaignEngine(Program, Config, Resume).run();
+  EXPECT_TRUE(Resumed.Resumed);
+  EXPECT_TRUE(Resumed.Finished);
+  EXPECT_EQ(Resumed.Planned, Uncut.Planned);
+  EXPECT_EQ(Resumed.Completed, Uncut.Completed);
+  EXPECT_EQ(Resumed.Registry.toJson(), Uncut.Registry.toJson());
+  EXPECT_EQ(CampaignEngine::resultToJson(Resumed, Shard1),
+            CampaignEngine::resultToJson(Uncut, Shard1));
+
+  ShardResult Merged = mergeWithShard0(Program, Base, Resumed);
+  EXPECT_EQ(Merged.Completed, Reference.Completed);
+  EXPECT_EQ(Merged.Registry.toJson(), Reference.Registry.toJson());
+  std::remove(Path.c_str());
+}
+
+// tests/fixtures/fault_checkpoint_shard1of2.json was written, one batch
+// into shard 1/2 of makeEngine(404, 40, 8) on makeProgram(), by the
+// engine that kept a separate loop per mode. Its cursor counts shard
+// slots; the global-cursor loop must continue it to the same registry.
+TEST(CampaignEngineTest, EarlierFormatShardCheckpointResumesToReference) {
+  AsmProgram Program = makeProgram();
+  DbtConfig Config = makeDbtConfig();
+  EngineConfig Base = makeEngine(404, 40, 8);
+  EngineReport Reference = CampaignEngine(Program, Config, Base).run();
+  EngineConfig Shard1 = Base;
+  Shard1.ShardIndex = 1;
+  Shard1.NumShards = 2;
+  EngineReport Uncut = CampaignEngine(Program, Config, Shard1).run();
+
+  std::string Path = tempPath("fixture_shard1of2.ckpt");
+  writeFile(Path, readFile(std::string(CFED_TEST_FIXTURE_DIR) +
+                           "/fault_checkpoint_shard1of2.json"));
+  EngineConfig Resume = Shard1;
+  Resume.CheckpointFile = Path;
+  EngineReport Resumed = CampaignEngine(Program, Config, Resume).run();
+  EXPECT_TRUE(Resumed.Resumed);
+  EXPECT_TRUE(Resumed.Finished);
+  EXPECT_EQ(Resumed.Completed, Uncut.Completed);
+  EXPECT_EQ(Resumed.Registry.toJson(), Uncut.Registry.toJson());
+  ShardResult Merged = mergeWithShard0(Program, Base, Resumed);
+  EXPECT_EQ(Merged.Registry.toJson(), Reference.Registry.toJson());
+  std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Hostile numbers in result and checkpoint files
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string resultWith(const std::string &Fields) {
+  return "{\"kind\":\"cfed-campaign-result\"," + Fields +
+         ",\"registry\":{\"counters\":{},\"gauges\":{},\"histograms\":{}}}";
+}
+
+const char *ValidResultFields =
+    "\"version\":1,\"shard\":1,\"num_shards\":2,\"seed\":7,"
+    "\"completed\":3,\"skipped\":0";
+
+} // namespace
+
+TEST(CampaignEngineTest, ParseShardResultRejectsHostileNumbers) {
+  ShardResult Out;
+  std::string Error;
+  ASSERT_TRUE(CampaignEngine::parseShardResult(
+      resultWith(ValidResultFields), Out, Error))
+      << Error;
+
+  const char *Hostile[] = {
+      // Negative shard spec: used to wrap to a 4294967295-shard campaign.
+      "\"version\":1,\"shard\":-3,\"num_shards\":-1,\"seed\":7,"
+      "\"completed\":0,\"skipped\":0",
+      "\"version\":1,\"shard\":0,\"num_shards\":0,\"seed\":7,"
+      "\"completed\":0,\"skipped\":0",
+      "\"version\":1,\"shard\":2,\"num_shards\":2,\"seed\":7,"
+      "\"completed\":0,\"skipped\":0",
+      "\"version\":1,\"shard\":0,\"num_shards\":4294967296,\"seed\":7,"
+      "\"completed\":0,\"skipped\":0",
+      "\"version\":1,\"shard\":0.5,\"num_shards\":2,\"seed\":7,"
+      "\"completed\":0,\"skipped\":0",
+      "\"version\":1,\"shard\":\"0\",\"num_shards\":2,\"seed\":7,"
+      "\"completed\":0,\"skipped\":0",
+      "\"version\":1,\"shard\":0,\"num_shards\":2,\"seed\":-7,"
+      "\"completed\":0,\"skipped\":0",
+      "\"version\":1,\"shard\":0,\"num_shards\":2,\"seed\":18446744073709551616,"
+      "\"completed\":0,\"skipped\":0",
+      "\"version\":1,\"shard\":0,\"num_shards\":2,\"seed\":7,"
+      "\"completed\":1e3,\"skipped\":0",
+      "\"version\":1,\"shard\":0,\"num_shards\":2,\"seed\":7,"
+      "\"completed\":3,\"skipped\":true",
+      "\"version\":2,\"shard\":0,\"num_shards\":2,\"seed\":7,"
+      "\"completed\":0,\"skipped\":0",
+      "\"shard\":0,\"num_shards\":2,\"seed\":7,\"completed\":0,\"skipped\":0",
+  };
+  for (const char *Fields : Hostile) {
+    Error.clear();
+    EXPECT_FALSE(
+        CampaignEngine::parseShardResult(resultWith(Fields), Out, Error))
+        << Fields;
+    EXPECT_FALSE(Error.empty()) << Fields;
+  }
+}
+
+TEST(CampaignEngineTest, SeedsAbove2Pow53StayDistinct) {
+  // 2^53 + 1 rounds to 2^53 through a double; read exactly, the two
+  // shards are slices of different campaigns and must not merge.
+  ShardResult A, B, Out;
+  std::string Error;
+  ASSERT_TRUE(CampaignEngine::parseShardResult(
+      resultWith("\"version\":1,\"shard\":0,\"num_shards\":2,"
+                 "\"seed\":9007199254740993,\"completed\":0,\"skipped\":0"),
+      A, Error))
+      << Error;
+  ASSERT_TRUE(CampaignEngine::parseShardResult(
+      resultWith("\"version\":1,\"shard\":1,\"num_shards\":2,"
+                 "\"seed\":9007199254740992,\"completed\":0,\"skipped\":0"),
+      B, Error))
+      << Error;
+  EXPECT_EQ(A.Seed, 9007199254740993ULL);
+  EXPECT_EQ(B.Seed, 9007199254740992ULL);
+  EXPECT_FALSE(CampaignEngine::mergeShards({A, B}, Out, Error));
+}
+
+TEST(CampaignEngineTest, MergeDoesNotSizeStateByTheShardCount) {
+  // A (programmatic) shard result claiming the largest shard count
+  // merges without allocating per-shard state.
+  ShardResult A;
+  A.Shard = 4000000000u;
+  A.NumShards = 4294967295u;
+  A.Seed = 7;
+  ShardResult Out;
+  std::string Error;
+  EXPECT_TRUE(CampaignEngine::mergeShards({A}, Out, Error)) << Error;
+  EXPECT_EQ(Out.NumShards, 4294967295u);
+}
+
+TEST(CampaignEngineCheckpointTest, HostileNumbersAreRejected) {
+  std::string Path = tempPath("hostile.ckpt");
+  std::string Error;
+  ASSERT_TRUE(
+      CampaignEngine::writeCheckpoint(Path, sampleCheckpoint(), Error));
+  const std::string Good = readFile(Path);
+  auto Replace = [&](const std::string &From, const std::string &To) {
+    std::string Text = Good;
+    size_t At = Text.find(From);
+    EXPECT_NE(At, std::string::npos) << From;
+    return Text.replace(At, From.size(), To);
+  };
+  const std::pair<const char *, const char *> Edits[] = {
+      {"\"cursor\":17", "\"cursor\":-1"},
+      {"\"cursor\":17", "\"cursor\":17.5"},
+      {"\"cursor\":17", "\"cursor\":18446744073709551616"},
+      {"\"completed\":15", "\"completed\":\"15\""},
+      {"\"version\":1", "\"version\":1.0"},
+      {"\"shard\":1", "\"shard\":3"},
+      {"\"num_shards\":3", "\"num_shards\":0"},
+      {"\"num_shards\":3", "\"num_shards\":-3"},
+      {"[0,0,4,0,0,0,0]", "[0,0,-4,0,0,0,0]"},
+      {"[0,0,4,0,0,0,0]", "[0,0,4e0,0,0,0,0]"},
+  };
+  for (const auto &[From, To] : Edits) {
+    writeFile(Path, Replace(From, To));
+    EngineCheckpoint Out;
+    Error.clear();
+    EXPECT_EQ(CampaignEngine::loadCheckpoint(Path, Out, Error),
+              CampaignEngine::LoadStatus::Corrupt)
+        << To;
+    EXPECT_FALSE(Error.empty()) << To;
+  }
+  std::remove(Path.c_str());
+}

@@ -1,6 +1,7 @@
 //===- SupportTest.cpp - Tests for the support library -----------------------===//
 
 #include "support/Format.h"
+#include "support/Json.h"
 #include "support/Prng.h"
 #include "support/Stats.h"
 #include "support/Table.h"
@@ -162,4 +163,23 @@ TEST(ThreadPoolTest, DefaultJobCountHonorsEnv) {
   EXPECT_EQ(ThreadPool::defaultJobCount(), 7u);
   unsetenv("CFED_JOBS");
   EXPECT_GE(ThreadPool::defaultJobCount(), 1u);
+}
+
+TEST(JsonTest, ReadUnsignedIsExact) {
+  auto Read = [](const std::string &Text, uint64_t &Out,
+                 uint64_t Max = UINT64_MAX) {
+    json::JsonValue V;
+    json::JsonParser Parser(Text);
+    return Parser.parse(V) && json::readUnsigned(V, Out, Max);
+  };
+  uint64_t Out = 0;
+  ASSERT_TRUE(Read("18446744073709551615", Out));
+  EXPECT_EQ(Out, UINT64_MAX);
+  ASSERT_TRUE(Read("9007199254740993", Out));
+  EXPECT_EQ(Out, 9007199254740993ULL); // Not rounded through a double.
+  ASSERT_TRUE(Read("4294967295", Out, 4294967295u));
+  EXPECT_FALSE(Read("4294967296", Out, 4294967295u));
+  for (const char *Bad : {"18446744073709551616", "-1", "-0", "1.5", "1.0",
+                          "1e3", "\"7\"", "true", "null", "[1]"})
+    EXPECT_FALSE(Read(Bad, Out)) << Bad;
 }

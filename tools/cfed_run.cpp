@@ -737,6 +737,22 @@ int runCampaign(const AsmProgram &Program, const Options &Opts,
   return 0;
 }
 
+/// Writes \p ResultJson to --campaign-out when given; false (with an
+/// error line) when the file cannot be written.
+bool writeCampaignOut(const Options &Opts, const std::string &ResultJson) {
+  if (Opts.CampaignOut.empty())
+    return true;
+  std::ofstream Out(Opts.CampaignOut);
+  if (!Out) {
+    std::fprintf(stderr, "error: cannot write campaign result '%s'\n",
+                 Opts.CampaignOut.c_str());
+    return false;
+  }
+  Out << ResultJson << '\n';
+  reportNotef("campaign result written to %s", Opts.CampaignOut.c_str());
+  return true;
+}
+
 /// The --campaign path: batched, checkpointed, optionally sharded and
 /// self-stopping injection through the campaign engine.
 int runEngine(const AsmProgram &Program, const Options &Opts,
@@ -803,16 +819,8 @@ int runEngine(const AsmProgram &Program, const Options &Opts,
               Opts.NumShards, Report.Resumed ? " resumed" : "",
               Report.Finished ? "" : " (interrupted)");
 
-  if (!Opts.CampaignOut.empty()) {
-    std::ofstream Out(Opts.CampaignOut);
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write campaign result '%s'\n",
-                   Opts.CampaignOut.c_str());
-      return 1;
-    }
-    Out << CampaignEngine::resultToJson(Report, Engine) << '\n';
-    reportNotef("campaign result written to %s", Opts.CampaignOut.c_str());
-  }
+  if (!writeCampaignOut(Opts, CampaignEngine::resultToJson(Report, Engine)))
+    return 1;
 
   // Fold the engine's cumulative instruments into the global registry
   // so --stats reports them alongside everything else.
@@ -896,16 +904,8 @@ int runAttack(const AsmProgram &Program, const Options &Opts,
               Report.Resumed ? " resumed" : "",
               Report.Finished ? "" : " (interrupted)");
 
-  if (!Opts.CampaignOut.empty()) {
-    std::ofstream Out(Opts.CampaignOut);
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write campaign result '%s'\n",
-                   Opts.CampaignOut.c_str());
-      return 1;
-    }
-    Out << AttackEngine::resultToJson(Report, Engine) << '\n';
-    reportNotef("campaign result written to %s", Opts.CampaignOut.c_str());
-  }
+  if (!writeCampaignOut(Opts, AttackEngine::resultToJson(Report, Engine)))
+    return 1;
 
   Registry.merge(Snap);
   for (unsigned F = 0; F < NumAttackFamilies; ++F) {

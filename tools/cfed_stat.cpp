@@ -52,6 +52,7 @@
 
 #include "fault/CampaignEngine.h"
 #include "support/CliArgs.h"
+#include "support/FileIO.h"
 #include "support/Format.h"
 #include "support/Json.h"
 #include "support/Table.h"
@@ -104,18 +105,10 @@ void usage() {
 }
 
 bool readFile(const std::string &Path, std::string &Out) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    std::fprintf(stderr, "cfed-stat: cannot open '%s'\n", Path.c_str());
-    return false;
-  }
-  char Buf[4096];
-  size_t N;
-  Out.clear();
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  std::fclose(F);
-  return true;
+  if (readWholeFile(Path, Out))
+    return true;
+  std::fprintf(stderr, "cfed-stat: cannot open '%s'\n", Path.c_str());
+  return false;
 }
 
 bool parseFile(const std::string &Path, JsonValue &Out) {

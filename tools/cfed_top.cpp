@@ -26,6 +26,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/CliArgs.h"
+#include "support/FileIO.h"
 #include "support/Json.h"
 #include "telemetry/LiveExport.h"
 #include "telemetry/LiveView.h"
@@ -132,23 +133,10 @@ std::vector<std::string> expandPaths(const std::vector<std::string> &Paths) {
   return Files;
 }
 
-bool readFile(const std::string &Path, std::string &Out) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  char Buf[4096];
-  size_t N;
-  Out.clear();
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  std::fclose(F);
-  return true;
-}
-
 bool loadSnapshot(const std::string &Path, telemetry::LiveSnapshot &Out,
                   std::string &Error) {
   std::string Text;
-  if (!readFile(Path, Text)) {
+  if (!readWholeFile(Path, Text)) {
     Error = "cannot open";
     return false;
   }
