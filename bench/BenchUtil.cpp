@@ -2,6 +2,7 @@
 
 #include "bench/BenchUtil.h"
 
+#include "support/CliArgs.h"
 #include "support/Diagnostics.h"
 #include "support/Format.h"
 #include "support/ThreadPool.h"
@@ -65,10 +66,10 @@ unsigned cfed::bench::parseJobs(int Argc, char **Argv) {
     else if (std::strcmp(Arg, "--jobs") == 0 && I + 1 < Argc)
       Value = Argv[I + 1];
     if (Value) {
-      long Parsed = std::strtol(Value, nullptr, 10);
-      if (Parsed >= 1)
-        return static_cast<unsigned>(Parsed);
-      reportFatalError(formatString("invalid --jobs value '%s'", Value));
+      unsigned Jobs = 1;
+      if (cli::parseJobs("--jobs", Value, Jobs))
+        return Jobs;
+      std::exit(2);
     }
   }
   return ThreadPool::defaultJobCount();

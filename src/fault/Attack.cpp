@@ -2,10 +2,10 @@
 
 #include "fault/Attack.h"
 
+#include "fault/BatchLoop.h"
 #include "support/Diagnostics.h"
 #include "support/Format.h"
 #include "support/Prng.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <set>
@@ -65,49 +65,21 @@ std::string cfed::getAttackCounterName(AttackFamily F, AttackOutcome O) {
          getAttackOutcomeName(O);
 }
 
-void AttackOutcomeCounts::add(AttackOutcome O) {
-  switch (O) {
-  case AttackOutcome::DetectedSignature:
-    ++DetectedSig;
-    return;
-  case AttackOutcome::DetectedShadowStack:
-    ++DetectedShadow;
-    return;
-  case AttackOutcome::DetectedIntegrity:
-    ++DetectedIntegrity;
-    return;
-  case AttackOutcome::DetectedHardware:
-    ++DetectedHw;
-    return;
-  case AttackOutcome::Evaded:
-    ++Evaded;
-    return;
-  case AttackOutcome::Masked:
-    ++Masked;
-    return;
-  case AttackOutcome::Timeout:
-    ++Timeout;
-    return;
-  case AttackOutcome::Recovered:
-    ++Recovered;
-    return;
-  case AttackOutcome::RecoveryFailed:
-    ++RecoveryFailed;
-    return;
-  }
-  cfed_unreachable("covered switch");
+/// AttackOutcomeCounts' tallies in AttackOutcome order.
+static constexpr uint64_t AttackOutcomeCounts::*AttackFields[NumAttackOutcomes] =
+    {&AttackOutcomeCounts::DetectedSig,    &AttackOutcomeCounts::DetectedShadow,
+     &AttackOutcomeCounts::DetectedIntegrity, &AttackOutcomeCounts::DetectedHw,
+     &AttackOutcomeCounts::Evaded,         &AttackOutcomeCounts::Masked,
+     &AttackOutcomeCounts::Timeout,        &AttackOutcomeCounts::Recovered,
+     &AttackOutcomeCounts::RecoveryFailed};
+
+uint64_t &AttackOutcomeCounts::of(AttackOutcome O) {
+  return this->*AttackFields[static_cast<unsigned>(O)];
 }
 
 void AttackOutcomeCounts::merge(const AttackOutcomeCounts &Other) {
-  DetectedSig += Other.DetectedSig;
-  DetectedShadow += Other.DetectedShadow;
-  DetectedIntegrity += Other.DetectedIntegrity;
-  DetectedHw += Other.DetectedHw;
-  Evaded += Other.Evaded;
-  Masked += Other.Masked;
-  Timeout += Other.Timeout;
-  Recovered += Other.Recovered;
-  RecoveryFailed += Other.RecoveryFailed;
+  for (uint64_t AttackOutcomeCounts::*Field : AttackFields)
+    this->*Field += Other.*Field;
 }
 
 AttackOutcomeCounts AttackResult::totals() const {
@@ -122,12 +94,9 @@ cfed::attackResultFromSnapshot(const telemetry::RegistrySnapshot &Snap) {
   AttackResult Result;
   for (unsigned F = 0; F < NumAttackFamilies; ++F) {
     auto Family = static_cast<AttackFamily>(F);
-    for (unsigned O = 0; O < NumAttackOutcomes; ++O) {
-      auto Out = static_cast<AttackOutcome>(O);
-      uint64_t N = Snap.counterOr(getAttackCounterName(Family, Out));
-      for (uint64_t I = 0; I < N; ++I)
-        Result.of(Family).add(Out);
-    }
+    for (unsigned O = 0; O < NumAttackOutcomes; ++O)
+      Result.of(Family).of(static_cast<AttackOutcome>(O)) = Snap.counterOr(
+          getAttackCounterName(Family, static_cast<AttackOutcome>(O)));
   }
   Result.Attacks = Snap.counterOr("attack.attacks");
   return Result;
@@ -198,18 +167,6 @@ cfed::renderPrecisionSummaryLine(const telemetry::RegistrySnapshot &Snap) {
 //===----------------------------------------------------------------------===//
 // Campaign
 //===----------------------------------------------------------------------===//
-
-struct AttackCampaign::Instance {
-  Memory Mem;
-  Dbt Translator;
-  Interpreter Interp;
-  bool Ok;
-
-  Instance(const AsmProgram &Program, const DbtConfig &Config)
-      : Translator(Mem, Config), Interp(Mem) {
-    Ok = Translator.load(Program, Interp.state());
-  }
-};
 
 namespace {
 
@@ -443,17 +400,11 @@ AttackCampaign::AttackCampaign(const AsmProgram &Program, DbtConfig Config)
     : Program(Program), Config(Config) {}
 
 bool AttackCampaign::prepare(uint64_t MaxInsns) {
-  Instance Ref(Program, Config);
-  if (!Ref.Ok)
-    return false;
+  GuestRun Ref(Program, Config);
   EventCountingHook Hook;
   Ref.Interp.setPreInsnHook(&Hook);
-  StopInfo Stop = Ref.Translator.run(Ref.Interp, MaxInsns);
-  if (Stop.Kind != StopKind::Halted)
+  if (!Ref.golden(MaxInsns, Reference))
     return false;
-  GoldenInsns = Ref.Interp.instructionCount();
-  GoldenHash = hashOutput(Ref.Interp.output());
-  InsnBudget = GoldenInsns * 4 + 100000;
   EventCounts = Hook.Counts;
   Prepared = true;
   return true;
@@ -495,12 +446,10 @@ std::vector<PlannedAttack> AttackCampaign::plan(uint64_t NumCandidates,
     }
   }
 
-  Instance Planner(Program, Config);
-  if (!Planner.Ok)
-    reportFatalError("planning instance failed to load after prepare()");
+  GuestRun Planner(Program, Config);
   AttackPlanningHook Hook(Planner.Translator, Planner.Mem, Plans, Salts);
   Planner.Interp.setPreInsnHook(&Hook);
-  Planner.Translator.run(Planner.Interp, InsnBudget);
+  Planner.finish(Reference);
 
   // Interleave round-robin so a truncated selection still covers every
   // family.
@@ -516,12 +465,13 @@ std::vector<PlannedAttack> AttackCampaign::plan(uint64_t NumCandidates,
 }
 
 AttackCampaign::AttackReport
-AttackCampaign::injectAttack(const PlannedAttack &Attack,
-                             telemetry::FlightRecorder *Recorder) const {
+AttackCampaign::attackRun(const PlannedAttack &Attack,
+                          const RecoveryConfig *Recovery,
+                          telemetry::FlightRecorder *Recorder) const {
   assert(Prepared && "call prepare() first");
-  Instance Run(Program, Config);
-  if (!Run.Ok)
-    reportFatalError("attack instance failed to load after prepare()");
+  GuestRun Run(Program, Config);
+  // Under recovery the manager saves and forwards to the installed hook,
+  // so the attack still fires at its planned event.
   AttackInjectionHook Hook(Attack, Run.Translator, Run.Mem, Run.Interp);
   Run.Interp.setPreInsnHook(&Hook);
   std::unique_ptr<telemetry::EventTracer> Tracer;
@@ -529,150 +479,53 @@ AttackCampaign::injectAttack(const PlannedAttack &Attack,
     Tracer = std::make_unique<telemetry::EventTracer>(Recorder->maxEvents());
     Run.Translator.setTracer(Tracer.get());
   }
-  StopInfo Stop = Run.Translator.run(Run.Interp, InsnBudget);
+  RunEnd End = Run.finish(Reference, Recovery);
 
   AttackReport Report;
+  Report.Result = classifyRun(AttackDetectors, End);
   Report.Fired = Hook.Fired;
-  switch (Stop.Kind) {
-  case StopKind::Halted:
-    if (hashOutput(Run.Interp.output()) == GoldenHash)
-      // A healed run (integrity caught the tamper, quarantined, and
-      // retranslated) completes golden with mismatches on record.
-      Report.Result = Run.Translator.integrityMismatchCount() > 0
-                          ? AttackOutcome::DetectedIntegrity
-                          : AttackOutcome::Masked;
-    else
-      Report.Result = AttackOutcome::Evaded;
-    break;
-  case StopKind::InsnLimit:
-    Report.Result = AttackOutcome::Timeout;
-    break;
-  case StopKind::Trapped:
-    Report.Result = AttackOutcome::DetectedHardware;
-    if (Stop.Trap == TrapKind::BreakTrap) {
-      if (Stop.BreakCode == BrkShadowStackViolation)
-        Report.Result = AttackOutcome::DetectedShadowStack;
-      else if (Stop.BreakCode == BrkControlFlowError ||
-               Stop.BreakCode == BrkMonitorCorruption)
-        Report.Result = AttackOutcome::DetectedSignature;
-    } else if (Stop.Trap == TrapKind::DivByZero) {
-      const TranslatedBlock *Block =
-          Run.Translator.cacheBlockContaining(Stop.TrapAddr);
-      if (Block && Block->isInstrumentation(Stop.TrapAddr))
-        Report.Result = AttackOutcome::DetectedSignature;
-    }
-    break;
-  }
   if (Recorder)
-    writeAttackBundle(*Recorder, Run.Translator, Run.Interp, Stop, Attack,
+    writeAttackBundle(*Recorder, Run.Translator, Run.Interp, End.Stop, Attack,
                       Hook.Fired, Report.Result);
   return Report;
+}
+
+AttackCampaign::AttackReport
+AttackCampaign::injectAttack(const PlannedAttack &Attack,
+                             telemetry::FlightRecorder *Recorder) const {
+  return attackRun(Attack, nullptr, Recorder);
 }
 
 AttackCampaign::AttackReport
 AttackCampaign::injectWithRecovery(const PlannedAttack &Attack,
                                    const RecoveryConfig &Recovery,
                                    telemetry::FlightRecorder *Recorder) const {
-  assert(Prepared && "call prepare() first");
-  Instance Run(Program, Config);
-  if (!Run.Ok)
-    reportFatalError("attack instance failed to load after prepare()");
-  // The manager saves and forwards to the installed hook, so the attack
-  // still fires at its planned event under recovery.
-  AttackInjectionHook Hook(Attack, Run.Translator, Run.Mem, Run.Interp);
-  Run.Interp.setPreInsnHook(&Hook);
-  RecoveryManager Manager(Run.Interp, Run.Translator, Recovery);
-  RecoveryReport Report = Manager.run(InsnBudget);
-
-  AttackReport Injection;
-  Injection.Fired = Hook.Fired;
-  if (Report.Completed) {
-    bool Golden = hashOutput(Run.Interp.output()) == GoldenHash;
-    if (Golden)
-      Injection.Result = Report.NumRollbacks > 0 ? AttackOutcome::Recovered
-                                                 : AttackOutcome::Masked;
-    else
-      Injection.Result = Report.NumRollbacks > 0
-                             ? AttackOutcome::RecoveryFailed
-                             : AttackOutcome::Evaded;
-  } else if (Report.FinalStop.Kind == StopKind::InsnLimit) {
-    Injection.Result = Report.NumRollbacks > 0 ? AttackOutcome::RecoveryFailed
-                                               : AttackOutcome::Timeout;
-  } else {
-    Injection.Result = AttackOutcome::RecoveryFailed;
-  }
-  if (Recorder)
-    writeAttackBundle(*Recorder, Run.Translator, Run.Interp,
-                      Report.FinalStop, Attack, Hook.Fired,
-                      Injection.Result);
-  return Injection;
+  return attackRun(Attack, &Recovery, Recorder);
 }
 
-namespace {
-
-/// Serial selection shared by run() and runWithRecovery(): the first
-/// NumAttacks actionable candidates (a gadget was found) in plan order.
-std::vector<const PlannedAttack *>
-selectAttacks(const std::vector<PlannedAttack> &Candidates,
-              uint64_t NumAttacks) {
-  std::vector<const PlannedAttack *> Selected;
-  Selected.reserve(std::min<uint64_t>(NumAttacks, Candidates.size()));
-  for (const PlannedAttack &Attack : Candidates) {
-    if (!Attack.ForgedTarget)
-      continue;
-    if (Selected.size() >= NumAttacks)
-      break;
-    Selected.push_back(&Attack);
-  }
-  return Selected;
-}
-
-} // namespace
-
-AttackResult
-AttackCampaign::tallyOutcomes(const std::vector<const PlannedAttack *> &Sel,
-                              const std::vector<AttackOutcome> &Outcomes) {
-  // Serial tally from position-indexed slots, like FaultCampaign: the
-  // registry contents are identical for any job count.
-  telemetry::MetricsRegistry RunMetrics;
-  for (size_t I = 0; I < Sel.size(); ++I) {
-    RunMetrics.counter(getAttackCounterName(Sel[I]->Family, Outcomes[I]))
-        .inc();
-    RunMetrics.counter("attack.attacks").inc();
-    if (Sel[I]->GadgetValid)
-      RunMetrics.counter("attack.gadget_valid").inc();
-  }
-  telemetry::RegistrySnapshot Snap = RunMetrics.snapshot();
+AttackResult AttackCampaign::runOneBatch(uint64_t NumAttacks, uint64_t Seed,
+                                         unsigned Jobs,
+                                         const RecoveryConfig *Recovery,
+                                         std::vector<PlannedAttack> *Evasions) {
+  EngineConfig Engine = oneBatch(NumAttacks, Jobs);
+  Engine.Seed = Seed;
+  telemetry::RegistrySnapshot Snap =
+      runAttackPlan(*this, Engine, Recovery, Evasions).Registry;
   Metrics.merge(Snap);
-  AttackResult Result = attackResultFromSnapshot(Snap);
-  assert(Result.totals().total() == Result.Attacks &&
-         "registry tallies must cover every attack");
-  return Result;
+  return attackResultFromSnapshot(Snap);
 }
 
 AttackResult AttackCampaign::run(uint64_t NumAttacks, uint64_t Seed,
                                  unsigned Jobs,
                                  telemetry::FlightRecorder *Recorder) {
-  // Over-plan 2x: gadget search can fail on tiny programs.
-  std::vector<PlannedAttack> Candidates = plan(NumAttacks * 2, Seed);
-  std::vector<const PlannedAttack *> Selected =
-      selectAttacks(Candidates, NumAttacks);
-
-  std::vector<AttackOutcome> Outcomes(Selected.size());
-  ThreadPool Pool(Jobs);
-  Pool.parallelFor(Selected.size(), [&](uint64_t I) {
-    Outcomes[I] = injectAttack(*Selected[I]).Result;
-  });
-  AttackResult Result = tallyOutcomes(Selected, Outcomes);
-
+  std::vector<PlannedAttack> Evasions;
+  AttackResult Result = runOneBatch(NumAttacks, Seed, Jobs, nullptr,
+                                    Recorder ? &Evasions : nullptr);
   // Evasion proof bundles: replay the undetected attacks serially with
   // the recorder attached (injection is deterministic, so the replay is
   // the run the tally counted).
-  if (Recorder)
-    for (size_t I = 0; I < Selected.size(); ++I)
-      if (Outcomes[I] == AttackOutcome::Evaded ||
-          Outcomes[I] == AttackOutcome::Timeout)
-        injectAttack(*Selected[I], Recorder);
+  for (const PlannedAttack &Attack : Evasions)
+    injectAttack(Attack, Recorder);
   return Result;
 }
 
@@ -680,14 +533,5 @@ AttackResult AttackCampaign::runWithRecovery(uint64_t NumAttacks,
                                              uint64_t Seed,
                                              const RecoveryConfig &Recovery,
                                              unsigned Jobs) {
-  std::vector<PlannedAttack> Candidates = plan(NumAttacks * 2, Seed);
-  std::vector<const PlannedAttack *> Selected =
-      selectAttacks(Candidates, NumAttacks);
-
-  std::vector<AttackOutcome> Outcomes(Selected.size());
-  ThreadPool Pool(Jobs);
-  Pool.parallelFor(Selected.size(), [&](uint64_t I) {
-    Outcomes[I] = injectWithRecovery(*Selected[I], Recovery).Result;
-  });
-  return tallyOutcomes(Selected, Outcomes);
+  return runOneBatch(NumAttacks, Seed, Jobs, &Recovery, nullptr);
 }

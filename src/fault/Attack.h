@@ -31,12 +31,12 @@
 ///                not the signature algebra, is the intended catcher.
 ///
 /// The campaign runs like a fault campaign: prepare() golden run,
-/// deterministic plan() over per-family dynamic event streams, one
-/// fresh instance per injected attack, jobs-invariant tally. Outcomes
-/// are finer-grained than fault outcomes: detection is attributed to
-/// the signature scheme (0xCFE/0x5EC), the shadow return stack (0x5AC),
-/// the self-integrity layer, or hardware — the per-technique precision
-/// matrix of DESIGN.md §15.
+/// deterministic plan() over per-family dynamic event streams, then the
+/// campaign batch loop (fault/BatchLoop.h). Outcomes are finer-grained
+/// than fault outcomes: detection is attributed to the signature scheme
+/// (0xCFE/0x5EC), the shadow return stack (0x5AC), the self-integrity
+/// layer, or hardware — the per-technique precision matrix of DESIGN.md
+/// §15.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +46,7 @@
 #include "asm/Assembler.h"
 #include "dbt/Dbt.h"
 #include "fault/Category.h"
+#include "fault/GuestRun.h"
 #include "recovery/Recovery.h"
 #include "telemetry/FlightRecorder.h"
 
@@ -143,7 +144,9 @@ struct AttackOutcomeCounts {
   }
   /// Attacks no detector caught (the attacker's score).
   uint64_t undetected() const { return Evaded + Timeout; }
-  void add(AttackOutcome O);
+  /// The tally of outcome \p O.
+  uint64_t &of(AttackOutcome O);
+  void add(AttackOutcome O) { ++of(O); }
   void merge(const AttackOutcomeCounts &Other);
 
   bool operator==(const AttackOutcomeCounts &Other) const = default;
@@ -232,11 +235,12 @@ public:
                      const RecoveryConfig &Recovery,
                      telemetry::FlightRecorder *Recorder = nullptr) const;
 
-  /// Runs a full campaign: plan, drop unactionable candidates, inject.
-  /// Jobs-invariant like FaultCampaign::run (position-indexed slots,
-  /// serial tally). With a \p Recorder, every Evaded/Timeout attack is
-  /// re-injected serially afterwards to write its evasion bundle
-  /// (injections are deterministic, so the replay reproduces the run).
+  /// Runs a full campaign: plan, drop unactionable candidates, inject —
+  /// the AttackEngine's batch loop as one checkpoint-free batch, so the
+  /// registry equals the unsharded engine's for any \p Jobs. With a
+  /// \p Recorder, every Evaded/Timeout attack is re-injected serially
+  /// afterwards to write its evasion bundle (injections are
+  /// deterministic, so the replay reproduces the run).
   AttackResult run(uint64_t NumAttacks, uint64_t Seed, unsigned Jobs = 1,
                    telemetry::FlightRecorder *Recorder = nullptr);
 
@@ -246,31 +250,34 @@ public:
                                const RecoveryConfig &Recovery,
                                unsigned Jobs = 1);
 
-  uint64_t goldenInsns() const { return GoldenInsns; }
-  uint64_t goldenHash() const { return GoldenHash; }
+  uint64_t goldenInsns() const { return Reference.Insns; }
+  uint64_t goldenHash() const { return Reference.Hash; }
   /// Dynamic events of \p F in the golden run (the plan population).
   uint64_t eventExecutions(AttackFamily F) const {
     return EventCounts[static_cast<unsigned>(F)];
   }
 
   /// Cumulative "attack.<family>.<outcome>" counters plus
-  /// "attack.attacks" across every run()/runWithRecovery() call,
-  /// tallied serially from position-indexed slots.
+  /// "attack.attacks" across every run()/runWithRecovery() call.
   const telemetry::MetricsRegistry &metrics() const { return Metrics; }
 
 private:
-  struct Instance;
+  /// One attacked run, plain or under \p Recovery.
+  AttackReport attackRun(const PlannedAttack &Attack,
+                         const RecoveryConfig *Recovery,
+                         telemetry::FlightRecorder *Recorder) const;
 
-  AttackResult
-  tallyOutcomes(const std::vector<const PlannedAttack *> &Sel,
-                const std::vector<AttackOutcome> &Outcomes);
+  /// run()/runWithRecovery(): one checkpoint-free batch through the
+  /// campaign batch loop, folded into Metrics.
+  AttackResult runOneBatch(uint64_t NumAttacks, uint64_t Seed, unsigned Jobs,
+                           const RecoveryConfig *Recovery,
+                           std::vector<PlannedAttack> *Evasions);
 
   const AsmProgram &Program;
   DbtConfig Config;
   telemetry::MetricsRegistry Metrics;
-  uint64_t GoldenInsns = 0;
-  uint64_t GoldenHash = 0;
-  uint64_t InsnBudget = 0;
+  /// The golden run (output hash, instruction count, budget).
+  GoldenRun Reference;
   std::array<uint64_t, NumAttackFamilies> EventCounts{};
   bool Prepared = false;
 };

@@ -2,13 +2,12 @@
 
 #include "fault/Campaign.h"
 
+#include "fault/BatchLoop.h"
 #include "support/Diagnostics.h"
 #include "support/Format.h"
 #include "support/Prng.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <array>
 #include <set>
 
 using namespace cfed;
@@ -136,52 +135,28 @@ cfed::campaignResultFromSnapshot(const telemetry::RegistrySnapshot &Snap) {
   CampaignResult Result;
   for (unsigned C = 0; C < NumBranchErrorCategories; ++C) {
     auto Cat = static_cast<BranchErrorCategory>(C);
-    for (unsigned O = 0; O < NumOutcomes; ++O) {
-      auto Out = static_cast<Outcome>(O);
-      uint64_t N = Snap.counterOr(getOutcomeCounterName(Cat, Out));
-      for (uint64_t I = 0; I < N; ++I)
-        Result.of(Cat).add(Out);
-    }
+    for (unsigned O = 0; O < NumOutcomes; ++O)
+      Result.of(Cat).of(static_cast<Outcome>(O)) =
+          Snap.counterOr(getOutcomeCounterName(Cat, static_cast<Outcome>(O)));
   }
   Result.Injections = Snap.counterOr("fault.injections");
   return Result;
 }
 
-void OutcomeCounts::add(Outcome O) {
-  switch (O) {
-  case Outcome::DetectedSignature:
-    ++DetectedSig;
-    return;
-  case Outcome::DetectedHardware:
-    ++DetectedHw;
-    return;
-  case Outcome::Masked:
-    ++Masked;
-    return;
-  case Outcome::Sdc:
-    ++Sdc;
-    return;
-  case Outcome::Timeout:
-    ++Timeout;
-    return;
-  case Outcome::Recovered:
-    ++Recovered;
-    return;
-  case Outcome::RecoveryFailed:
-    ++RecoveryFailed;
-    return;
-  }
-  cfed_unreachable("covered switch");
+/// OutcomeCounts' tallies in Outcome order.
+static constexpr uint64_t OutcomeCounts::*OutcomeFields[NumOutcomes] = {
+    &OutcomeCounts::DetectedSig, &OutcomeCounts::DetectedHw,
+    &OutcomeCounts::Masked,      &OutcomeCounts::Sdc,
+    &OutcomeCounts::Timeout,     &OutcomeCounts::Recovered,
+    &OutcomeCounts::RecoveryFailed};
+
+uint64_t &OutcomeCounts::of(Outcome O) {
+  return this->*OutcomeFields[static_cast<unsigned>(O)];
 }
 
 void OutcomeCounts::merge(const OutcomeCounts &Other) {
-  DetectedSig += Other.DetectedSig;
-  DetectedHw += Other.DetectedHw;
-  Masked += Other.Masked;
-  Sdc += Other.Sdc;
-  Timeout += Other.Timeout;
-  Recovered += Other.Recovered;
-  RecoveryFailed += Other.RecoveryFailed;
+  for (uint64_t OutcomeCounts::*Field : OutcomeFields)
+    this->*Field += Other.*Field;
 }
 
 OutcomeCounts CampaignResult::totals() const {
@@ -190,25 +165,6 @@ OutcomeCounts CampaignResult::totals() const {
     Totals.merge(Row);
   return Totals;
 }
-
-struct FaultCampaign::Instance {
-  Memory Mem;
-  Dbt Translator;
-  Interpreter Interp;
-  bool Ok;
-
-  /// \p Digests must be attached before load(): eager configurations
-  /// translate at load time, and the Digest markers must be in the
-  /// cache from the first translation so every run of the campaign
-  /// shares one layout.
-  Instance(const AsmProgram &Program, const DbtConfig &Config,
-           telemetry::DigestRecorder *Digests = nullptr)
-      : Translator(Mem, Config), Interp(Mem) {
-    if (Digests)
-      Translator.setDigestRecorder(Digests);
-    Ok = Translator.load(Program, Interp.state());
-  }
-};
 
 namespace {
 
@@ -286,23 +242,21 @@ public:
 /// class.
 class ClassCountingHook : public FaultHook {
 public:
-  ClassCountingHook(const FaultCampaign &Campaign, SiteClass Sites,
-                    const std::unordered_map<uint64_t, bool> &InstrMap)
-      : Sites(Sites), InstrMap(InstrMap) {
-    (void)Campaign;
-  }
+  ClassCountingHook(SiteClass Sites,
+                    const std::unordered_set<uint64_t> &InstrSites)
+      : Sites(Sites), InstrSites(InstrSites) {}
 
 protected:
+  bool isInstr(uint64_t SiteAddr) const {
+    return InstrSites.count(SiteAddr) != 0;
+  }
   bool matches(uint64_t SiteAddr) const {
-    if (Sites == SiteClass::Any)
-      return true;
-    auto It = InstrMap.find(SiteAddr);
-    bool IsInstr = It != InstrMap.end() && It->second;
-    return Sites == SiteClass::InstrumentationOnly ? IsInstr : !IsInstr;
+    return Sites == SiteClass::Any ||
+           (Sites == SiteClass::InstrumentationOnly) == isInstr(SiteAddr);
   }
 
   SiteClass Sites;
-  const std::unordered_map<uint64_t, bool> &InstrMap;
+  const std::unordered_set<uint64_t> &InstrSites;
   uint64_t Counter = 0;
 };
 
@@ -310,10 +264,9 @@ protected:
 /// category for the pre-drawn fault.
 class PlanningHook : public ClassCountingHook {
 public:
-  PlanningHook(const FaultCampaign &Campaign, SiteClass Sites,
-               const std::unordered_map<uint64_t, bool> &InstrMap,
+  PlanningHook(SiteClass Sites, const std::unordered_set<uint64_t> &InstrSites,
                const Dbt &Translator, std::vector<PlannedFault> &Faults)
-      : ClassCountingHook(Campaign, Sites, InstrMap), Translator(Translator),
+      : ClassCountingHook(Sites, InstrSites), Translator(Translator),
         Faults(Faults) {}
 
   void apply(uint64_t InsnAddr, Instruction &I, Flags &F,
@@ -325,8 +278,7 @@ public:
       PlannedFault &Fault = Faults[Next];
       Fault.Category = categorize(Translator, InsnAddr, I, F, State,
                                   Fault.Kind, Fault.Mask);
-      auto It = InstrMap.find(InsnAddr);
-      Fault.InstrSite = It != InstrMap.end() && It->second;
+      Fault.InstrSite = isInstr(InsnAddr);
       Fault.SiteAddr = InsnAddr;
       ++Next;
     }
@@ -341,11 +293,10 @@ private:
 /// Injection hook: applies the fault at the chosen instance.
 class InjectionHook : public ClassCountingHook {
 public:
-  InjectionHook(const FaultCampaign &Campaign, SiteClass Sites,
-                const std::unordered_map<uint64_t, bool> &InstrMap,
+  InjectionHook(SiteClass Sites,
+                const std::unordered_set<uint64_t> &InstrSites,
                 const PlannedFault &Fault, const Interpreter &Interp)
-      : ClassCountingHook(Campaign, Sites, InstrMap), Fault(Fault),
-        Interp(Interp) {}
+      : ClassCountingHook(Sites, InstrSites), Fault(Fault), Interp(Interp) {}
 
   bool Fired = false;
   /// Dynamic instruction count at the moment the fault fired.
@@ -376,66 +327,40 @@ private:
 FaultCampaign::FaultCampaign(const AsmProgram &Program, DbtConfig Config)
     : Program(Program), Config(Config) {}
 
-bool FaultCampaign::matchesClass(uint64_t SiteAddr, SiteClass Class) const {
-  if (Class == SiteClass::Any)
-    return true;
-  auto It = Sites.find(SiteAddr);
-  bool IsInstr = It != Sites.end() && It->second.IsInstr;
-  return Class == SiteClass::InstrumentationOnly ? IsInstr : !IsInstr;
-}
-
 bool FaultCampaign::prepare(uint64_t MaxInsns) {
   telemetry::DigestRecorder Digests;
-  Instance Ref(Program, Config, PropEnabled ? &Digests : nullptr);
-  if (!Ref.Ok)
-    return false;
+  GuestRun Ref(Program, Config, PropEnabled ? &Digests : nullptr);
   CountingHook Hook;
   Ref.Interp.setFaultHook(&Hook);
-  StopInfo Stop = Ref.Translator.run(Ref.Interp, MaxInsns);
-  if (Stop.Kind != StopKind::Halted)
+  if (!Ref.golden(MaxInsns, Reference))
     return false;
-  GoldenInsns = Ref.Interp.instructionCount();
-  GoldenHash = hashOutput(Ref.Interp.output());
-  InsnBudget = GoldenInsns * 4 + 100000;
   if (PropEnabled) {
     Golden.Records = Digests.takeRecords();
     // Fingerprint the reference execution, not the bytes of the image:
     // the output hash and retired count together reject an oracle
     // recorded from a different program or configuration.
-    Golden.ProgramFp = GoldenHash;
-    Golden.ConfigFp = GoldenInsns;
+    Golden.ProgramFp = Reference.Hash;
+    Golden.ConfigFp = Reference.Insns;
   }
 
-  Sites.clear();
-  InstrMap.clear();
-  for (const BranchSiteInfo &Site : Ref.Translator.enumerateBranchSites()) {
-    Sites[Site.CacheAddr].IsInstr = Site.IsInstrumentation;
-    InstrMap[Site.CacheAddr] = Site.IsInstrumentation;
-  }
+  InstrSites.clear();
+  for (const BranchSiteInfo &Site : Ref.Translator.enumerateBranchSites())
+    if (Site.IsInstrumentation)
+      InstrSites.insert(Site.CacheAddr);
 
-  ExecAll = ExecInstr = ExecOrig = 0;
+  BranchExecs = {};
   for (const auto &[Addr, Count] : Hook.PerSite) {
-    ExecAll += Count;
-    auto It = Sites.find(Addr);
-    if (It != Sites.end() && It->second.IsInstr)
-      ExecInstr += Count;
-    else
-      ExecOrig += Count;
+    SiteClass Class = InstrSites.count(Addr) ? SiteClass::InstrumentationOnly
+                                             : SiteClass::OriginalOnly;
+    BranchExecs[static_cast<unsigned>(SiteClass::Any)] += Count;
+    BranchExecs[static_cast<unsigned>(Class)] += Count;
   }
   Prepared = true;
   return true;
 }
 
 uint64_t FaultCampaign::branchExecutions(SiteClass Class) const {
-  switch (Class) {
-  case SiteClass::Any:
-    return ExecAll;
-  case SiteClass::OriginalOnly:
-    return ExecOrig;
-  case SiteClass::InstrumentationOnly:
-    return ExecInstr;
-  }
-  cfed_unreachable("covered switch");
+  return BranchExecs[static_cast<unsigned>(Class)];
 }
 
 std::vector<PlannedFault> FaultCampaign::plan(uint64_t NumCandidates,
@@ -481,12 +406,10 @@ std::vector<PlannedFault> FaultCampaign::plan(uint64_t NumCandidates,
   // including this one, or the cache layout (and so the site addresses
   // recorded in prepare()) would not reproduce.
   telemetry::DigestRecorder Digests;
-  Instance Planner(Program, Config, PropEnabled ? &Digests : nullptr);
-  if (!Planner.Ok)
-    reportFatalError("planning instance failed to load after prepare()");
-  PlanningHook Hook(*this, Class, InstrMap, Planner.Translator, Faults);
+  GuestRun Planner(Program, Config, PropEnabled ? &Digests : nullptr);
+  PlanningHook Hook(Class, InstrSites, Planner.Translator, Faults);
   Planner.Interp.setFaultHook(&Hook);
-  Planner.Translator.run(Planner.Interp, InsnBudget);
+  Planner.finish(Reference);
   return Faults;
 }
 
@@ -497,18 +420,26 @@ Outcome FaultCampaign::inject(const PlannedFault &Fault) const {
 namespace {
 
 /// Annotates and writes one "campaign-injection" bundle.
-void writeInjectionBundle(telemetry::FlightRecorder &Recorder, Dbt &Translator,
-                          Interpreter &Interp, const StopInfo &Stop,
-                          const PlannedFault &Fault, bool Fired,
-                          Outcome Result, const telemetry::PropagationReport &Prop) {
-  telemetry::PostMortem PM =
-      Translator.buildPostMortem("campaign-injection", Stop, Interp);
+void writeInjectionBundle(telemetry::FlightRecorder &Recorder, GuestRun &Run,
+                          const RunEnd &End, const PlannedFault &Fault,
+                          const InjectionReport &Report) {
+  telemetry::PostMortem PM = Run.Translator.buildPostMortem(
+      "campaign-injection", End.Stop, Run.Interp);
+  if (End.UnderRecovery) {
+    PM.Recovery.Present = true;
+    PM.Recovery.Checkpoints = End.Recovery.NumCheckpoints;
+    PM.Recovery.Rollbacks = End.Recovery.NumRollbacks;
+    PM.Recovery.WatchdogFires = End.Recovery.NumWatchdogFires;
+    PM.Recovery.Degraded = End.Recovery.Degraded;
+    PM.Recovery.InterpreterFallback = End.Recovery.InterpreterFallback;
+  }
   PM.Annotations.emplace_back("instance", Fault.Instance);
   PM.Annotations.emplace_back("bit", Fault.Bit);
   PM.Annotations.emplace_back(
       "flag_bit_fault", Fault.Kind == FaultKind::FlagBit ? 1 : 0);
   PM.Annotations.emplace_back("site_addr", Fault.SiteAddr);
-  PM.Annotations.emplace_back("fired", Fired ? 1 : 0);
+  PM.Annotations.emplace_back("fired", Report.Fired ? 1 : 0);
+  const telemetry::PropagationReport &Prop = Report.Prop;
   if (Prop.Enabled) {
     PM.Propagation.Present = true;
     PM.Propagation.Class = telemetry::getPropClassName(Prop.Class);
@@ -520,254 +451,85 @@ void writeInjectionBundle(telemetry::FlightRecorder &Recorder, Dbt &Translator,
     PM.Propagation.ChecksCrossed = Prop.ChecksCrossed;
     PM.Propagation.InsnsCrossed = Prop.InsnsCrossed;
   }
-  PM.Note = getOutcomeName(Result);
+  PM.Note = getOutcomeName(Report.Result);
   Recorder.write(PM);
 }
 
 } // namespace
 
 InjectionReport
-FaultCampaign::injectDetailed(const PlannedFault &Fault,
-                              telemetry::FlightRecorder *Recorder) const {
+FaultCampaign::injectRun(const PlannedFault &Fault,
+                         const RecoveryConfig *Recovery,
+                         telemetry::FlightRecorder *Recorder) const {
   assert(Prepared && "call prepare() first");
+  // Recovery campaigns do not track propagation, but the layout must
+  // still match prepare()'s when the campaign is prop-enabled.
   telemetry::DigestRecorder Digests;
-  Instance Run(Program, Config, PropEnabled ? &Digests : nullptr);
-  if (!Run.Ok)
-    reportFatalError("injection instance failed to load after prepare()");
-  InjectionHook Hook(*this, Fault.Class, InstrMap, Fault, Run.Interp);
+  GuestRun Run(Program, Config, PropEnabled ? &Digests : nullptr);
+  InjectionHook Hook(Fault.Class, InstrSites, Fault, Run.Interp);
   Run.Interp.setFaultHook(&Hook);
   std::unique_ptr<telemetry::EventTracer> Tracer;
   if (Recorder) {
     Tracer = std::make_unique<telemetry::EventTracer>(Recorder->maxEvents());
     Run.Translator.setTracer(Tracer.get());
   }
-  StopInfo Stop = Run.Translator.run(Run.Interp, InsnBudget);
+  RunEnd End = Run.finish(Reference, Recovery);
 
   InjectionReport Report;
+  Report.Result = toOutcome(classifyRun(FaultDetectors, End));
   Report.Fired = Hook.Fired;
   Report.LatencyInsns =
       Hook.Fired ? Run.Interp.instructionCount() - Hook.InsnsAtFire : 0;
-
-  switch (Stop.Kind) {
-  case StopKind::Halted:
-    Report.Result = hashOutput(Run.Interp.output()) == GoldenHash
-                        ? Outcome::Masked
-                        : Outcome::Sdc;
-    break;
-  case StopKind::InsnLimit:
-    Report.Result = Outcome::Timeout;
-    break;
-  case StopKind::Trapped: {
-    Report.Result = Outcome::DetectedHardware;
-    if (Stop.Trap == TrapKind::BreakTrap &&
-        Stop.BreakCode == BrkControlFlowError) {
-      Report.Result = Outcome::DetectedSignature;
-    } else if (Stop.Trap == TrapKind::DivByZero) {
-      // ECCA reports through the div-by-zero handler: the fault is a
-      // signature detection when the div is instrumentation (Section 3.1's
-      // discussion of the ECCA exception handler).
-      const TranslatedBlock *Block =
-          Run.Translator.cacheBlockContaining(Stop.TrapAddr);
-      if (Block && Block->isInstrumentation(Stop.TrapAddr))
-        Report.Result = Outcome::DetectedSignature;
-    }
-    break;
-  }
-  }
-  if (PropEnabled)
+  if (PropEnabled && !Recovery)
     Report.Prop = telemetry::analyzePropagation(
         Golden.Records, Digests.records(), toPropOutcome(Report.Result));
   if (Recorder)
-    writeInjectionBundle(*Recorder, Run.Translator, Run.Interp, Stop, Fault,
-                         Hook.Fired, Report.Result, Report.Prop);
+    writeInjectionBundle(*Recorder, Run, End, Fault, Report);
+  Report.Recovery = std::move(End.Recovery);
   return Report;
+}
+
+InjectionReport
+FaultCampaign::injectDetailed(const PlannedFault &Fault,
+                              telemetry::FlightRecorder *Recorder) const {
+  return injectRun(Fault, nullptr, Recorder);
 }
 
 FaultCampaign::RecoveryInjection
 FaultCampaign::injectWithRecovery(const PlannedFault &Fault,
                                   const RecoveryConfig &Recovery,
                                   telemetry::FlightRecorder *Recorder) const {
-  assert(Prepared && "call prepare() first");
-  // Recovery campaigns do not track propagation, but the layout must
-  // still match prepare()'s when the campaign is prop-enabled.
-  telemetry::DigestRecorder Digests;
-  Instance Run(Program, Config, PropEnabled ? &Digests : nullptr);
-  if (!Run.Ok)
-    reportFatalError("injection instance failed to load after prepare()");
-  InjectionHook Hook(*this, Fault.Class, InstrMap, Fault, Run.Interp);
-  Run.Interp.setFaultHook(&Hook);
-  std::unique_ptr<telemetry::EventTracer> Tracer;
-  if (Recorder) {
-    Tracer = std::make_unique<telemetry::EventTracer>(Recorder->maxEvents());
-    Run.Translator.setTracer(Tracer.get());
-  }
-  RecoveryManager Manager(Run.Interp, Run.Translator, Recovery);
-  RecoveryReport Report = Manager.run(InsnBudget);
-
-  RecoveryInjection Injection;
-  Injection.Fired = Hook.Fired;
-  if (Report.Completed) {
-    bool Golden = hashOutput(Run.Interp.output()) == GoldenHash;
-    if (Report.NumRollbacks > 0)
-      Injection.Result = Golden ? Outcome::Recovered : Outcome::RecoveryFailed;
-    else
-      Injection.Result = Golden ? Outcome::Masked : Outcome::Sdc;
-  } else if (Report.FinalStop.Kind == StopKind::InsnLimit) {
-    Injection.Result = Report.NumRollbacks > 0 ? Outcome::RecoveryFailed
-                                               : Outcome::Timeout;
-  } else {
-    // A final trap means even the interpreter fallback could not make
-    // progress: the ladder is exhausted.
-    Injection.Result = Outcome::RecoveryFailed;
-  }
-  if (Recorder) {
-    telemetry::PostMortem PM = Run.Translator.buildPostMortem(
-        "campaign-injection", Report.FinalStop, Run.Interp);
-    PM.Recovery.Present = true;
-    PM.Recovery.Checkpoints = Report.NumCheckpoints;
-    PM.Recovery.Rollbacks = Report.NumRollbacks;
-    PM.Recovery.WatchdogFires = Report.NumWatchdogFires;
-    PM.Recovery.Degraded = Report.Degraded;
-    PM.Recovery.InterpreterFallback = Report.InterpreterFallback;
-    PM.Annotations.emplace_back("instance", Fault.Instance);
-    PM.Annotations.emplace_back("bit", Fault.Bit);
-    PM.Annotations.emplace_back(
-        "flag_bit_fault", Fault.Kind == FaultKind::FlagBit ? 1 : 0);
-    PM.Annotations.emplace_back("site_addr", Fault.SiteAddr);
-    PM.Annotations.emplace_back("fired", Hook.Fired ? 1 : 0);
-    PM.Note = getOutcomeName(Injection.Result);
-    Recorder->write(PM);
-  }
-  Injection.Recovery = std::move(Report);
-  return Injection;
+  return injectRun(Fault, &Recovery, Recorder);
 }
 
-namespace {
-
-/// Serial selection shared by run() and runWithRecovery(): the first
-/// NumInjections candidates that can actually deviate control flow, in
-/// plan order — keeping the two phases' fault sets identical.
-std::vector<const PlannedFault *>
-selectFaults(const std::vector<PlannedFault> &Candidates,
-             uint64_t NumInjections) {
-  std::vector<const PlannedFault *> Selected;
-  Selected.reserve(std::min<uint64_t>(NumInjections, Candidates.size()));
-  for (const PlannedFault &Fault : Candidates) {
-    if (Fault.Category == BranchErrorCategory::NoError)
-      continue;
-    if (Selected.size() >= NumInjections)
-      break;
-    Selected.push_back(&Fault);
-  }
-  return Selected;
-}
-
-} // namespace
-
-CampaignResult
-FaultCampaign::tallyOutcomes(const std::vector<const PlannedFault *> &Sel,
-                             const std::vector<Outcome> &Outcomes) {
-  // Serial tally from position-indexed slots: workers never touch shared
-  // counters, so the registry contents — and the result rebuilt from
-  // them — are identical for any job count.
-  telemetry::MetricsRegistry RunMetrics;
-  for (size_t I = 0; I < Sel.size(); ++I) {
-    RunMetrics.counter(getOutcomeCounterName(Sel[I]->Category, Outcomes[I]))
-        .inc();
-    RunMetrics.counter("fault.injections").inc();
-  }
-  telemetry::RegistrySnapshot Snap = RunMetrics.snapshot();
+CampaignResult FaultCampaign::runOneBatch(uint64_t NumInjections,
+                                          uint64_t Seed, SiteClass Sites,
+                                          unsigned Jobs,
+                                          const RecoveryConfig *Recovery) {
+  EngineConfig Engine = oneBatch(NumInjections, Jobs);
+  Engine.Seed = Seed;
+  Engine.Sites = Sites;
+  telemetry::RegistrySnapshot Snap =
+      runFaultPlan(*this, Engine, Recovery).Registry;
   Metrics.merge(Snap);
-  CampaignResult Result = campaignResultFromSnapshot(Snap);
-  assert(Result.totals().total() == Result.Injections &&
-         "registry tallies must cover every injection");
-  return Result;
-}
-
-void FaultCampaign::tallyPropagation(
-    const std::vector<const PlannedFault *> &Sel,
-    const std::vector<telemetry::PropagationReport> &Prop) {
-  // Same discipline as tallyOutcomes: serial, position-indexed, into a
-  // fresh registry that folds into Metrics — so the prop.* instruments
-  // are identical for any job count (and, at the engine level, for any
-  // shard split).
-  telemetry::MetricsRegistry PropMetrics;
-  std::vector<uint64_t> Bounds = telemetry::propDistanceBounds();
-  for (size_t I = 0; I < Sel.size(); ++I) {
-    if (!Prop[I].Enabled)
-      continue;
-    PropMetrics.counter(getPropagationCounterName(Sel[I]->Category,
-                                                  Prop[I].Class))
-        .inc();
-    if (Prop[I].Class == telemetry::PropClass::DetectedAfterDivergence)
-      PropMetrics.histogram(getPropagationDistanceName(Sel[I]->Category),
-                            Bounds)
-          .observe(Prop[I].InsnsCrossed);
-  }
-  Metrics.merge(PropMetrics.snapshot());
+  return campaignResultFromSnapshot(Snap);
 }
 
 CampaignResult FaultCampaign::run(uint64_t NumInjections, uint64_t Seed,
-                                  SiteClass Class, unsigned Jobs) {
-  // Over-plan: a sizeable share of random faults are NoError.
-  std::vector<PlannedFault> Candidates =
-      plan(NumInjections * 4, Seed, Class);
-  std::vector<const PlannedFault *> Selected =
-      selectFaults(Candidates, NumInjections);
-
-  // Parallel injection into position-indexed slots. Each worker touches
-  // only its own slot; the merge into the registry stays serial.
-  std::vector<Outcome> Outcomes(Selected.size());
-  std::vector<telemetry::PropagationReport> Prop(Selected.size());
-  ThreadPool Pool(Jobs);
-  Pool.parallelFor(Selected.size(), [&](uint64_t I) {
-    InjectionReport Rep = injectDetailed(*Selected[I]);
-    Outcomes[I] = Rep.Result;
-    Prop[I] = Rep.Prop;
-  });
-  CampaignResult Result = tallyOutcomes(Selected, Outcomes);
-  if (PropEnabled)
-    tallyPropagation(Selected, Prop);
-  return Result;
+                                  SiteClass Sites, unsigned Jobs) {
+  return runOneBatch(NumInjections, Seed, Sites, Jobs, nullptr);
 }
 
 CampaignResult FaultCampaign::runWithRecovery(uint64_t NumInjections,
-                                              uint64_t Seed, SiteClass Class,
+                                              uint64_t Seed, SiteClass Sites,
                                               const RecoveryConfig &Recovery,
                                               unsigned Jobs) {
-  std::vector<PlannedFault> Candidates =
-      plan(NumInjections * 4, Seed, Class);
-  std::vector<const PlannedFault *> Selected =
-      selectFaults(Candidates, NumInjections);
-
-  // Position-indexed slots for the outcome and the recovery ladder's
-  // activity, so the serial sums below are jobs-invariant.
-  std::vector<Outcome> Outcomes(Selected.size());
-  std::vector<std::array<uint64_t, 5>> Ladder(Selected.size());
-  ThreadPool Pool(Jobs);
-  Pool.parallelFor(Selected.size(), [&](uint64_t I) {
-    RecoveryInjection Inj = injectWithRecovery(*Selected[I], Recovery);
-    Outcomes[I] = Inj.Result;
-    Ladder[I] = {Inj.Recovery.NumCheckpoints, Inj.Recovery.NumRollbacks,
-                 Inj.Recovery.NumWatchdogFires,
-                 Inj.Recovery.Degraded ? uint64_t(1) : 0,
-                 Inj.Recovery.InterpreterFallback ? uint64_t(1) : 0};
-  });
-  CampaignResult Result = tallyOutcomes(Selected, Outcomes);
-
-  // Each injection's RecoveryManager counted into its own worker
-  // registry, which dies with the worker; re-aggregate the per-slot
-  // records under the same names so campaign-level snapshots carry the
-  // recovery story too.
-  static const char *const LadderNames[5] = {
-      "recovery.checkpoints", "recovery.rollbacks",
-      "recovery.watchdog_fires", "recovery.degradations",
-      "recovery.interp_fallbacks"};
-  for (unsigned K = 0; K < 5; ++K) {
-    uint64_t Sum = 0;
-    for (const auto &Slot : Ladder)
-      Sum += Slot[K];
-    Metrics.counter(LadderNames[K]).inc(Sum);
-  }
+  CampaignResult Result =
+      runOneBatch(NumInjections, Seed, Sites, Jobs, &Recovery);
+  // The ladder counters are present even when nothing was injected.
+  for (const char *Name :
+       {"recovery.checkpoints", "recovery.rollbacks", "recovery.watchdog_fires",
+        "recovery.degradations", "recovery.interp_fallbacks"})
+    Metrics.counter(Name);
   return Result;
 }

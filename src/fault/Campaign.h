@@ -37,12 +37,13 @@
 #include "dbt/Dbt.h"
 #include "fault/Category.h"
 #include "fault/ErrorModel.h"
+#include "fault/GuestRun.h"
 #include "recovery/Recovery.h"
 #include "telemetry/Provenance.h"
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace cfed {
@@ -146,6 +147,8 @@ struct InjectionReport {
   /// populated (Prop.Enabled) when the campaign ran with
   /// enablePropagation(true).
   telemetry::PropagationReport Prop;
+  /// Full recovery-subsystem record, for runs executed under recovery.
+  RecoveryReport Recovery;
 };
 
 /// Outcome tallies.
@@ -162,18 +165,12 @@ struct OutcomeCounts {
     return DetectedSig + DetectedHw + Masked + Sdc + Timeout + Recovered +
            RecoveryFailed;
   }
-  void add(Outcome O);
+  /// The tally of outcome \p O.
+  uint64_t &of(Outcome O);
+  void add(Outcome O) { ++of(O); }
   void merge(const OutcomeCounts &Other);
 
-  bool operator==(const OutcomeCounts &Other) const {
-    return DetectedSig == Other.DetectedSig && DetectedHw == Other.DetectedHw &&
-           Masked == Other.Masked && Sdc == Other.Sdc &&
-           Timeout == Other.Timeout && Recovered == Other.Recovered &&
-           RecoveryFailed == Other.RecoveryFailed;
-  }
-  bool operator!=(const OutcomeCounts &Other) const {
-    return !(*this == Other);
-  }
+  bool operator==(const OutcomeCounts &Other) const = default;
 };
 
 /// Aggregated campaign results, bucketed by branch-error category.
@@ -189,12 +186,7 @@ struct CampaignResult {
   }
   OutcomeCounts totals() const;
 
-  bool operator==(const CampaignResult &Other) const {
-    return Injections == Other.Injections && PerCategory == Other.PerCategory;
-  }
-  bool operator!=(const CampaignResult &Other) const {
-    return !(*this == Other);
-  }
+  bool operator==(const CampaignResult &Other) const = default;
 };
 
 /// A fault-injection campaign against one program under one DBT
@@ -210,7 +202,6 @@ public:
   /// code-cache layout (one Digest marker per sub-block), so results
   /// are comparable only within one enablePropagation setting.
   void enablePropagation(bool On) { PropEnabled = On; }
-  bool propagationEnabled() const { return PropEnabled; }
 
   /// The golden digest oracle recorded by prepare() when propagation is
   /// enabled. ProgramFp/ConfigFp carry the golden output hash and
@@ -244,14 +235,9 @@ public:
   injectDetailed(const PlannedFault &Fault,
                  telemetry::FlightRecorder *Recorder = nullptr) const;
 
-  /// Outcome of one injected run executed under a RecoveryManager.
-  struct RecoveryInjection {
-    Outcome Result = Outcome::Masked;
-    /// The fault actually fired.
-    bool Fired = false;
-    /// Full recovery-subsystem record of the run.
-    RecoveryReport Recovery;
-  };
+  /// Outcome of one injected run executed under a RecoveryManager
+  /// (Result, Fired and Recovery are filled).
+  using RecoveryInjection = InjectionReport;
 
   /// Executes one planned fault under checkpoint/rollback recovery. A run
   /// that detects, rolls back and reproduces the golden output classifies
@@ -262,65 +248,52 @@ public:
                      const RecoveryConfig &Recovery,
                      telemetry::FlightRecorder *Recorder = nullptr) const;
 
-  /// The recovery-effectiveness phase: same plan and serial selection as
-  /// run() (the fault sets are identical for equal NumInjections, Seed
-  /// and Sites), but every injection executes under recovery. Results are
-  /// byte-identical for any \p Jobs value.
+  /// The recovery-effectiveness phase: same plan and selection as run()
+  /// (the fault sets are identical for equal NumInjections, Seed and
+  /// Sites), but every injection executes under recovery, adding the
+  /// recovery.* ladder counters to metrics().
   CampaignResult runWithRecovery(uint64_t NumInjections, uint64_t Seed,
                                  SiteClass Sites,
                                  const RecoveryConfig &Recovery,
                                  unsigned Jobs = 1);
 
-  /// Runs a full campaign: plan, filter out NoError candidates, inject.
-  /// With \p Jobs > 1 the injections execute on a thread pool; the fault
-  /// selection and the merge stay serial and position-indexed, so the
-  /// result is identical to the serial run for any job count.
+  /// Runs a full campaign: plan, filter out NoError candidates, inject —
+  /// the CampaignEngine's batch loop as one checkpoint-free batch, so
+  /// the registry equals the unsharded engine's for any \p Jobs.
   CampaignResult run(uint64_t NumInjections, uint64_t Seed, SiteClass Sites,
                      unsigned Jobs = 1);
 
-  uint64_t goldenInsns() const { return GoldenInsns; }
-  uint64_t goldenHash() const { return GoldenHash; }
+  uint64_t goldenInsns() const { return Reference.Insns; }
+  uint64_t goldenHash() const { return Reference.Hash; }
   /// Dynamic branch executions in the golden run for \p Sites.
   uint64_t branchExecutions(SiteClass Sites) const;
 
-  /// Cumulative outcome telemetry across every run()/runWithRecovery()
-  /// call on this campaign: "fault.cat_<category>.<outcome>" counters
-  /// plus "fault.injections". Tallied serially from position-indexed
-  /// per-injection slots, so the counters are identical for any job
-  /// count.
+  /// Cumulative telemetry across every run()/runWithRecovery() call on
+  /// this campaign: the engine registry's "fault.cat_<category>.<outcome>"
+  /// counters, "fault.injections" and fault.latency.cat_* histograms.
   const telemetry::MetricsRegistry &metrics() const { return Metrics; }
 
 private:
-  struct SiteInfo {
-    bool IsInstr = false;
-  };
+  /// One injected run, plain or under \p Recovery.
+  InjectionReport injectRun(const PlannedFault &Fault,
+                            const RecoveryConfig *Recovery,
+                            telemetry::FlightRecorder *Recorder) const;
 
-  /// Creates a fresh memory/translator/interpreter trio and loads the
-  /// program; aborts on load failure (prepare() validated it).
-  struct Instance;
-  bool matchesClass(uint64_t SiteAddr, SiteClass Sites) const;
-
-  /// Tallies one run's outcome slots into a fresh registry, folds it
-  /// into Metrics, and returns the result rebuilt from the snapshot.
-  CampaignResult tallyOutcomes(const std::vector<const PlannedFault *> &Sel,
-                               const std::vector<Outcome> &Outcomes);
-
-  /// Serial prop.* tally from position-indexed propagation slots — the
-  /// propagation analogue of tallyOutcomes, jobs-invariant the same way.
-  void tallyPropagation(const std::vector<const PlannedFault *> &Sel,
-                        const std::vector<telemetry::PropagationReport> &Prop);
+  /// run()/runWithRecovery(): one checkpoint-free batch through the
+  /// campaign batch loop, folded into Metrics.
+  CampaignResult runOneBatch(uint64_t NumInjections, uint64_t Seed,
+                             SiteClass Sites, unsigned Jobs,
+                             const RecoveryConfig *Recovery);
 
   const AsmProgram &Program;
   DbtConfig Config;
   telemetry::MetricsRegistry Metrics;
-  uint64_t GoldenInsns = 0;
-  uint64_t GoldenHash = 0;
-  uint64_t InsnBudget = 0;
-  std::unordered_map<uint64_t, SiteInfo> Sites;
-  /// Site → is-instrumentation, in the shape the per-run hooks consume.
-  /// Built once in prepare() instead of per injection.
-  std::unordered_map<uint64_t, bool> InstrMap;
-  uint64_t ExecAll = 0, ExecInstr = 0, ExecOrig = 0;
+  /// The golden run (output hash, instruction count, budget).
+  GoldenRun Reference;
+  /// Cache addresses of the checker-inserted branch sites.
+  std::unordered_set<uint64_t> InstrSites;
+  /// Golden-run branch executions per SiteClass.
+  std::array<uint64_t, 3> BranchExecs{};
   bool Prepared = false;
   bool PropEnabled = false;
   telemetry::GoldenTrace Golden;

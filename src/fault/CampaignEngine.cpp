@@ -2,10 +2,10 @@
 
 #include "fault/CampaignEngine.h"
 
+#include "fault/BatchLoop.h"
 #include "support/Diagnostics.h"
 #include "support/FileIO.h"
 #include "support/Json.h"
-#include "support/ThreadPool.h"
 #include "telemetry/LiveExport.h"
 
 #include <chrono>
@@ -454,44 +454,24 @@ bool CampaignEngine::mergeShards(const std::vector<ShardResult> &Shards,
 // The batch loop
 //===----------------------------------------------------------------------===//
 //
-// Every engine mode runs this loop over the *global* primary schedule,
-// executing only the slots it owns (see the header and DESIGN.md §13). A
-// plain shard's batches span CheckpointInterval x NumShards global slots,
-// so each holds CheckpointInterval owned slots. A coordinated shard walks
+// Every campaign entry point runs this loop (through runBatchLoop in
+// BatchLoop.h) over the *global* primary schedule, executing only the
+// slots it owns (see the header and DESIGN.md §13). A plain shard's
+// batches span CheckpointInterval x NumShards global slots, so each
+// holds CheckpointInterval owned slots. A coordinated shard walks
 // the unsharded batches and publishes a batch file after each, before its
 // checkpoint (a kill in between only republishes identical content); with
 // early stopping it first merges every sibling's previous batch file into
 // its boundary state (the barrier). Each shard replays the whole global
 // batch construction but counts skips and reallocations only for owned
 // slots, so merged shards equal the unsharded run byte for byte.
-//
-// A campaign kind plugs in through a policy class providing:
-//   Slot, SlotResult          planned-slot and per-slot result types
-//   CheckpointKind, Noun      checkpoint kind string, diagnostic noun
-//   category(Slot)            the early-stopping cell of a slot
-//   inject(Slot)              one injection, thread-safe
-//   tally(Registry, Slot, R)  serial fold into the cumulative registry
 
-namespace {
-
-/// A kind's deterministic plan: the primary schedule, the per-category
-/// reserve early stopping reallocates from (empty for kinds that never
-/// stop early), and the fingerprint a checkpoint must match.
-template <typename Slot> struct SlotPlan {
-  std::vector<const Slot *> Primary;
-  std::array<std::vector<const Slot *>, NumBranchErrorCategories> Reserve;
-  uint64_t Hash = 0;
-};
-
-/// Runs \p Plan and fills the Registry/Completed/Planned/Finished/Resumed
-/// fields of \p Out. Returns the state the final closure decision reads:
-/// the merged campaign registry for a finished coordinated
-/// early-stopping shard, else Out.Registry.
-template <typename Kind, typename Report>
-telemetry::RegistrySnapshot
-runBatchLoop(const EngineConfig &Engine, const Kind &K,
-             const SlotPlan<typename Kind::Slot> &Plan, Report &Out) {
-  using Slot = typename Kind::Slot;
+LoopResult cfed::runBatchSchedule(
+    const EngineConfig &Engine, const char *CheckpointKind, const char *Noun,
+    const SlotPlan &Plan,
+    const std::function<BranchErrorCategory(uint64_t)> &Category,
+    const std::function<void(const std::vector<uint64_t> &,
+                             telemetry::MetricsRegistry &)> &RunBatch) {
   const uint64_t Total = Plan.Primary.size();
   const uint64_t NumShards = Engine.NumShards;
   const uint64_t Shard = Engine.ShardIndex;
@@ -536,7 +516,7 @@ runBatchLoop(const EngineConfig &Engine, const Kind &K,
     const char *Path = Engine.CheckpointFile.c_str();
     EngineCheckpoint Ckpt;
     std::string Error;
-    switch (loadCheckpointKind(Path, Ckpt, Kind::CheckpointKind, Error)) {
+    switch (loadCheckpointKind(Path, Ckpt, CheckpointKind, Error)) {
     case LoadStatus::Missing:
       break;
     case LoadStatus::Corrupt:
@@ -549,7 +529,7 @@ runBatchLoop(const EngineConfig &Engine, const Kind &K,
         reportFatalErrorf(
             "checkpoint '%s' belongs to a different %s (plan hash %s, "
             "this campaign is %s); refusing to mix results",
-            Path, Kind::Noun, toHex(Ckpt.PlanHash).c_str(),
+            Path, Noun, toHex(Ckpt.PlanHash).c_str(),
             toHex(Plan.Hash).c_str());
       if (Ckpt.Shard != Engine.ShardIndex ||
           Ckpt.NumShards != Engine.NumShards)
@@ -640,7 +620,6 @@ runBatchLoop(const EngineConfig &Engine, const Kind &K,
     return Merged.snapshot();
   };
 
-  ThreadPool Pool(Engine.Jobs);
   uint64_t Batches = 0;
   bool Finished = true;
 
@@ -663,11 +642,12 @@ runBatchLoop(const EngineConfig &Engine, const Kind &K,
       Decision = computeCells(BoundaryState(Cumulative.snapshot(), Batch),
                               Engine.StopHalfWidth, Engine.StopZ);
 
-    std::vector<const Slot *> Mine;
+    std::vector<uint64_t> Mine;
     for (; Cursor < BatchEnd; ++Cursor) {
-      const Slot *Chosen = Plan.Primary[Cursor];
+      uint64_t Chosen = Plan.Primary[Cursor];
       const bool Owned = Cursor % NumShards == Shard;
-      BranchErrorCategory Cat = Kind::category(*Chosen);
+      BranchErrorCategory Cat = EarlyStop ? Category(Chosen)
+                                          : BranchErrorCategory::NoError;
       if (EarlyStop && Decision[static_cast<unsigned>(Cat)].Closed) {
         // The cell closed: record the skip (never silently) and hand
         // the slot to the loosest still-open cell with reserve left.
@@ -683,24 +663,18 @@ runBatchLoop(const EngineConfig &Engine, const Kind &K,
                                  Decision[Loosest].Interval.halfWidth())
             Loosest = static_cast<int>(C);
         }
-        Chosen = nullptr;
-        if (Loosest >= 0) {
-          Chosen = Plan.Reserve[Loosest][ReserveCursors[Loosest]++];
-          if (Owned)
-            Cumulative.counter(getReallocCounterName(Kind::category(*Chosen)))
-                .inc();
-        }
+        if (Loosest < 0)
+          continue;
+        Chosen = Plan.Reserve[Loosest][ReserveCursors[Loosest]++];
+        if (Owned)
+          Cumulative.counter(getReallocCounterName(Category(Chosen))).inc();
       }
-      if (Chosen && Owned)
+      if (Owned)
         Mine.push_back(Chosen);
     }
 
     if (!Mine.empty()) {
-      std::vector<typename Kind::SlotResult> Results(Mine.size());
-      Pool.parallelFor(Mine.size(),
-                       [&](uint64_t I) { Results[I] = K.inject(*Mine[I]); });
-      for (size_t I = 0; I < Mine.size(); ++I)
-        K.tally(Cumulative, *Mine[I], Results[I]);
+      RunBatch(Mine, Cumulative);
       Completed += Mine.size();
     }
 
@@ -738,14 +712,15 @@ runBatchLoop(const EngineConfig &Engine, const Kind &K,
       Ckpt.Registry = std::move(Boundary);
       std::string Error;
       if (!writeCheckpointKind(Engine.CheckpointFile, Ckpt,
-                               Kind::CheckpointKind, Error))
-        reportFatalErrorf("%s checkpoint failed: %s", Kind::Noun,
+                               CheckpointKind, Error))
+        reportFatalErrorf("%s checkpoint failed: %s", Noun,
                           Error.c_str());
       if (Engine.OnCheckpoint)
         Engine.OnCheckpoint(Completed);
     }
   }
 
+  LoopResult Out;
   Out.Registry = Cumulative.snapshot();
   Out.Completed = Completed;
   Out.Planned = Planned;
@@ -753,12 +728,11 @@ runBatchLoop(const EngineConfig &Engine, const Kind &K,
   Out.Resumed = Resumed;
   // Every shard publishes its final batch before waiting here, so this
   // last barrier cannot deadlock.
-  if (!EarlyStop || !Finished || Total == 0)
-    return Out.Registry;
-  return BoundaryState(Out.Registry, (Total - 1) / BatchSlots + 1);
+  Out.Decision = !EarlyStop || !Finished || Total == 0
+                     ? Out.Registry
+                     : BoundaryState(Out.Registry, (Total - 1) / BatchSlots + 1);
+  return Out;
 }
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Fault campaigns
@@ -779,15 +753,24 @@ uint64_t hashPlan(const EngineConfig &Engine,
   return Hash;
 }
 
-/// Branch-fault slots: outcome counters, detection-latency histograms
-/// and (when tracked) propagation provenance per category.
+/// Branch-fault slots: outcome counters, detection-latency histograms,
+/// (when tracked) propagation provenance per category and, under
+/// recovery, the recovery ladder's activity.
 struct FaultSlots {
   using Slot = PlannedFault;
-  using SlotResult = InjectionReport;
-  static constexpr const char *CheckpointKind = CampaignCheckpointKind;
-  static constexpr const char *Noun = "campaign";
+  /// The fields of an InjectionReport that tally() reads, copied out on
+  /// the worker so the report's heap parts die there (see runBatchLoop).
+  struct SlotResult {
+    Outcome Result;
+    bool Fired;
+    uint64_t LatencyInsns;
+    telemetry::PropagationReport Prop;
+    uint64_t Checkpoints, Rollbacks, WatchdogFires;
+    bool Degraded, InterpreterFallback;
+  };
 
   const FaultCampaign &Campaign;
+  const RecoveryConfig *Recovery;
   std::vector<uint64_t> LatBounds = CampaignEngine::latencyBounds();
   std::vector<uint64_t> DistBounds = telemetry::propDistanceBounds();
 
@@ -795,7 +778,13 @@ struct FaultSlots {
     return Fault.Category;
   }
   SlotResult inject(const Slot &Fault) const {
-    return Campaign.injectDetailed(Fault);
+    InjectionReport R = Recovery
+                            ? Campaign.injectWithRecovery(Fault, *Recovery)
+                            : Campaign.injectDetailed(Fault);
+    const RecoveryReport &Rec = R.Recovery;
+    return {R.Result, R.Fired, R.LatencyInsns, R.Prop, Rec.NumCheckpoints,
+            Rec.NumRollbacks, Rec.NumWatchdogFires, Rec.Degraded,
+            Rec.InterpreterFallback};
   }
   void tally(telemetry::MetricsRegistry &Cumulative, const Slot &Fault,
              const SlotResult &Report) const {
@@ -814,10 +803,46 @@ struct FaultSlots {
         Cumulative.histogram(getPropagationDistanceName(Cat), DistBounds)
             .observe(Report.Prop.InsnsCrossed);
     }
+    if (!Recovery)
+      return;
+    // Each injection's RecoveryManager counted into its own translator's
+    // registry, which dies with the run; re-aggregate under the same
+    // names so campaign-level snapshots carry the recovery story too.
+    Cumulative.counter("recovery.checkpoints").inc(Report.Checkpoints);
+    Cumulative.counter("recovery.rollbacks").inc(Report.Rollbacks);
+    Cumulative.counter("recovery.watchdog_fires").inc(Report.WatchdogFires);
+    Cumulative.counter("recovery.degradations").inc(Report.Degraded ? 1 : 0);
+    Cumulative.counter("recovery.interp_fallbacks")
+        .inc(Report.InterpreterFallback ? 1 : 0);
   }
 };
 
 } // namespace
+
+LoopResult cfed::runFaultPlan(FaultCampaign &Campaign,
+                              const EngineConfig &Engine,
+                              const RecoveryConfig *Recovery) {
+  // Deterministic plan. Over-plan 4x: a sizeable share of random faults
+  // are NoError, and the surplus beyond the primary schedule is the
+  // reserve pool early stopping reallocates from.
+  std::vector<PlannedFault> Candidates =
+      Campaign.plan(Engine.NumInjections * 4, Engine.Seed, Engine.Sites,
+                    Engine.Model);
+  SlotPlan Plan;
+  for (uint64_t C = 0; C < Candidates.size(); ++C) {
+    BranchErrorCategory Cat = Candidates[C].Category;
+    if (Cat == BranchErrorCategory::NoError)
+      continue;
+    if (Plan.Primary.size() < Engine.NumInjections)
+      Plan.Primary.push_back(C);
+    else
+      Plan.Reserve[static_cast<unsigned>(Cat)].push_back(C);
+  }
+  Plan.Hash = hashPlan(Engine, Candidates);
+  FaultSlots Slots{Campaign, Recovery};
+  return runBatchLoop(Engine, Slots, Candidates, Plan,
+                      CampaignCheckpointKind, "campaign");
+}
 
 CampaignEngine::CampaignEngine(const AsmProgram &Program, DbtConfig Config,
                                EngineConfig Engine)
@@ -847,25 +872,9 @@ EngineReport CampaignEngine::run() {
       reportFatalErrorf("campaign engine: %s", Error.c_str());
   }
 
-  // Deterministic plan. Over-plan 4x: the surplus beyond the primary
-  // schedule is the reserve pool early stopping reallocates from.
-  std::vector<PlannedFault> Candidates =
-      Campaign.plan(Engine.NumInjections * 4, Engine.Seed, Engine.Sites,
-                    Engine.Model);
-  SlotPlan<PlannedFault> Plan;
-  for (const PlannedFault &Fault : Candidates) {
-    if (Fault.Category == BranchErrorCategory::NoError)
-      continue;
-    if (Plan.Primary.size() < Engine.NumInjections)
-      Plan.Primary.push_back(&Fault);
-    else
-      Plan.Reserve[static_cast<unsigned>(Fault.Category)].push_back(&Fault);
-  }
-  Plan.Hash = hashPlan(Engine, Candidates);
-
+  LoopResult Loop = runFaultPlan(Campaign, Engine, nullptr);
   EngineReport Report;
-  telemetry::RegistrySnapshot Decision =
-      runBatchLoop(Engine, FaultSlots{Campaign}, Plan, Report);
+  static_cast<BatchTotals &>(Report) = Loop;
   Report.Result = campaignResultFromSnapshot(Report.Registry);
 
   // Per-cell counts/intervals describe this shard's own slice; Stopped
@@ -874,7 +883,7 @@ EngineReport CampaignEngine::run() {
   CellStates Own =
       computeCells(Report.Registry, Engine.StopHalfWidth, Engine.StopZ);
   CellStates Final =
-      computeCells(Decision, Engine.StopHalfWidth, Engine.StopZ);
+      computeCells(Loop.Decision, Engine.StopHalfWidth, Engine.StopZ);
   for (unsigned C = 0; C < NumBranchErrorCategories; ++C) {
     auto Cat = static_cast<BranchErrorCategory>(C);
     if (!isCellCategory(Cat))
@@ -906,10 +915,10 @@ namespace {
 /// it, so an attack checkpoint can never continue into a different
 /// campaign (or a fault campaign's — the kind string already separates
 /// those).
-uint64_t hashAttackPlan(const AttackEngineConfig &Engine,
+uint64_t hashAttackPlan(const EngineConfig &Engine,
                         const std::vector<PlannedAttack> &Candidates) {
-  uint64_t Hash =
-      fnv1a(FnvOffsetBasis, Engine.NumAttacks, Engine.Seed, Engine.NumShards);
+  uint64_t Hash = fnv1a(FnvOffsetBasis, Engine.NumInjections, Engine.Seed,
+                        Engine.NumShards);
   for (const PlannedAttack &A : Candidates)
     Hash = fnv1a(Hash, A.Instance, A.Family, A.SiteAddr, A.RealTarget,
                  A.ForgedTarget, A.GadgetValid);
@@ -921,18 +930,15 @@ uint64_t hashAttackPlan(const AttackEngineConfig &Engine,
 struct AttackSlots {
   using Slot = PlannedAttack;
   using SlotResult = AttackOutcome;
-  static constexpr const char *CheckpointKind = AttackCheckpointKind;
-  static constexpr const char *Noun = "attack campaign";
 
   const AttackCampaign &Campaign;
+  const RecoveryConfig *Recovery;
+  std::vector<PlannedAttack> *Evasions;
 
-  /// Attack slots belong to no early-stopping cell (and the attack
-  /// engine never stops early).
-  static BranchErrorCategory category(const Slot &) {
-    return BranchErrorCategory::NoError;
-  }
   SlotResult inject(const Slot &Attack) const {
-    return Campaign.injectAttack(Attack).Result;
+    return (Recovery ? Campaign.injectWithRecovery(Attack, *Recovery)
+                     : Campaign.injectAttack(Attack))
+        .Result;
   }
   void tally(telemetry::MetricsRegistry &Cumulative, const Slot &Attack,
              SlotResult Result) const {
@@ -940,10 +946,33 @@ struct AttackSlots {
     Cumulative.counter("attack.attacks").inc();
     if (Attack.GadgetValid)
       Cumulative.counter("attack.gadget_valid").inc();
+    if (Evasions && (Result == AttackOutcome::Evaded ||
+                     Result == AttackOutcome::Timeout))
+      Evasions->push_back(Attack);
   }
 };
 
 } // namespace
+
+LoopResult cfed::runAttackPlan(AttackCampaign &Campaign,
+                               const EngineConfig &Engine,
+                               const RecoveryConfig *Recovery,
+                               std::vector<PlannedAttack> *Evasions) {
+  // Deterministic plan; over-plan 2x so gadget-search misses on tiny
+  // programs do not starve the primary schedule.
+  std::vector<PlannedAttack> Candidates =
+      Campaign.plan(Engine.NumInjections * 2, Engine.Seed);
+  SlotPlan Plan;
+  for (uint64_t C = 0; C < Candidates.size() &&
+                       Plan.Primary.size() < Engine.NumInjections;
+       ++C)
+    if (Candidates[C].ForgedTarget)
+      Plan.Primary.push_back(C);
+  Plan.Hash = hashAttackPlan(Engine, Candidates);
+  AttackSlots Slots{Campaign, Recovery, Evasions};
+  return runBatchLoop(Engine, Slots, Candidates, Plan, AttackCheckpointKind,
+                      "attack campaign");
+}
 
 AttackEngine::AttackEngine(const AsmProgram &Program, DbtConfig Config,
                            AttackEngineConfig Engine)
@@ -958,23 +987,10 @@ AttackEngineReport AttackEngine::run() {
     reportFatalError("attack engine: golden run failed (program does not "
                      "load or halt within the instruction budget)");
 
-  // Deterministic plan; over-plan 2x so gadget-search misses on tiny
-  // programs do not starve the primary schedule.
-  std::vector<PlannedAttack> Candidates =
-      Campaign.plan(Engine.NumAttacks * 2, Engine.Seed);
-  SlotPlan<PlannedAttack> Plan;
-  for (const PlannedAttack &Attack : Candidates) {
-    if (!Attack.ForgedTarget)
-      continue;
-    if (Plan.Primary.size() >= Engine.NumAttacks)
-      break;
-    Plan.Primary.push_back(&Attack);
-  }
-  Plan.Hash = hashAttackPlan(Engine, Candidates);
-
   // The loop knobs the attack engine supports: no early stopping,
   // coordination or live export.
   EngineConfig Loop;
+  Loop.NumInjections = Engine.NumAttacks;
   Loop.Seed = Engine.Seed;
   Loop.Jobs = Engine.Jobs;
   Loop.CheckpointInterval = Engine.CheckpointInterval;
@@ -984,7 +1000,8 @@ AttackEngineReport AttackEngine::run() {
   Loop.MaxBatches = Engine.MaxBatches;
   Loop.OnCheckpoint = Engine.OnCheckpoint;
   AttackEngineReport Report;
-  runBatchLoop(Loop, AttackSlots{Campaign}, Plan, Report);
+  static_cast<BatchTotals &>(Report) =
+      runAttackPlan(Campaign, Loop, nullptr, nullptr);
   Report.Result = attackResultFromSnapshot(Report.Registry);
   return Report;
 }

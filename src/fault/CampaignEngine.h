@@ -7,8 +7,9 @@
 /// \file
 /// The campaign engine: the long-running, resumable injection service
 /// behind the paper's "soft-error injection" future-work item. One batch
-/// loop drives every mode of both fault (CampaignEngine) and attack
-/// (AttackEngine) campaigns:
+/// loop (fault/BatchLoop.h) drives every mode of both fault
+/// (CampaignEngine) and attack (AttackEngine) campaigns, and the
+/// in-process campaign runs as single checkpoint-free batches:
 ///
 ///  - The plan is a pure function of the seed: a primary schedule plus a
 ///    per-category reserve, fingerprinted by a plan hash.
@@ -126,23 +127,29 @@ struct CellReport {
   uint64_t Reallocated = 0;
 };
 
-/// Result of one engine run (one shard's share when sharded).
-struct EngineReport {
-  CampaignResult Result;
-  /// Cumulative instruments: fault.cat_*.* outcome counters,
-  /// fault.latency.cat_* histograms, fault.engine.* accounting.
+/// What every run of the campaign batch loop reports (one shard's share
+/// when sharded).
+struct BatchTotals {
+  /// Cumulative instruments (fault.* or attack.* tallies, fault.engine.*
+  /// accounting), including those a resumed run restored.
   telemetry::RegistrySnapshot Registry;
-  std::vector<CellReport> Cells;
   /// Injections actually executed (including resumed-from-checkpoint).
   uint64_t Completed = 0;
   /// Primary schedule slots assigned to this shard.
   uint64_t Planned = 0;
-  /// Slots skipped by early stopping, total.
-  uint64_t Skipped = 0;
   /// False when MaxBatches cut the run short.
   bool Finished = true;
   /// The run continued from an existing checkpoint.
   bool Resumed = false;
+};
+
+/// Result of one engine run. Registry carries the fault.cat_*.* outcome
+/// counters and fault.latency.cat_* histograms.
+struct EngineReport : BatchTotals {
+  CampaignResult Result;
+  std::vector<CellReport> Cells;
+  /// Slots skipped by early stopping, total.
+  uint64_t Skipped = 0;
 };
 
 /// A parsed campaign result file (one shard's output).
@@ -261,16 +268,11 @@ struct AttackEngineConfig {
   std::function<void(uint64_t)> OnCheckpoint;
 };
 
-/// Result of one attack-engine run (one shard's share when sharded).
-struct AttackEngineReport {
+/// Result of one attack-engine run. Registry carries the
+/// attack.<family>.* outcome counters plus attack.attacks /
+/// attack.gadget_valid.
+struct AttackEngineReport : BatchTotals {
   AttackResult Result;
-  /// Cumulative instruments: attack.<family>.* outcome counters plus
-  /// attack.attacks / attack.gadget_valid.
-  telemetry::RegistrySnapshot Registry;
-  uint64_t Completed = 0;
-  uint64_t Planned = 0;
-  bool Finished = true;
-  bool Resumed = false;
 };
 
 /// Resumable, shardable adversarial campaigns on top of AttackCampaign,

@@ -2,9 +2,9 @@
 
 #include "fault/IntegrityFault.h"
 
+#include "fault/BatchLoop.h"
 #include "support/Diagnostics.h"
 #include "support/Prng.h"
-#include "support/ThreadPool.h"
 
 #include <vector>
 
@@ -101,49 +101,41 @@ void IntegrityFaultInjector::fireSigState(CpuState &State) {
 
 namespace {
 
-/// Classifies a run executed without recovery. A golden-output run in
-/// which the integrity machinery found (and healed) a mismatch is
-/// Recovered, not Masked: the corruption was real and cured, not
-/// harmless.
-Outcome classifyPlain(const StopInfo &Stop, const Interpreter &Interp,
-                      const Dbt &Translator, uint64_t GoldenHash) {
-  switch (Stop.Kind) {
-  case StopKind::Halted:
-    if (hashOutput(Interp.output()) != GoldenHash)
-      return Outcome::Sdc;
-    return Translator.integrityMismatchCount() > 0 ? Outcome::Recovered
-                                                   : Outcome::Masked;
-  case StopKind::InsnLimit:
-    return Outcome::Timeout;
-  case StopKind::Trapped:
-    break;
-  }
-  if (Stop.Trap == TrapKind::BreakTrap &&
-      (Stop.BreakCode == BrkMonitorCorruption ||
-       Stop.BreakCode == BrkControlFlowError ||
-       Stop.BreakCode == BrkDataFlowError))
-    return Outcome::DetectedSignature;
-  return Outcome::DetectedHardware;
-}
+/// One checker fault (see IntegrityFaultInjector).
+struct IntegrityCoords {
+  IntegrityTarget Target;
+  uint64_t Instance;
+  uint64_t Pick;
+  unsigned Bit;
+};
 
-/// Classifies a run executed under a RecoveryManager, mirroring the
-/// branch campaigns' recovery classification.
-Outcome classifyRecovered(const RecoveryReport &Report,
-                          const Interpreter &Interp, const Dbt &Translator,
-                          uint64_t GoldenHash) {
-  if (Report.Completed) {
-    if (hashOutput(Interp.output()) == GoldenHash)
-      return Report.NumRollbacks > 0 ||
-                     Translator.integrityMismatchCount() > 0
-                 ? Outcome::Recovered
-                 : Outcome::Masked;
-    return Report.NumRollbacks > 0 ? Outcome::RecoveryFailed : Outcome::Sdc;
+/// Checker-targeted slots: per-target outcome tallies and, when given,
+/// the fault.int_<target>.<outcome> counters.
+struct IntegritySlots {
+  using Slot = IntegrityCoords;
+  using SlotResult = Outcome;
+
+  const AsmProgram &Program;
+  const DbtConfig &Config;
+  const GoldenRun &Golden;
+  const RecoveryConfig *Recovery;
+  IntegrityCampaignResult &Result;
+  telemetry::MetricsRegistry *Metrics;
+
+  SlotResult inject(const Slot &C) const {
+    GuestRun Run(Program, Config);
+    IntegrityFaultInjector Hook(Run.Mem, Run.Translator, C.Target, C.Instance,
+                                C.Pick, C.Bit);
+    Run.Interp.setPreInsnHook(&Hook);
+    return toOutcome(
+        classifyRun(IntegrityDetectors, Run.finish(Golden, Recovery)));
   }
-  if (Report.FinalStop.Kind == StopKind::InsnLimit)
-    return Report.NumRollbacks > 0 ? Outcome::RecoveryFailed
-                                   : Outcome::Timeout;
-  return Outcome::RecoveryFailed;
-}
+  void tally(telemetry::MetricsRegistry &, const Slot &C, Outcome O) const {
+    Result.of(C.Target).add(O);
+    if (Metrics)
+      Metrics->counter(getIntegrityOutcomeCounterName(C.Target, O)).inc();
+  }
+};
 
 } // namespace
 
@@ -151,76 +143,32 @@ IntegrityCampaignResult cfed::runIntegrityCampaign(
     const AsmProgram &Program, const DbtConfig &Config, uint64_t PerTarget,
     uint64_t Seed, uint64_t MaxInsns, unsigned Jobs,
     const RecoveryConfig *Recovery, telemetry::MetricsRegistry *Metrics) {
-  // Golden run.
-  uint64_t GoldenInsns = 0, GoldenHash = 0;
-  {
-    Memory Mem;
-    Interpreter Interp(Mem);
-    Dbt Translator(Mem, Config);
-    if (!Translator.load(Program, Interp.state()))
-      reportFatalError("integrity campaign: program failed to load");
-    StopInfo Stop = Translator.run(Interp, MaxInsns);
-    if (Stop.Kind != StopKind::Halted)
-      reportFatalError("integrity campaign: golden run did not halt");
-    GoldenInsns = Interp.instructionCount();
-    GoldenHash = hashOutput(Interp.output());
-  }
+  GoldenRun Golden;
+  if (!GuestRun(Program, Config).golden(MaxInsns, Golden))
+    reportFatalError("integrity campaign: golden run failed (program does "
+                     "not load or halt within the instruction budget)");
 
   // Draw every fault's coordinates up front in serial order, so only
   // the injections themselves run concurrently.
-  struct Coords {
-    IntegrityTarget Target;
-    uint64_t Instance;
-    uint64_t Pick;
-    unsigned Bit;
-  };
   Prng Rng(Seed);
-  std::vector<Coords> Plan;
-  Plan.reserve(PerTarget * NumIntegrityTargets);
+  std::vector<IntegrityCoords> Coords;
+  SlotPlan Plan;
   for (IntegrityTarget Target : AllIntegrityTargets)
     for (uint64_t I = 0; I < PerTarget; ++I) {
-      Coords C;
+      IntegrityCoords C;
       C.Target = Target;
-      C.Instance = 1 + Rng.nextBelow(GoldenInsns);
+      C.Instance = 1 + Rng.nextBelow(Golden.Insns);
       C.Pick = Rng.next();
       C.Bit = static_cast<unsigned>(Rng.nextBelow(64));
-      Plan.push_back(C);
+      Plan.Primary.push_back(Coords.size());
+      Coords.push_back(C);
     }
 
-  uint64_t Budget = GoldenInsns * 4 + 100000;
-  std::vector<Outcome> Outcomes(Plan.size());
-  ThreadPool Pool(Jobs);
-  Pool.parallelFor(Plan.size(), [&](uint64_t I) {
-    const Coords &C = Plan[I];
-    Memory Mem;
-    Interpreter Interp(Mem);
-    Dbt Translator(Mem, Config);
-    if (!Translator.load(Program, Interp.state()))
-      reportFatalError("integrity campaign: reload failed");
-    IntegrityFaultInjector Hook(Mem, Translator, C.Target, C.Instance, C.Pick,
-                                C.Bit);
-    Interp.setPreInsnHook(&Hook);
-    if (Recovery) {
-      RecoveryManager Manager(Interp, Translator, *Recovery);
-      RecoveryReport Report = Manager.run(Budget);
-      Outcomes[I] = classifyRecovered(Report, Interp, Translator, GoldenHash);
-    } else {
-      StopInfo Stop = Translator.run(Interp, Budget);
-      Outcomes[I] = classifyPlain(Stop, Interp, Translator, GoldenHash);
-    }
-  });
-
-  // Serial, position-indexed tally: identical for any job count.
   IntegrityCampaignResult Result;
-  Result.Injections = Plan.size();
-  for (size_t I = 0; I < Plan.size(); ++I)
-    Result.of(Plan[I].Target).add(Outcomes[I]);
-  if (Metrics) {
-    for (size_t I = 0; I < Plan.size(); ++I)
-      Metrics->counter(
-          getIntegrityOutcomeCounterName(Plan[I].Target, Outcomes[I]))
-          .inc();
-    Metrics->counter("fault.int_injections").inc(Plan.size());
-  }
+  IntegritySlots Slots{Program, Config, Golden, Recovery, Result, Metrics};
+  runBatchLoop(oneBatch(Coords.size(), Jobs), Slots, Coords, Plan);
+  Result.Injections = Coords.size();
+  if (Metrics)
+    Metrics->counter("fault.int_injections").inc(Coords.size());
   return Result;
 }

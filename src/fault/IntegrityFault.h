@@ -23,10 +23,9 @@
 /// (0x5EC) trap counts as a signature detection, a run that completes
 /// with the golden output after the integrity machinery fired counts as
 /// Recovered (the self-healing path), and a golden run with no
-/// machinery involvement is Masked. Campaigns are jobs-invariant the
-/// same way the branch campaigns are: coordinates are drawn serially up
-/// front, injections fill position-indexed slots, and the tally into
-/// the "fault.int_<target>.<outcome>" counters is serial.
+/// machinery involvement is Masked. Coordinates are drawn serially up
+/// front and run through the campaign batch loop (fault/BatchLoop.h),
+/// so results are identical for any job count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -115,10 +114,8 @@ struct IntegrityCampaignResult {
 /// self-integrity knobs being evaluated). The program must halt within
 /// \p MaxInsns fault-free. With a \p Recovery config every injection
 /// executes under a RecoveryManager and rollback-cured runs classify as
-/// Recovered. Coordinates are drawn up front from \p Seed and outcomes
-/// are tallied serially into \p Metrics (when given) under
-/// "fault.int_<target>.<outcome>", so results are identical for any
-/// \p Jobs value.
+/// Recovered. Outcomes are also tallied into \p Metrics (when given)
+/// under "fault.int_<target>.<outcome>".
 IntegrityCampaignResult
 runIntegrityCampaign(const AsmProgram &Program, const DbtConfig &Config,
                      uint64_t PerTarget, uint64_t Seed, uint64_t MaxInsns,

@@ -2,11 +2,12 @@
 
 #include "fault/RegisterFault.h"
 
+#include "fault/BatchLoop.h"
 #include "support/Diagnostics.h"
 #include "support/Prng.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 using namespace cfed;
@@ -28,92 +29,82 @@ uint64_t RegisterCampaignReport::latencyMax() const {
   return Max;
 }
 
+namespace {
+
+/// One register fault: XOR Mask into Reg before the Instance-th
+/// executed instruction.
+struct RegisterCoords {
+  uint64_t Instance;
+  uint8_t Reg;
+  uint64_t Mask;
+};
+
+/// Register-fault slots: outcome tallies plus the detection latency of
+/// every trapped run, in schedule order.
+struct RegisterSlots {
+  using Slot = RegisterCoords;
+  struct SlotResult {
+    Outcome Result = Outcome::Masked;
+    std::optional<uint64_t> Latency;
+  };
+
+  const AsmProgram &Program;
+  const DbtConfig &Config;
+  const GoldenRun &Golden;
+  RegisterCampaignReport &Report;
+
+  SlotResult inject(const Slot &C) const {
+    GuestRun Run(Program, Config);
+    RegisterFaultInjector Hook =
+        RegisterFaultInjector::fromMask(C.Instance, C.Reg, C.Mask);
+    Run.Interp.setPreInsnHook(&Hook);
+    RunEnd End = Run.finish(Golden);
+    SlotResult R;
+    R.Result = toOutcome(classifyRun(RegisterDetectors, End));
+    // The hook fires before executing its Instance-th instruction, so
+    // Instance-1 instructions had retired at fire time.
+    if (End.Stop.Kind == StopKind::Trapped && Hook.fired())
+      R.Latency = Run.Interp.instructionCount() - (C.Instance - 1);
+    return R;
+  }
+  void tally(telemetry::MetricsRegistry &, const Slot &,
+             const SlotResult &R) const {
+    Report.Counts.add(R.Result);
+    if (R.Latency)
+      Report.DetectionLatencies.push_back(*R.Latency);
+  }
+};
+
+} // namespace
+
 RegisterCampaignReport cfed::runRegisterFaultCampaignDetailed(
     const AsmProgram &Program, const DbtConfig &Config,
     uint64_t NumInjections, uint64_t Seed, uint64_t MaxInsns,
     FaultModel Model, unsigned Jobs) {
-  // Golden run.
-  uint64_t GoldenInsns = 0, GoldenHash = 0;
-  {
-    Memory Mem;
-    Interpreter Interp(Mem);
-    Dbt Translator(Mem, Config);
-    if (!Translator.load(Program, Interp.state()))
-      reportFatalError("register-fault campaign: program failed to load");
-    StopInfo Stop = Translator.run(Interp, MaxInsns);
-    if (Stop.Kind != StopKind::Halted)
-      reportFatalError("register-fault campaign: golden run did not halt");
-    GoldenInsns = Interp.instructionCount();
-    GoldenHash = hashOutput(Interp.output());
-  }
+  GoldenRun Golden;
+  if (!GuestRun(Program, Config).golden(MaxInsns, Golden))
+    reportFatalError("register-fault campaign: golden run failed (program "
+                     "does not load or halt within the instruction budget)");
 
   // Draw every fault's coordinates up front: the Prng is consumed in the
   // same serial order regardless of job count, so only the injections
   // themselves run concurrently. SingleBit's drawFaultMask consumes one
   // nextBelow(64) — the same draw the original bit pick made.
-  struct FaultCoords {
-    uint64_t Instance;
-    uint8_t Reg;
-    uint64_t Mask;
-  };
   Prng Rng(Seed);
-  std::vector<FaultCoords> Coords;
-  Coords.reserve(NumInjections);
+  std::vector<RegisterCoords> Coords;
+  SlotPlan Plan;
   for (uint64_t I = 0; I < NumInjections; ++I) {
-    FaultCoords C;
-    C.Instance = 1 + Rng.nextBelow(GoldenInsns);
+    RegisterCoords C;
+    C.Instance = 1 + Rng.nextBelow(Golden.Insns);
     C.Reg = static_cast<uint8_t>(Rng.nextBelow(15)); // r0..r14.
     C.Mask = drawFaultMask(Rng, Model, 64);
     Coords.push_back(C);
+    Plan.Primary.push_back(I);
   }
 
-  uint64_t Budget = GoldenInsns * 4 + 100000;
-  constexpr uint64_t NoLatency = ~uint64_t(0);
-  std::vector<Outcome> Outcomes(Coords.size());
-  std::vector<uint64_t> Latencies(Coords.size(), NoLatency);
-  ThreadPool Pool(Jobs);
-  Pool.parallelFor(Coords.size(), [&](uint64_t I) {
-    RegisterFaultInjector Hook = RegisterFaultInjector::fromMask(
-        Coords[I].Instance, Coords[I].Reg, Coords[I].Mask);
-    Memory Mem;
-    Interpreter Interp(Mem);
-    Dbt Translator(Mem, Config);
-    if (!Translator.load(Program, Interp.state()))
-      reportFatalError("register-fault campaign: reload failed");
-    Interp.setPreInsnHook(&Hook);
-    StopInfo Stop = Translator.run(Interp, Budget);
-
-    switch (Stop.Kind) {
-    case StopKind::Halted:
-      Outcomes[I] = hashOutput(Interp.output()) == GoldenHash ? Outcome::Masked
-                                                              : Outcome::Sdc;
-      return;
-    case StopKind::InsnLimit:
-      Outcomes[I] = Outcome::Timeout;
-      return;
-    case StopKind::Trapped:
-      break;
-    }
-    if (Stop.Trap == TrapKind::BreakTrap &&
-        (Stop.BreakCode == BrkDataFlowError ||
-         Stop.BreakCode == BrkControlFlowError))
-      Outcomes[I] = Outcome::DetectedSignature;
-    else
-      Outcomes[I] = Outcome::DetectedHardware;
-    // The hook fires before executing its Instance-th instruction, so
-    // Instance-1 instructions had retired at fire time.
-    if (Hook.fired())
-      Latencies[I] = Interp.instructionCount() - (Coords[I].Instance - 1);
-  });
-
-  // Serial in-order tally: position-indexed slots make the report
-  // byte-identical for any job count.
   RegisterCampaignReport Report;
-  for (uint64_t I = 0; I < Outcomes.size(); ++I) {
-    Report.Counts.add(Outcomes[I]);
-    if (Latencies[I] != NoLatency)
-      Report.DetectionLatencies.push_back(Latencies[I]);
-  }
+  RegisterSlots Slots{Program, Config, Golden, Report};
+  runBatchLoop(oneBatch(NumInjections, Jobs), Slots, Coords, Plan);
   return Report;
 }
 

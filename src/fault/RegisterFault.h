@@ -71,10 +71,9 @@ struct RegisterCampaignReport {
 /// \p Program translated under \p Config, at uniformly random
 /// (instruction, register r0-r14, mask) coordinates. The program must
 /// halt within \p MaxInsns fault-free. All fault coordinates are drawn
-/// up front from \p Seed, so with \p Jobs > 1 the injections run on a
-/// thread pool and still tally identically to the serial campaign; the
-/// SingleBit model consumes the Prng exactly like the original
-/// single-bit campaign did.
+/// up front from \p Seed and run through the campaign batch loop, so the
+/// report is identical for any \p Jobs; the SingleBit model consumes
+/// the Prng exactly like the original single-bit campaign did.
 RegisterCampaignReport runRegisterFaultCampaignDetailed(
     const AsmProgram &Program, const DbtConfig &Config,
     uint64_t NumInjections, uint64_t Seed, uint64_t MaxInsns,

@@ -74,6 +74,23 @@ inline bool badValue(const std::string &Name, const char *Expected,
   return false;
 }
 
+/// The --jobs ceiling: far above any machine's hardware threads, far
+/// below a thread count that would exhaust the process.
+inline constexpr uint64_t MaxJobs = 1024;
+
+/// Strict parse of option \p Name's job count: an integer in
+/// [1, MaxJobs]; otherwise a badValue() diagnostic and false.
+inline bool parseJobs(const std::string &Name, const std::string &Text,
+                      unsigned &Out) {
+  uint64_t Value = 0;
+  if (!parseUint(Text, Value) || Value == 0 || Value > MaxJobs)
+    return badValue(Name,
+                    ("<count in 1.." + std::to_string(MaxJobs) + ">").c_str(),
+                    Text);
+  Out = static_cast<unsigned>(Value);
+  return true;
+}
+
 /// "error: option --eager does not take a value".
 inline bool unexpectedValue(const std::string &Name) {
   std::fprintf(stderr, "error: option %s does not take a value\n",

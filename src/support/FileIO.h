@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The two file operations the campaign checkpoints, live snapshots and
-/// the reporting tools share: read a whole file, and replace a file
-/// atomically so a concurrent reader (or a resume after a kill landing
-/// mid-write) sees the previous contents or the new ones, never a torn
-/// prefix.
+/// The file operations the campaign checkpoints, live snapshots, result
+/// files and the reporting tools share: read a whole file, write one with
+/// every step checked, and replace a file atomically so a concurrent
+/// reader (or a resume after a kill landing mid-write) sees the previous
+/// contents or the new ones, never a torn prefix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,22 +35,32 @@ inline bool readWholeFile(const std::string &Path, std::string &Out) {
   return true;
 }
 
-/// Writes \p Text to \p Path through a sibling temp file renamed over
-/// the destination (rename(2) is atomic within a filesystem). False,
-/// with \p Error set and the temp file removed, on any failure.
-inline bool writeFileAtomic(const std::string &Path, const std::string &Text,
-                            std::string &Error) {
-  std::string Tmp = Path + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "w");
+/// Writes \p Text to \p Path in place (so device paths work). False,
+/// with \p Error set, when the open, the write, the flush or the close
+/// fails: a full disk may only report at the flush or the close.
+inline bool writeFile(const std::string &Path, const std::string &Text,
+                      std::string &Error) {
+  std::FILE *F = std::fopen(Path.c_str(), "w");
   if (!F) {
-    Error = "cannot open '" + Tmp + "' for writing";
+    Error = "cannot open '" + Path + "' for writing";
     return false;
   }
   bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
   Ok = std::fflush(F) == 0 && Ok;
   Ok = std::fclose(F) == 0 && Ok;
-  if (!Ok) {
-    Error = "short write to '" + Tmp + '\'';
+  if (!Ok)
+    Error = "short write to '" + Path + '\'';
+  return Ok;
+}
+
+/// Writes \p Text to \p Path through a sibling temp file renamed over
+/// the destination (rename(2) is atomic within a filesystem). False,
+/// with \p Error set and the temp file removed, on any failure. Never
+/// point it at a device: the rename would replace the device node.
+inline bool writeFileAtomic(const std::string &Path, const std::string &Text,
+                            std::string &Error) {
+  std::string Tmp = Path + ".tmp";
+  if (!writeFile(Tmp, Text, Error)) {
     std::remove(Tmp.c_str());
     return false;
   }

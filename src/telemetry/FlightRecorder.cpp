@@ -2,9 +2,9 @@
 
 #include "telemetry/FlightRecorder.h"
 
+#include "support/FileIO.h"
 #include "support/Format.h"
 
-#include <cstdio>
 #include <filesystem>
 
 using namespace cfed;
@@ -166,19 +166,8 @@ std::string FlightRecorder::write(const PostMortem &PM) {
   std::string Path =
       formatString("%s/%s%04llu.json", Dir.c_str(), Prefix.c_str(),
                    static_cast<unsigned long long>(Seq));
-  std::string Json = renderJson(PM, MaxEvents);
-
-  FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    LastError = formatString("cannot open '%s' for writing", Path.c_str());
+  if (!writeFile(Path, renderJson(PM, MaxEvents), LastError))
     return "";
-  }
-  size_t Written = std::fwrite(Json.data(), 1, Json.size(), F);
-  std::fclose(F);
-  if (Written != Json.size()) {
-    LastError = formatString("short write to '%s'", Path.c_str());
-    return "";
-  }
 
   ++Seq;
   LastPath = Path;

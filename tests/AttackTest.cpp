@@ -363,6 +363,20 @@ TEST(AttackTest, EngineResumeIsByteIdentical) {
   std::remove(Path.c_str());
 }
 
+TEST(AttackTest, InProcessRunEqualsUnshardedEngine) {
+  // AttackCampaign::run is the attack engine's batch loop over one
+  // checkpoint-free batch: the same attacks tally to the same registry.
+  AsmProgram Program = allFamiliesProgram();
+  AttackEngineReport Report =
+      AttackEngine(Program, edgcfConfig(), makeEngine(17, 18, 5)).run();
+  AttackCampaign Campaign(Program, edgcfConfig());
+  ASSERT_TRUE(Campaign.prepare(50000000));
+  AttackResult Result = Campaign.run(18, 17, /*Jobs=*/2);
+  EXPECT_EQ(Result.Attacks, 18u);
+  EXPECT_TRUE(Result == Report.Result);
+  EXPECT_EQ(Campaign.metrics().snapshot().toJson(), Report.Registry.toJson());
+}
+
 TEST(AttackTest, ShardMergeReproducesUnshardedRun) {
   AsmProgram Program = allFamiliesProgram();
   AttackEngineConfig Base = makeEngine(23, 16, 8);

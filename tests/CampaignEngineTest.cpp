@@ -121,6 +121,35 @@ TEST(CampaignEngineTest, LatencyHistogramsRecordDetections) {
   EXPECT_EQ(LatencyCount, Detected);
 }
 
+TEST(CampaignEngineTest, InProcessRunEqualsUnshardedEngine) {
+  // FaultCampaign::run is the engine's batch loop over one
+  // checkpoint-free batch: for the same injections, seed and sites its
+  // registry equals the unsharded engine's, propagation tallies included.
+  AsmProgram Program = makeProgram();
+  for (bool Prop : {false, true})
+    for (SiteClass Sites : {SiteClass::Any, SiteClass::OriginalOnly}) {
+      SCOPED_TRACE(::testing::Message() << "prop " << Prop << " sites "
+                                        << static_cast<int>(Sites));
+      EngineConfig Engine = makeEngine(23, 40, 7);
+      Engine.Sites = Sites;
+      Engine.TrackPropagation = Prop;
+      EngineReport Report =
+          CampaignEngine(Program, makeDbtConfig(), Engine).run();
+
+      FaultCampaign Campaign(Program, makeDbtConfig());
+      Campaign.enablePropagation(Prop);
+      ASSERT_TRUE(Campaign.prepare(Engine.MaxInsns));
+      CampaignResult Result = Campaign.run(40, 23, Sites, /*Jobs=*/3);
+      EXPECT_EQ(Result.Injections, 40u);
+      EXPECT_TRUE(Result == Report.Result);
+      EXPECT_EQ(Campaign.metrics().snapshot().toJson(),
+                Report.Registry.toJson());
+      EXPECT_EQ(Prop, Report.Registry.counterOr(getPropagationCounterName(
+                          BranchErrorCategory::F,
+                          telemetry::PropClass::DetectedClean)) > 0);
+    }
+}
+
 TEST(CampaignEngineTest, LatencyInstrumentNamesAndBounds) {
   EXPECT_EQ(CampaignEngine::getLatencyHistogramName(BranchErrorCategory::A),
             "fault.latency.cat_A");

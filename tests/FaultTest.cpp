@@ -1,7 +1,9 @@
 //===- FaultTest.cpp - Unit tests for the error model and campaigns ------------===//
 
+#include "fault/Attack.h"
 #include "fault/Campaign.h"
 #include "fault/ErrorModel.h"
+#include "fault/GuestRun.h"
 #include "vm/Layout.h"
 #include "workloads/RandomProgram.h"
 
@@ -281,4 +283,103 @@ TEST(CampaignTest, MetricsRegistryIsJobsInvariant) {
   EXPECT_TRUE(Serial == Parallel);
   EXPECT_TRUE(SerialCampaign.metrics().snapshot() ==
               ParallelCampaign.metrics().snapshot());
+}
+
+//===----------------------------------------------------------------------===//
+// Outcome classification
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A run that ended with \p Stop; plain unless \p Rollbacks >= 0.
+RunEnd endOf(StopInfo Stop, bool Golden = false, bool Healed = false,
+             int Rollbacks = -1) {
+  RunEnd End;
+  End.Stop = Stop;
+  End.GoldenOutput = Golden;
+  End.Healed = Healed;
+  End.UnderRecovery = Rollbacks >= 0;
+  End.Recovery.NumRollbacks = Rollbacks > 0 ? Rollbacks : 0;
+  return End;
+}
+
+StopInfo stopOf(StopKind Kind) {
+  StopInfo Stop;
+  Stop.Kind = Kind;
+  return Stop;
+}
+
+StopInfo trapOf(TrapKind Trap, int32_t BreakCode = 0) {
+  StopInfo Stop = stopOf(StopKind::Trapped);
+  Stop.Trap = Trap;
+  Stop.BreakCode = BreakCode;
+  return Stop;
+}
+
+} // namespace
+
+TEST(ClassifyTest, DetectorTablesPinEveryKindsOutcomes) {
+  // Columns: branch-fault, attack, register-fault, checker-targeted
+  // campaigns. Fault-style kinds report the projected fault outcome.
+  RunEnd EccaDiv = endOf(trapOf(TrapKind::DivByZero));
+  EccaDiv.TrapInInstrumentation = true;
+  const StopInfo Halted = stopOf(StopKind::Halted);
+  const StopInfo Limit = stopOf(StopKind::InsnLimit);
+  const StopInfo Cfe = trapOf(TrapKind::BreakTrap, BrkControlFlowError);
+  struct Row {
+    const char *Name;
+    RunEnd End;
+    std::array<const char *, 4> Expected;
+  } Rows[] = {
+      {"halted golden", endOf(Halted, true),
+       {"masked", "masked", "masked", "masked"}},
+      {"halted corrupted", endOf(Halted),
+       {"SDC", "evaded", "SDC", "SDC"}},
+      {"halted golden, healed", endOf(Halted, true, true),
+       {"masked", "det-integ", "masked", "recovered"}},
+      {"insn limit", endOf(Limit), {"timeout", "timeout", "timeout", "timeout"}},
+      {"0xCFE", endOf(Cfe), {"det-sig", "det-sig", "det-sig", "det-sig"}},
+      {"0x5EC", endOf(trapOf(TrapKind::BreakTrap, BrkMonitorCorruption)),
+       {"det-hw", "det-sig", "det-hw", "det-sig"}},
+      {"0x5AC", endOf(trapOf(TrapKind::BreakTrap, BrkShadowStackViolation)),
+       {"det-hw", "det-shadow", "det-hw", "det-hw"}},
+      {"0xDFE", endOf(trapOf(TrapKind::BreakTrap, BrkDataFlowError)),
+       {"det-hw", "det-hw", "det-sig", "det-sig"}},
+      {"div-by-zero in instrumentation", EccaDiv,
+       {"det-sig", "det-sig", "det-hw", "det-hw"}},
+      {"div-by-zero in guest code", endOf(trapOf(TrapKind::DivByZero)),
+       {"det-hw", "det-hw", "det-hw", "det-hw"}},
+      {"exec violation", endOf(trapOf(TrapKind::ExecViolation)),
+       {"det-hw", "det-hw", "det-hw", "det-hw"}},
+      // Under recovery.
+      {"recovery: halted golden", endOf(Halted, true, false, 0),
+       {"masked", "masked", "masked", "masked"}},
+      {"recovery: halted golden, healed", endOf(Halted, true, true, 0),
+       {"masked", "masked", "masked", "recovered"}},
+      {"recovery: rolled back, golden", endOf(Halted, true, false, 2),
+       {"recovered", "recovered", "recovered", "recovered"}},
+      {"recovery: halted corrupted", endOf(Halted, false, false, 0),
+       {"SDC", "evaded", "SDC", "SDC"}},
+      {"recovery: rolled back, corrupted", endOf(Halted, false, false, 1),
+       {"rec-fail", "rec-fail", "rec-fail", "rec-fail"}},
+      {"recovery: insn limit", endOf(Limit, false, false, 0),
+       {"timeout", "timeout", "timeout", "timeout"}},
+      {"recovery: rolled back, insn limit", endOf(Limit, false, false, 3),
+       {"rec-fail", "rec-fail", "rec-fail", "rec-fail"}},
+      {"recovery: final trap", endOf(Cfe, false, false, 1),
+       {"rec-fail", "rec-fail", "rec-fail", "rec-fail"}},
+  };
+  for (const Row &R : Rows) {
+    SCOPED_TRACE(R.Name);
+    EXPECT_STREQ(getOutcomeName(toOutcome(classifyRun(FaultDetectors, R.End))),
+                 R.Expected[0]);
+    EXPECT_STREQ(getAttackOutcomeName(classifyRun(AttackDetectors, R.End)),
+                 R.Expected[1]);
+    EXPECT_STREQ(
+        getOutcomeName(toOutcome(classifyRun(RegisterDetectors, R.End))),
+        R.Expected[2]);
+    EXPECT_STREQ(
+        getOutcomeName(toOutcome(classifyRun(IntegrityDetectors, R.End))),
+        R.Expected[3]);
+  }
 }

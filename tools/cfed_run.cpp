@@ -122,6 +122,7 @@
 #include "recovery/Recovery.h"
 #include "support/CliArgs.h"
 #include "support/Diagnostics.h"
+#include "support/FileIO.h"
 #include "support/Format.h"
 #include "support/Table.h"
 #include "telemetry/BlockProfile.h"
@@ -170,7 +171,7 @@ struct Options {
   uint64_t LiveIntervalMs = 1000;
   std::string RunId;
   FaultModel Model = FaultModel::SingleBit;
-  uint64_t Jobs = 1;
+  unsigned Jobs = 1;
   bool Disasm = false;
   bool DumpCfg = false;
   bool DumpCache = false;
@@ -392,8 +393,8 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       if (!F.HasValue || !parseFaultModel(F.Value, Opts.Model))
         return cli::badValue(F.Name, "single|multi|burst", F.Value);
     } else if (F.Name == "--jobs") {
-      if (!Uint(Opts.Jobs, "<count>") || Opts.Jobs == 0)
-        return cli::badValue(F.Name, "<count >= 1>", F.Value);
+      if (!cli::parseJobs(F.Name, F.Value, Opts.Jobs))
+        return false;
     } else if (F.Name == "--seed") {
       if (!Uint(Opts.Seed, "<seed>"))
         return false;
@@ -565,21 +566,21 @@ void publishTracerDrops(const Options &Opts,
                 static_cast<unsigned long long>(Dropped));
 }
 
-/// Writes the event ring as Chrome trace_event JSON.
-void writeTrace(const Options &Opts, const telemetry::EventTracer *Tracer) {
+/// Writes the event ring as Chrome trace_event JSON; false (with an
+/// error line) when the file cannot be written.
+bool writeTrace(const Options &Opts, const telemetry::EventTracer *Tracer) {
   if (!Tracer || Opts.TraceFile.empty())
-    return;
-  std::ofstream File(Opts.TraceFile);
-  if (!File) {
-    std::fprintf(stderr, "error: cannot write trace file '%s'\n",
-                 Opts.TraceFile.c_str());
-    return;
+    return true;
+  std::string Error;
+  if (!writeFile(Opts.TraceFile, Tracer->renderChromeJson() + '\n', Error)) {
+    std::fprintf(stderr, "error: cannot write trace: %s\n", Error.c_str());
+    return false;
   }
-  File << Tracer->renderChromeJson() << '\n';
   reportNotef("trace: %llu events written to %s (%llu dropped)",
               static_cast<unsigned long long>(Tracer->size()),
               Opts.TraceFile.c_str(),
               static_cast<unsigned long long>(Tracer->dropped()));
+  return true;
 }
 
 /// Per-category trap counter for detected campaign outcomes.
@@ -675,8 +676,7 @@ int runCampaign(const AsmProgram &Program, const Options &Opts,
                   Recorder->dir().c_str());
     publishTracerDrops(Opts, Registry, Tracer);
     emitStats(Opts, Registry);
-    writeTrace(Opts, Tracer);
-    return 0;
+    return writeTrace(Opts, Tracer) ? 0 : 1;
   }
   OutcomeCounts Totals;
   uint64_t LatencySum = 0;
@@ -733,8 +733,7 @@ int runCampaign(const AsmProgram &Program, const Options &Opts,
                 Recorder->dir().c_str());
   publishTracerDrops(Opts, Registry, Tracer);
   emitStats(Opts, Registry);
-  writeTrace(Opts, Tracer);
-  return 0;
+  return writeTrace(Opts, Tracer) ? 0 : 1;
 }
 
 /// Writes \p ResultJson to --campaign-out when given; false (with an
@@ -742,13 +741,12 @@ int runCampaign(const AsmProgram &Program, const Options &Opts,
 bool writeCampaignOut(const Options &Opts, const std::string &ResultJson) {
   if (Opts.CampaignOut.empty())
     return true;
-  std::ofstream Out(Opts.CampaignOut);
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write campaign result '%s'\n",
-                 Opts.CampaignOut.c_str());
+  std::string Error;
+  if (!writeFile(Opts.CampaignOut, ResultJson + '\n', Error)) {
+    std::fprintf(stderr, "error: cannot write campaign result: %s\n",
+                 Error.c_str());
     return false;
   }
-  Out << ResultJson << '\n';
   reportNotef("campaign result written to %s", Opts.CampaignOut.c_str());
   return true;
 }
@@ -763,7 +761,7 @@ int runEngine(const AsmProgram &Program, const Options &Opts,
   Engine.Sites = SiteClass::Any;
   Engine.Model = Opts.Model;
   Engine.MaxInsns = Opts.MaxInsns;
-  Engine.Jobs = static_cast<unsigned>(Opts.Jobs);
+  Engine.Jobs = Opts.Jobs;
   Engine.CheckpointInterval = Opts.CampaignInterval;
   Engine.CheckpointFile = Opts.CampaignCheckpoint;
   Engine.ShardIndex = Opts.ShardIndex;
@@ -854,7 +852,7 @@ int runAttack(const AsmProgram &Program, const Options &Opts,
   Engine.NumAttacks = Opts.AttackCount;
   Engine.Seed = Opts.Seed;
   Engine.MaxInsns = Opts.MaxInsns;
-  Engine.Jobs = static_cast<unsigned>(Opts.Jobs);
+  Engine.Jobs = Opts.Jobs;
   Engine.CheckpointInterval = Opts.CampaignInterval;
   Engine.CheckpointFile = Opts.CampaignCheckpoint;
   Engine.ShardIndex = Opts.ShardIndex;
@@ -872,14 +870,12 @@ int runAttack(const AsmProgram &Program, const Options &Opts,
       if (!Opts.PostmortemDir.empty())
         reportNote("--postmortem-dir is ignored for attack campaigns "
                    "under --recover");
-      Report.Result = Campaign.runWithRecovery(
-          Opts.AttackCount, Opts.Seed, Opts.Recovery,
-          static_cast<unsigned>(Opts.Jobs));
+      Report.Result = Campaign.runWithRecovery(Opts.AttackCount, Opts.Seed,
+                                               Opts.Recovery, Opts.Jobs);
     } else {
       telemetry::FlightRecorder Recorder(Opts.PostmortemDir, 256);
       Report.Result =
-          Campaign.run(Opts.AttackCount, Opts.Seed,
-                       static_cast<unsigned>(Opts.Jobs), &Recorder);
+          Campaign.run(Opts.AttackCount, Opts.Seed, Opts.Jobs, &Recorder);
       reportNotef("post-mortem: %llu bundles written under %s",
                   static_cast<unsigned long long>(Recorder.bundleCount()),
                   Opts.PostmortemDir.c_str());
@@ -1199,7 +1195,8 @@ int main(int Argc, char **Argv) {
   }
   publishTracerDrops(Opts, Registry, Tracer.get());
   emitStats(Opts, Registry);
-  writeTrace(Opts, Tracer.get());
+  if (!writeTrace(Opts, Tracer.get()))
+    return 1;
 
   if (Opts.DumpCache && Translator) {
     std::vector<const TranslatedBlock *> Sorted;

@@ -606,14 +606,13 @@ int cmdMerge(int Argc, char **Argv) {
   auto WriteMerged = [&]() -> int {
     if (OutPath.empty())
       return 0;
-    std::FILE *Out = std::fopen(OutPath.c_str(), "w");
-    if (!Out) {
-      std::fprintf(stderr, "cfed-stat: cannot write '%s'\n", OutPath.c_str());
+    std::string Error;
+    if (!writeFile(OutPath, mergedToJson(Merged, Shards.size()) + '\n',
+                   Error)) {
+      std::fprintf(stderr, "error: cannot write merged result: %s\n",
+                   Error.c_str());
       return 1;
     }
-    std::string Json = mergedToJson(Merged, Shards.size());
-    std::fprintf(Out, "%s\n", Json.c_str());
-    std::fclose(Out);
     return 0;
   };
 
