@@ -1,7 +1,7 @@
 ; fib.s — recursive Fibonacci, a call/ret-heavy guest program.
 ;
 ;   ./build/tools/cfed-run --tech=rcf --stats examples/asm/fib.s
-;   ./build/tools/cfed-run --tech=rcf --inject=50 examples/asm/fib.s
+;   ./build/tools/cfed-run --tech=rcf --campaign=50 examples/asm/fib.s
 ;
 ; Prints fib(0)..fib(15).
 

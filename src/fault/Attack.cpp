@@ -506,11 +506,12 @@ AttackCampaign::injectWithRecovery(const PlannedAttack &Attack,
 AttackResult AttackCampaign::runOneBatch(uint64_t NumAttacks, uint64_t Seed,
                                          unsigned Jobs,
                                          const RecoveryConfig *Recovery,
-                                         std::vector<PlannedAttack> *Evasions) {
+                                         telemetry::FlightRecorder *Recorder) {
   EngineConfig Engine = oneBatch(NumAttacks, Jobs);
   Engine.Seed = Seed;
-  telemetry::RegistrySnapshot Snap =
-      runAttackPlan(*this, Engine, Recovery, Evasions).Registry;
+  Engine.Recovery = Recovery;
+  Engine.Recorder = Recorder;
+  telemetry::RegistrySnapshot Snap = runAttackPlan(*this, Engine).Registry;
   Metrics.merge(Snap);
   return attackResultFromSnapshot(Snap);
 }
@@ -518,15 +519,7 @@ AttackResult AttackCampaign::runOneBatch(uint64_t NumAttacks, uint64_t Seed,
 AttackResult AttackCampaign::run(uint64_t NumAttacks, uint64_t Seed,
                                  unsigned Jobs,
                                  telemetry::FlightRecorder *Recorder) {
-  std::vector<PlannedAttack> Evasions;
-  AttackResult Result = runOneBatch(NumAttacks, Seed, Jobs, nullptr,
-                                    Recorder ? &Evasions : nullptr);
-  // Evasion proof bundles: replay the undetected attacks serially with
-  // the recorder attached (injection is deterministic, so the replay is
-  // the run the tally counted).
-  for (const PlannedAttack &Attack : Evasions)
-    injectAttack(Attack, Recorder);
-  return Result;
+  return runOneBatch(NumAttacks, Seed, Jobs, nullptr, Recorder);
 }
 
 AttackResult AttackCampaign::runWithRecovery(uint64_t NumAttacks,

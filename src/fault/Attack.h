@@ -271,7 +271,7 @@ private:
   /// campaign batch loop, folded into Metrics.
   AttackResult runOneBatch(uint64_t NumAttacks, uint64_t Seed, unsigned Jobs,
                            const RecoveryConfig *Recovery,
-                           std::vector<PlannedAttack> *Evasions);
+                           telemetry::FlightRecorder *Recorder);
 
   const AsmProgram &Program;
   DbtConfig Config;

@@ -112,17 +112,14 @@ inline EngineConfig oneBatch(uint64_t PrimarySlots, unsigned Jobs) {
 
 /// Plans \p Campaign's first Engine.NumInjections control-flow-deviating
 /// faults (the surplus of a 4x over-plan is the early-stopping reserve)
-/// and runs them, under \p Recovery when given (adding the recovery.*
-/// ladder counters). \p Campaign must be prepared.
-LoopResult runFaultPlan(FaultCampaign &Campaign, const EngineConfig &Engine,
-                        const RecoveryConfig *Recovery);
+/// and runs them, under Engine.Recovery when set (adding the recovery.*
+/// ladder counters), with Engine's recorder and tracer attached.
+/// \p Campaign must be prepared.
+LoopResult runFaultPlan(FaultCampaign &Campaign, const EngineConfig &Engine);
 
 /// Plans \p Campaign's first Engine.NumInjections actionable attacks and
-/// runs them, under \p Recovery when given. \p Evasions, when given,
-/// collects the Evaded/Timeout attacks in schedule order.
-LoopResult runAttackPlan(AttackCampaign &Campaign, const EngineConfig &Engine,
-                         const RecoveryConfig *Recovery,
-                         std::vector<PlannedAttack> *Evasions);
+/// runs them like runFaultPlan.
+LoopResult runAttackPlan(AttackCampaign &Campaign, const EngineConfig &Engine);
 
 } // namespace cfed
 

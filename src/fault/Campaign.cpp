@@ -509,8 +509,8 @@ CampaignResult FaultCampaign::runOneBatch(uint64_t NumInjections,
   EngineConfig Engine = oneBatch(NumInjections, Jobs);
   Engine.Seed = Seed;
   Engine.Sites = Sites;
-  telemetry::RegistrySnapshot Snap =
-      runFaultPlan(*this, Engine, Recovery).Registry;
+  Engine.Recovery = Recovery;
+  telemetry::RegistrySnapshot Snap = runFaultPlan(*this, Engine).Registry;
   Metrics.merge(Snap);
   return campaignResultFromSnapshot(Snap);
 }

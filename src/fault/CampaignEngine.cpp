@@ -6,7 +6,9 @@
 #include "support/Diagnostics.h"
 #include "support/FileIO.h"
 #include "support/Json.h"
+#include "telemetry/FlightRecorder.h"
 #include "telemetry/LiveExport.h"
+#include "telemetry/Trace.h"
 
 #include <chrono>
 #include <cinttypes>
@@ -97,13 +99,12 @@ bool readShardSpec(const json::JsonValue &Root, unsigned &Shard,
 }
 
 /// The shard-spec and batch-size check both engines' constructors run.
-void checkEngineSpec(unsigned ShardIndex, unsigned NumShards,
-                     uint64_t CheckpointInterval, const char *Noun) {
-  if (NumShards < 1 || ShardIndex >= NumShards)
+void checkEngineSpec(const EngineConfig &Engine, const char *Noun) {
+  if (Engine.NumShards < 1 || Engine.ShardIndex >= Engine.NumShards)
     reportFatalErrorf("invalid shard spec %u/%u: the shard index must be "
                       "below the shard count",
-                      ShardIndex, NumShards);
-  if (CheckpointInterval < 1)
+                      Engine.ShardIndex, Engine.NumShards);
+  if (Engine.CheckpointInterval < 1)
     reportFatalErrorf("%s checkpoint interval must be at least 1", Noun);
 }
 
@@ -319,22 +320,25 @@ namespace {
 /// The one campaign-result writer. Fault and attack shards share kind
 /// "cfed-campaign-result", so parseShardResult and mergeShards fold them
 /// alike (the registries carry fault.* or attack.* counters).
-std::string resultJson(unsigned Shard, unsigned NumShards, uint64_t Seed,
-                       const char *Model, uint64_t Completed,
-                       uint64_t Skipped, bool Finished,
-                       const telemetry::RegistrySnapshot &Registry) {
+std::string resultJson(const EngineConfig &Engine, const char *Model,
+                       const BatchTotals &Report, uint64_t Skipped) {
   std::string Out = "{\"kind\":\"cfed-campaign-result\",\"version\":1";
-  Out += ",\"shard\":" + std::to_string(Shard);
-  Out += ",\"num_shards\":" + std::to_string(NumShards);
-  Out += ",\"seed\":" + std::to_string(Seed);
+  Out += ",\"shard\":" + std::to_string(Engine.ShardIndex);
+  Out += ",\"num_shards\":" + std::to_string(Engine.NumShards);
+  Out += ",\"seed\":" + std::to_string(Engine.Seed);
   Out += ",\"model\":\"";
   Out += Model;
-  Out += "\",\"completed\":" + std::to_string(Completed);
+  // Absent means false, so plain campaigns keep their result bytes.
+  if (Engine.Recovery)
+    Out += "\",\"recovery\":true";
+  else
+    Out += '"';
+  Out += ",\"completed\":" + std::to_string(Report.Completed);
   Out += ",\"skipped\":" + std::to_string(Skipped);
   Out += ",\"finished\":";
-  Out += Finished ? "true" : "false";
+  Out += Report.Finished ? "true" : "false";
   Out += ",\"registry\":";
-  Out += Registry.toJson();
+  Out += Report.Registry.toJson();
   Out += '}';
   return Out;
 }
@@ -343,16 +347,13 @@ std::string resultJson(unsigned Shard, unsigned NumShards, uint64_t Seed,
 
 std::string CampaignEngine::resultToJson(const EngineReport &Report,
                                          const EngineConfig &Engine) {
-  return resultJson(Engine.ShardIndex, Engine.NumShards, Engine.Seed,
-                    getFaultModelName(Engine.Model), Report.Completed,
-                    Report.Skipped, Report.Finished, Report.Registry);
+  return resultJson(Engine, getFaultModelName(Engine.Model), Report,
+                    Report.Skipped);
 }
 
 std::string AttackEngine::resultToJson(const AttackEngineReport &Report,
-                                       const AttackEngineConfig &Engine) {
-  return resultJson(Engine.ShardIndex, Engine.NumShards, Engine.Seed,
-                    "attack", Report.Completed, /*Skipped=*/0,
-                    Report.Finished, Report.Registry);
+                                       const EngineConfig &Engine) {
+  return resultJson(Engine, "attack", Report, /*Skipped=*/0);
 }
 
 bool CampaignEngine::parseShardResult(const std::string &Text,
@@ -395,6 +396,15 @@ bool CampaignEngine::parseShardResult(const std::string &Text,
             "non-negative 64-bit integer)";
     return false;
   }
+  // Every writer names the model. A file without one reads as "", which
+  // never matches a written model, so mergeShards refuses to mix it in.
+  const json::JsonValue &Model = Root["model"];
+  if (Model.K != json::JsonValue::String && Model.K != json::JsonValue::Null) {
+    Error = "malformed model (must be a string)";
+    return false;
+  }
+  Out.Model = Model.Str;
+  Out.Recovery = Root["recovery"].B;
   Out.Finished = Root["finished"].B;
   std::string SnapError;
   if (!telemetry::snapshotFromJson(Root["registry"], Out.Registry,
@@ -419,6 +429,15 @@ bool CampaignEngine::mergeShards(const std::vector<ShardResult> &Shards,
               "not slices of one campaign";
       return false;
     }
+    if (S.Model != Shards[0].Model || S.Recovery != Shards[0].Recovery) {
+      auto Kind = [](const ShardResult &R) {
+        return "'" + R.Model + "'" + (R.Recovery ? " with recovery" : "");
+      };
+      Error = "shard results disagree on the campaign kind (model " +
+              Kind(S) + " vs " + Kind(Shards[0]) +
+              "); they are not slices of one campaign";
+      return false;
+    }
     if (S.Shard >= S.NumShards) {
       Error = "shard index " + std::to_string(S.Shard) +
               " out of range for " + std::to_string(S.NumShards) + " shards";
@@ -439,6 +458,8 @@ bool CampaignEngine::mergeShards(const std::vector<ShardResult> &Shards,
   Out = ShardResult();
   Out.NumShards = Shards[0].NumShards;
   Out.Seed = Shards[0].Seed;
+  Out.Model = Shards[0].Model;
+  Out.Recovery = Shards[0].Recovery;
   Out.Finished = true;
   for (const ShardResult &S : Shards) {
     Merged.merge(S.Registry);
@@ -740,9 +761,21 @@ LoopResult cfed::runBatchSchedule(
 
 namespace {
 
+/// Folds Engine.Recovery into a plan hash, only when set: plain
+/// campaigns keep their hashes (and checkpoints), and a recovery
+/// checkpoint never resumes a plain campaign or the reverse.
+uint64_t hashRecovery(uint64_t Hash, const EngineConfig &Engine) {
+  const RecoveryConfig *R = Engine.Recovery;
+  if (!R)
+    return Hash;
+  return fnv1a(Hash, /*"recovery"*/ 0x7265636f76657279ULL,
+               R->CheckpointInterval, R->MemoryBudget, R->WatchdogBound,
+               R->MaxSiteRollbacks, R->MaxTotalRollbacks, R->MaxCheckpoints);
+}
+
 /// Deterministic fingerprint of the plan and the knobs that shape it.
-/// A checkpoint taken under a different program, seed, model or budget
-/// must never silently continue into this plan.
+/// A checkpoint taken under a different program, seed, model, budget or
+/// recovery setting must never silently continue into this plan.
 uint64_t hashPlan(const EngineConfig &Engine,
                   const std::vector<PlannedFault> &Candidates) {
   uint64_t Hash = fnv1a(FnvOffsetBasis, Engine.NumInjections, Engine.Seed,
@@ -750,13 +783,35 @@ uint64_t hashPlan(const EngineConfig &Engine,
   for (const PlannedFault &F : Candidates)
     Hash = fnv1a(Hash, F.Instance, F.Kind, F.Mask, F.Category, F.SiteAddr,
                  F.InstrSite);
-  return Hash;
+  return hashRecovery(Hash, Engine);
 }
+
+/// What both engine kinds do in their serial tally on top of counting:
+/// record one CampaignInjection trace event per slot and collect the
+/// slots the kind bundles, which the engine re-injects serially with the
+/// flight recorder after the loop (injections are deterministic, so each
+/// replay is the run the tally counted).
+template <typename SlotT> struct SlotAttachments {
+  const EngineConfig &Engine;
+  uint64_t Tallied = 0;
+  std::vector<SlotT> Bundled = {};
+
+  void attach(const SlotT &Slot, const char *Outcome, uint64_t Arg,
+              bool Bundle) {
+    ++Tallied;
+    if (Engine.Tracer)
+      Engine.Tracer->record(Tallied,
+                            telemetry::TraceEventKind::CampaignInjection,
+                            Outcome, Slot.SiteAddr, Arg);
+    if (Engine.Recorder && Bundle)
+      Bundled.push_back(Slot);
+  }
+};
 
 /// Branch-fault slots: outcome counters, detection-latency histograms,
 /// (when tracked) propagation provenance per category and, under
-/// recovery, the recovery ladder's activity.
-struct FaultSlots {
+/// recovery, the recovery ladder's activity. Every fault is bundled.
+struct FaultSlots : SlotAttachments<PlannedFault> {
   using Slot = PlannedFault;
   /// The fields of an InjectionReport that tally() reads, copied out on
   /// the worker so the report's heap parts die there (see runBatchLoop).
@@ -770,24 +825,27 @@ struct FaultSlots {
   };
 
   const FaultCampaign &Campaign;
-  const RecoveryConfig *Recovery;
   std::vector<uint64_t> LatBounds = CampaignEngine::latencyBounds();
   std::vector<uint64_t> DistBounds = telemetry::propDistanceBounds();
 
   static BranchErrorCategory category(const Slot &Fault) {
     return Fault.Category;
   }
-  SlotResult inject(const Slot &Fault) const {
-    InjectionReport R = Recovery
-                            ? Campaign.injectWithRecovery(Fault, *Recovery)
-                            : Campaign.injectDetailed(Fault);
+  SlotResult inject(const Slot &Fault,
+                    telemetry::FlightRecorder *Recorder = nullptr) const {
+    InjectionReport R =
+        Engine.Recovery
+            ? Campaign.injectWithRecovery(Fault, *Engine.Recovery, Recorder)
+            : Campaign.injectDetailed(Fault, Recorder);
     const RecoveryReport &Rec = R.Recovery;
     return {R.Result, R.Fired, R.LatencyInsns, R.Prop, Rec.NumCheckpoints,
             Rec.NumRollbacks, Rec.NumWatchdogFires, Rec.Degraded,
             Rec.InterpreterFallback};
   }
   void tally(telemetry::MetricsRegistry &Cumulative, const Slot &Fault,
-             const SlotResult &Report) const {
+             const SlotResult &Report) {
+    attach(Fault, getOutcomeName(Report.Result),
+           Engine.Recovery ? Report.Rollbacks : Report.LatencyInsns, true);
     BranchErrorCategory Cat = Fault.Category;
     Cumulative.counter(getOutcomeCounterName(Cat, Report.Result)).inc();
     Cumulative.counter("fault.injections").inc();
@@ -803,7 +861,7 @@ struct FaultSlots {
         Cumulative.histogram(getPropagationDistanceName(Cat), DistBounds)
             .observe(Report.Prop.InsnsCrossed);
     }
-    if (!Recovery)
+    if (!Engine.Recovery)
       return;
     // Each injection's RecoveryManager counted into its own translator's
     // registry, which dies with the run; re-aggregate under the same
@@ -820,8 +878,7 @@ struct FaultSlots {
 } // namespace
 
 LoopResult cfed::runFaultPlan(FaultCampaign &Campaign,
-                              const EngineConfig &Engine,
-                              const RecoveryConfig *Recovery) {
+                              const EngineConfig &Engine) {
   // Deterministic plan. Over-plan 4x: a sizeable share of random faults
   // are NoError, and the surplus beyond the primary schedule is the
   // reserve pool early stopping reallocates from.
@@ -839,18 +896,20 @@ LoopResult cfed::runFaultPlan(FaultCampaign &Campaign,
       Plan.Reserve[static_cast<unsigned>(Cat)].push_back(C);
   }
   Plan.Hash = hashPlan(Engine, Candidates);
-  FaultSlots Slots{Campaign, Recovery};
-  return runBatchLoop(Engine, Slots, Candidates, Plan,
-                      CampaignCheckpointKind, "campaign");
+  FaultSlots Slots{{Engine}, Campaign};
+  LoopResult Loop = runBatchLoop(Engine, Slots, Candidates, Plan,
+                                 CampaignCheckpointKind, "campaign");
+  for (const PlannedFault &Fault : Slots.Bundled)
+    Slots.inject(Fault, Engine.Recorder);
+  return Loop;
 }
 
 CampaignEngine::CampaignEngine(const AsmProgram &Program, DbtConfig Config,
                                EngineConfig Engine)
     : Program(Program), Config(Config), Engine(std::move(Engine)) {
-  checkEngineSpec(this->Engine.ShardIndex, this->Engine.NumShards,
-                  this->Engine.CheckpointInterval, "campaign");
-  if (this->Engine.StopHalfWidth > 0.0 && this->Engine.NumShards > 1 &&
-      this->Engine.CoordinatorDir.empty())
+  const EngineConfig &E = this->Engine;
+  checkEngineSpec(E, "campaign");
+  if (E.StopHalfWidth > 0.0 && E.NumShards > 1 && E.CoordinatorDir.empty())
     reportFatalError(
         "early stopping cannot be combined with sharding: a shard only "
         "sees its own slice of each cell, so its Wilson intervals say "
@@ -858,6 +917,12 @@ CampaignEngine::CampaignEngine(const AsmProgram &Program, DbtConfig Config,
         "--campaign-coordinator=DIR so shards stop on merged cell "
         "counts, run the sharded campaign without a stop width, or run "
         "early stopping unsharded.");
+  if (E.TrackPropagation && E.Recovery)
+    reportFatalError("propagation tracking does not compose with recovery: "
+                     "rollback rewinds architectural state but not the "
+                     "digest stream, so recovery runs compute no "
+                     "propagation. Drop --prop-trace/--golden-trace or "
+                     "--recover.");
 }
 
 EngineReport CampaignEngine::run() {
@@ -872,7 +937,7 @@ EngineReport CampaignEngine::run() {
       reportFatalErrorf("campaign engine: %s", Error.c_str());
   }
 
-  LoopResult Loop = runFaultPlan(Campaign, Engine, nullptr);
+  LoopResult Loop = runFaultPlan(Campaign, Engine);
   EngineReport Report;
   static_cast<BatchTotals &>(Report) = Loop;
   Report.Result = campaignResultFromSnapshot(Report.Registry);
@@ -922,42 +987,42 @@ uint64_t hashAttackPlan(const EngineConfig &Engine,
   for (const PlannedAttack &A : Candidates)
     Hash = fnv1a(Hash, A.Instance, A.Family, A.SiteAddr, A.RealTarget,
                  A.ForgedTarget, A.GadgetValid);
-  return Hash;
+  return hashRecovery(Hash, Engine);
 }
 
 /// Attack slots: per-family outcome counters plus attack.attacks and
-/// attack.gadget_valid.
-struct AttackSlots {
+/// attack.gadget_valid. Evaded/Timeout attacks are bundled (the evasion
+/// proofs the precision matrix cites).
+struct AttackSlots : SlotAttachments<PlannedAttack> {
   using Slot = PlannedAttack;
   using SlotResult = AttackOutcome;
 
   const AttackCampaign &Campaign;
-  const RecoveryConfig *Recovery;
-  std::vector<PlannedAttack> *Evasions;
 
-  SlotResult inject(const Slot &Attack) const {
-    return (Recovery ? Campaign.injectWithRecovery(Attack, *Recovery)
-                     : Campaign.injectAttack(Attack))
+  SlotResult inject(const Slot &Attack,
+                    telemetry::FlightRecorder *Recorder = nullptr) const {
+    return (Engine.Recovery
+                ? Campaign.injectWithRecovery(Attack, *Engine.Recovery,
+                                              Recorder)
+                : Campaign.injectAttack(Attack, Recorder))
         .Result;
   }
   void tally(telemetry::MetricsRegistry &Cumulative, const Slot &Attack,
-             SlotResult Result) const {
+             SlotResult Result) {
+    attach(Attack, getAttackOutcomeName(Result), 0,
+           Result == AttackOutcome::Evaded ||
+               Result == AttackOutcome::Timeout);
     Cumulative.counter(getAttackCounterName(Attack.Family, Result)).inc();
     Cumulative.counter("attack.attacks").inc();
     if (Attack.GadgetValid)
       Cumulative.counter("attack.gadget_valid").inc();
-    if (Evasions && (Result == AttackOutcome::Evaded ||
-                     Result == AttackOutcome::Timeout))
-      Evasions->push_back(Attack);
   }
 };
 
 } // namespace
 
 LoopResult cfed::runAttackPlan(AttackCampaign &Campaign,
-                               const EngineConfig &Engine,
-                               const RecoveryConfig *Recovery,
-                               std::vector<PlannedAttack> *Evasions) {
+                               const EngineConfig &Engine) {
   // Deterministic plan; over-plan 2x so gadget-search misses on tiny
   // programs do not starve the primary schedule.
   std::vector<PlannedAttack> Candidates =
@@ -969,16 +1034,27 @@ LoopResult cfed::runAttackPlan(AttackCampaign &Campaign,
     if (Candidates[C].ForgedTarget)
       Plan.Primary.push_back(C);
   Plan.Hash = hashAttackPlan(Engine, Candidates);
-  AttackSlots Slots{Campaign, Recovery, Evasions};
-  return runBatchLoop(Engine, Slots, Candidates, Plan, AttackCheckpointKind,
-                      "attack campaign");
+  AttackSlots Slots{{Engine}, Campaign};
+  LoopResult Loop = runBatchLoop(Engine, Slots, Candidates, Plan,
+                                 AttackCheckpointKind, "attack campaign");
+  for (const PlannedAttack &Attack : Slots.Bundled)
+    Slots.inject(Attack, Engine.Recorder);
+  return Loop;
 }
 
 AttackEngine::AttackEngine(const AsmProgram &Program, DbtConfig Config,
-                           AttackEngineConfig Engine)
+                           EngineConfig Engine)
     : Program(Program), Config(Config), Engine(std::move(Engine)) {
-  checkEngineSpec(this->Engine.ShardIndex, this->Engine.NumShards,
-                  this->Engine.CheckpointInterval, "attack");
+  const EngineConfig &E = this->Engine;
+  checkEngineSpec(E, "attack");
+  if (E.StopHalfWidth > 0.0 || !E.CoordinatorDir.empty() ||
+      E.TrackPropagation || !E.GoldenTraceFile.empty() ||
+      E.Sites != SiteClass::Any || E.Model != FaultModel::SingleBit)
+    reportFatalError("attack campaigns take no early stopping, coordinator, "
+                     "propagation tracking, golden trace, fault sites or "
+                     "fault model (--campaign-stop-ci, "
+                     "--campaign-coordinator, --prop-trace, --golden-trace "
+                     "and --fault-model apply to --campaign only)");
 }
 
 AttackEngineReport AttackEngine::run() {
@@ -986,22 +1062,8 @@ AttackEngineReport AttackEngine::run() {
   if (!Campaign.prepare(Engine.MaxInsns))
     reportFatalError("attack engine: golden run failed (program does not "
                      "load or halt within the instruction budget)");
-
-  // The loop knobs the attack engine supports: no early stopping,
-  // coordination or live export.
-  EngineConfig Loop;
-  Loop.NumInjections = Engine.NumAttacks;
-  Loop.Seed = Engine.Seed;
-  Loop.Jobs = Engine.Jobs;
-  Loop.CheckpointInterval = Engine.CheckpointInterval;
-  Loop.CheckpointFile = Engine.CheckpointFile;
-  Loop.ShardIndex = Engine.ShardIndex;
-  Loop.NumShards = Engine.NumShards;
-  Loop.MaxBatches = Engine.MaxBatches;
-  Loop.OnCheckpoint = Engine.OnCheckpoint;
   AttackEngineReport Report;
-  static_cast<BatchTotals &>(Report) =
-      runAttackPlan(Campaign, Loop, nullptr, nullptr);
+  static_cast<BatchTotals &>(Report) = runAttackPlan(Campaign, Engine);
   Report.Result = attackResultFromSnapshot(Report.Registry);
   return Report;
 }

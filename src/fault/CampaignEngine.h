@@ -25,6 +25,9 @@
 ///  - Early stopping closes a branch-error-category cell once the Wilson
 ///    interval on its SDC rate is tight enough, skipping (and counting)
 ///    its remaining slots and reallocating them from the reserve.
+///  - Recovery, post-mortem bundles and the event trace are per-run
+///    attachments of the one EngineConfig both kinds take; a field a
+///    kind cannot honour is refused, never ignored.
 ///  - Plain sharding is coordination without the barrier or batch
 ///    files. A coordinated shard (CoordinatorDir) walks the unsharded
 ///    run's batches, publishes a batch file after each and, when stopping
@@ -47,7 +50,8 @@
 
 namespace cfed {
 
-/// Engine configuration on top of a FaultCampaign's program/DbtConfig.
+/// The one configuration of both engine kinds (CampaignEngine and
+/// AttackEngine), on top of the program and its DbtConfig.
 struct EngineConfig {
   /// Primary injection budget (schedule slots across all shards).
   uint64_t NumInjections = 0;
@@ -104,6 +108,22 @@ struct EngineConfig {
   /// oracle is also saved to this file after prepare().
   std::string GoldenTraceFile;
 
+  /// Per-run attachments, not owned; nullptr leaves each off.
+  ///  - Recovery: every injection runs under checkpoint/rollback
+  ///    recovery (outcomes gain Recovered/RecoveryFailed, the registry
+  ///    the recovery.* ladder counters). Folded into the plan hash, so a
+  ///    recovery checkpoint never resumes a plain campaign or the
+  ///    reverse, and marked "recovery":true in result files.
+  ///  - Recorder: after the loop, the slots this process ran that its
+  ///    kind bundles (every fault; Evaded/Timeout attacks) are re-injected
+  ///    serially with the recorder, one post-mortem bundle each.
+  ///  - Tracer: one CampaignInjection event per tallied slot (ordinal,
+  ///    outcome, site, and the detection latency — or the rollbacks under
+  ///    recovery; attacks carry 0).
+  const RecoveryConfig *Recovery = nullptr;
+  telemetry::FlightRecorder *Recorder = nullptr;
+  telemetry::EventTracer *Tracer = nullptr;
+
   /// Test hook: stop (with Finished = false) after this many batches;
   /// 0 = run to completion. A rerun with the same checkpoint continues.
   uint64_t MaxBatches = 0;
@@ -157,6 +177,10 @@ struct ShardResult {
   unsigned Shard = 0;
   unsigned NumShards = 1;
   uint64_t Seed = 0;
+  /// Fault model name, or "attack" for attack campaigns.
+  std::string Model;
+  /// The campaign ran under checkpoint/rollback recovery.
+  bool Recovery = false;
   uint64_t Completed = 0;
   uint64_t Skipped = 0;
   bool Finished = true;
@@ -187,7 +211,9 @@ inline constexpr uint64_t EngineCheckpointVersion = 1;
 class CampaignEngine {
 public:
   /// Validates \p Engine (fatal on an invalid shard spec, a zero
-  /// checkpoint interval, or early stopping combined with sharding).
+  /// checkpoint interval, early stopping combined with uncoordinated
+  /// sharding, or propagation tracking under recovery, whose runs
+  /// compute no propagation).
   CampaignEngine(const AsmProgram &Program, DbtConfig Config,
                  EngineConfig Engine);
 
@@ -206,7 +232,8 @@ public:
 
   /// Folds shard results into one report equal to the unsharded run:
   /// counters sum, histograms fold, completed/skipped add. Validates
-  /// that seeds and shard counts agree and no shard repeats.
+  /// that seeds, shard counts, models and recovery marks agree and no
+  /// shard repeats.
   static bool mergeShards(const std::vector<ShardResult> &Shards,
                           ShardResult &Out, std::string &Error);
 
@@ -250,24 +277,6 @@ private:
   EngineConfig Engine;
 };
 
-/// Engine configuration for adversarial attack campaigns — the subset
-/// of EngineConfig the attack engine supports, with the same meanings
-/// (no early stopping or coordination: attack plans are small and every
-/// slot is actionable).
-struct AttackEngineConfig {
-  /// Primary attack budget (schedule slots across all shards).
-  uint64_t NumAttacks = 0;
-  uint64_t Seed = 1;
-  uint64_t MaxInsns = 50000000;
-  unsigned Jobs = 1;
-  uint64_t CheckpointInterval = 64;
-  std::string CheckpointFile;
-  unsigned ShardIndex = 0;
-  unsigned NumShards = 1;
-  uint64_t MaxBatches = 0;
-  std::function<void(uint64_t)> OnCheckpoint;
-};
-
 /// Result of one attack-engine run. Registry carries the
 /// attack.<family>.* outcome counters plus attack.attacks /
 /// attack.gadget_valid.
@@ -276,26 +285,29 @@ struct AttackEngineReport : BatchTotals {
 };
 
 /// Resumable, shardable adversarial campaigns on top of AttackCampaign,
-/// run by the campaign engine's batch loop: the same EngineCheckpoint
-/// record (under kind "cfed-attack-checkpoint", so fault and attack
-/// checkpoints never mix) and result files of kind
-/// "cfed-campaign-result", which mergeShards folds like fault shards.
+/// run by the campaign engine's batch loop: the same EngineConfig, the
+/// same EngineCheckpoint record (under kind "cfed-attack-checkpoint", so
+/// fault and attack checkpoints never mix) and result files of kind
+/// "cfed-campaign-result" (model "attack"), which mergeShards folds like
+/// fault shards.
 class AttackEngine {
 public:
-  /// Validates \p Engine (fatal on an invalid shard spec or a zero
-  /// checkpoint interval).
+  /// Validates \p Engine (fatal on an invalid shard spec, a zero
+  /// checkpoint interval, or a field only fault campaigns read: early
+  /// stopping, a coordinator, propagation tracking, a golden trace, or
+  /// sites or a fault model other than the defaults).
   AttackEngine(const AsmProgram &Program, DbtConfig Config,
-               AttackEngineConfig Engine);
+               EngineConfig Engine);
 
-  /// Runs the campaign like CampaignEngine::run (without early
-  /// stopping); byte-identical to an uninterrupted run for any
-  /// kill/resume point, job count, or shard split.
+  /// Runs the campaign like CampaignEngine::run; byte-identical to an
+  /// uninterrupted run for any kill/resume point, job count, or shard
+  /// split.
   AttackEngineReport run();
 
   /// Serializes \p Report as a single-line campaign result file
   /// mergeable by CampaignEngine::mergeShards.
   static std::string resultToJson(const AttackEngineReport &Report,
-                                  const AttackEngineConfig &Engine);
+                                  const EngineConfig &Engine);
 
   /// CampaignEngine's checkpoint I/O under the attack kind.
   static bool writeCheckpoint(const std::string &Path,
@@ -308,7 +320,7 @@ public:
 private:
   const AsmProgram &Program;
   DbtConfig Config;
-  AttackEngineConfig Engine;
+  EngineConfig Engine;
 };
 
 } // namespace cfed

@@ -61,7 +61,7 @@ inline bool unknownOption(const std::string &Arg) {
   return false;
 }
 
-/// "error: option --inject needs <count>, got 'abc'" (or "needs
+/// "error: option --campaign needs <count>, got 'abc'" (or "needs
 /// <count>, got nothing" when the value is missing/empty).
 inline bool badValue(const std::string &Name, const char *Expected,
                      const std::string &Text) {

@@ -7,10 +7,11 @@
 /// \file
 /// A minimal recursive-descent JSON reader — just enough to parse back
 /// what this repository's own sinks emit (registry snapshots, Chrome
-/// trace_event output, flight-recorder bundles, BENCH_perf.json).
-/// Header-only so the analysis tool and the tests share one parser.
-/// Not a general-purpose JSON library: no \uXXXX escapes, no surrogate
-/// pairs, duplicate keys keep the first value.
+/// trace_event output, flight-recorder bundles, BENCH_perf.json) — and
+/// the one string escaper those sinks write with. Header-only so the
+/// analysis tool and the tests share one parser. Not a general-purpose
+/// JSON library: only ASCII \uXXXX escapes, duplicate keys keep the
+/// first value.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,12 +89,35 @@ private:
         case 'r': Out += '\r'; break;
         case '"': Out += '"'; break;
         case '\\': Out += '\\'; break;
+        case 'u':
+          if (!codePoint(Out))
+            return false;
+          break;
         default: Out += E; break;
         }
       } else
         Out += C;
     }
     return Pos < Text.size() && Text[Pos++] == '"';
+  }
+  /// Decodes the four hex digits after "\\u". Only ASCII code points
+  /// (every escape appendString writes) are accepted.
+  bool codePoint(std::string &Out) {
+    if (Text.size() - Pos < 4)
+      return false;
+    unsigned Code = 0;
+    for (unsigned I = 0; I < 4; ++I) {
+      unsigned char H = static_cast<unsigned char>(Text[Pos + I]);
+      if (!std::isxdigit(H))
+        return false;
+      Code = Code * 16 +
+             (std::isdigit(H) ? H - '0' : std::tolower(H) - 'a' + 10);
+    }
+    if (Code >= 0x80)
+      return false;
+    Pos += 4;
+    Out += static_cast<char>(Code);
+    return true;
   }
   bool value(JsonValue &Out) {
     skipWs();
@@ -183,6 +207,32 @@ inline bool readUnsigned(const JsonValue &V, uint64_t &Out,
   }
   Out = Value;
   return true;
+}
+
+/// Appends \p S to \p Out as a quoted JSON string: quote and backslash
+/// escaped, newline/tab/return as \\n \\t \\r, every other control byte
+/// as \\u00XX. JsonParser reads the result back byte for byte.
+inline void appendString(std::string &Out, const std::string &S) {
+  static constexpr char Hex[] = "0123456789abcdef";
+  Out += '"';
+  for (char C : S) {
+    switch (C) {
+    case '"': Out += "\\\""; break;
+    case '\\': Out += "\\\\"; break;
+    case '\n': Out += "\\n"; break;
+    case '\t': Out += "\\t"; break;
+    case '\r': Out += "\\r"; break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        Out += "\\u00";
+        Out += Hex[(C >> 4) & 0xf];
+        Out += Hex[C & 0xf];
+      } else {
+        Out += C;
+      }
+    }
+  }
+  Out += '"';
 }
 
 } // namespace json

@@ -4,6 +4,7 @@
 
 #include "support/FileIO.h"
 #include "support/Format.h"
+#include "support/Json.h"
 
 #include <filesystem>
 
@@ -12,35 +13,11 @@ using namespace cfed::telemetry;
 
 namespace {
 
-void appendEscaped(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    switch (C) {
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      Out += C;
-    }
-  }
-}
-
 void appendStringField(std::string &Out, const char *Key,
                        const std::string &Value, bool Comma = true) {
-  Out += formatString("  \"%s\": \"", Key);
-  appendEscaped(Out, Value);
-  Out += Comma ? "\",\n" : "\"\n";
+  Out += formatString("  \"%s\": ", Key);
+  json::appendString(Out, Value);
+  Out += Comma ? ",\n" : "\n";
 }
 
 std::string hexString(uint64_t V) {
@@ -58,13 +35,13 @@ std::string FlightRecorder::renderJson(const PostMortem &PM,
   appendStringField(Out, "reason", PM.Reason);
 
   Out += "  \"stop\": {";
-  Out += "\"kind\": \"";
-  appendEscaped(Out, PM.StopKind);
-  Out += "\", \"trap\": \"";
-  appendEscaped(Out, PM.TrapName);
-  Out += "\", \"description\": \"";
-  appendEscaped(Out, PM.Description);
-  Out += "\"},\n";
+  Out += "\"kind\": ";
+  json::appendString(Out, PM.StopKind);
+  Out += ", \"trap\": ";
+  json::appendString(Out, PM.TrapName);
+  Out += ", \"description\": ";
+  json::appendString(Out, PM.Description);
+  Out += "},\n";
 
   appendStringField(Out, "guest_pc", hexString(PM.GuestPC));
   appendStringField(Out, "cache_pc", hexString(PM.CachePC));
@@ -93,10 +70,10 @@ std::string FlightRecorder::renderJson(const PostMortem &PM,
   for (size_t I = First; I < PM.Events.size(); ++I) {
     const TraceEvent &E = PM.Events[I];
     Out += formatString(
-        "    {\"ts\": %llu, \"kind\": \"%s\", \"category\": \"",
+        "    {\"ts\": %llu, \"kind\": \"%s\", \"category\": ",
         static_cast<unsigned long long>(E.Ts), getTraceEventName(E.Kind));
-    appendEscaped(Out, E.Category ? E.Category : "");
-    Out += formatString("\", \"addr\": \"%s\", \"arg\": %llu}",
+    json::appendString(Out, E.Category ? E.Category : "");
+    Out += formatString(", \"addr\": \"%s\", \"arg\": %llu}",
                         hexString(E.Addr).c_str(),
                         static_cast<unsigned long long>(E.Arg));
     Out += I + 1 < PM.Events.size() ? ",\n" : "\n";
@@ -141,10 +118,9 @@ std::string FlightRecorder::renderJson(const PostMortem &PM,
   for (size_t I = 0; I < PM.Annotations.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += "\"";
-    appendEscaped(Out, PM.Annotations[I].first);
+    json::appendString(Out, PM.Annotations[I].first);
     Out += formatString(
-        "\": %llu",
+        ": %llu",
         static_cast<unsigned long long>(PM.Annotations[I].second));
   }
   Out += "},\n";

@@ -20,23 +20,6 @@ namespace {
 
 const char *LiveSnapshotKind = "cfed-live-snapshot";
 
-void appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-    } else {
-      Out += C;
-    }
-  }
-  Out += '"';
-}
-
 // %.17g so a parse-back reproduces the exact double (Wilson interval
 // endpoints round-trip through the coordinator byte-identically).
 std::string formatDoubleExact(double V) {
@@ -64,7 +47,7 @@ std::string telemetry::liveSnapshotToJson(const LiveSnapshot &Snap) {
   Out += "\",\"version\":";
   Out += std::to_string(Snap.Version);
   Out += ",\"run_id\":";
-  appendJsonString(Out, Snap.RunId);
+  json::appendString(Out, Snap.RunId);
   Out += ",\"pid\":";
   Out += std::to_string(Snap.Pid);
   Out += ",\"seq\":";
@@ -87,14 +70,14 @@ std::string telemetry::liveSnapshotToJson(const LiveSnapshot &Snap) {
     Out += ",\"skipped\":";
     Out += std::to_string(Snap.Beat.Skipped);
     Out += ",\"rung\":";
-    appendJsonString(Out, Snap.Beat.Rung);
+    json::appendString(Out, Snap.Beat.Rung);
     Out += ",\"cells\":[";
     for (size_t I = 0; I < Snap.Beat.Cells.size(); ++I) {
       const HeartbeatCell &Cell = Snap.Beat.Cells[I];
       if (I)
         Out += ',';
       Out += "{\"name\":";
-      appendJsonString(Out, Cell.Name);
+      json::appendString(Out, Cell.Name);
       Out += ",\"total\":";
       Out += std::to_string(Cell.Total);
       Out += ",\"sdc\":";

@@ -142,23 +142,6 @@ double RegistrySnapshot::gaugeOr(const std::string &Name,
 
 namespace {
 
-void appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-    } else {
-      Out += C;
-    }
-  }
-  Out += '"';
-}
-
 std::string formatDouble(double V) {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%.6g", V);
@@ -174,7 +157,7 @@ std::string RegistrySnapshot::toJson() const {
     if (!First)
       Out += ',';
     First = false;
-    appendJsonString(Out, Name);
+    json::appendString(Out, Name);
     Out += ':';
     Out += std::to_string(Value);
   }
@@ -184,7 +167,7 @@ std::string RegistrySnapshot::toJson() const {
     if (!First)
       Out += ',';
     First = false;
-    appendJsonString(Out, Name);
+    json::appendString(Out, Name);
     Out += ':';
     Out += formatDouble(Value);
   }
@@ -194,7 +177,7 @@ std::string RegistrySnapshot::toJson() const {
     if (!First)
       Out += ',';
     First = false;
-    appendJsonString(Out, Name);
+    json::appendString(Out, Name);
     Out += ":{\"bounds\":[";
     for (size_t I = 0; I < H.Bounds.size(); ++I) {
       if (I)

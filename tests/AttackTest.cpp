@@ -72,10 +72,10 @@ std::string tempPath(const std::string &Name) {
   return Path;
 }
 
-AttackEngineConfig makeEngine(uint64_t Seed, uint64_t NumAttacks,
-                              uint64_t Interval) {
-  AttackEngineConfig Engine;
-  Engine.NumAttacks = NumAttacks;
+EngineConfig makeEngine(uint64_t Seed, uint64_t NumAttacks,
+                        uint64_t Interval) {
+  EngineConfig Engine;
+  Engine.NumInjections = NumAttacks;
   Engine.Seed = Seed;
   Engine.CheckpointInterval = Interval;
   Engine.MaxInsns = 10000000;
@@ -334,14 +334,14 @@ TEST(AttackTest, RecoveryVariantRollsAttacksBack) {
 
 TEST(AttackTest, EngineResumeIsByteIdentical) {
   AsmProgram Program = allFamiliesProgram();
-  AttackEngineConfig Base = makeEngine(17, 18, 6);
+  EngineConfig Base = makeEngine(17, 18, 6);
   AttackEngineReport Reference =
       AttackEngine(Program, edgcfConfig(), Base).run();
   ASSERT_TRUE(Reference.Finished);
   EXPECT_EQ(Reference.Completed, 18u);
 
   std::string Path = tempPath("attack_resume.ckpt");
-  AttackEngineConfig Interrupted = Base;
+  EngineConfig Interrupted = Base;
   Interrupted.CheckpointFile = Path;
   Interrupted.MaxBatches = 1;
   AttackEngineReport Partial =
@@ -349,7 +349,7 @@ TEST(AttackTest, EngineResumeIsByteIdentical) {
   EXPECT_FALSE(Partial.Finished);
   EXPECT_EQ(Partial.Completed, 6u);
 
-  AttackEngineConfig Resume = Base;
+  EngineConfig Resume = Base;
   Resume.CheckpointFile = Path;
   AttackEngineReport Resumed =
       AttackEngine(Program, edgcfConfig(), Resume).run();
@@ -379,13 +379,13 @@ TEST(AttackTest, InProcessRunEqualsUnshardedEngine) {
 
 TEST(AttackTest, ShardMergeReproducesUnshardedRun) {
   AsmProgram Program = allFamiliesProgram();
-  AttackEngineConfig Base = makeEngine(23, 16, 8);
+  EngineConfig Base = makeEngine(23, 16, 8);
   AttackEngineReport Reference =
       AttackEngine(Program, edgcfConfig(), Base).run();
 
   std::vector<ShardResult> Shards;
   for (unsigned Shard = 0; Shard < 2; ++Shard) {
-    AttackEngineConfig Sharded = Base;
+    EngineConfig Sharded = Base;
     Sharded.ShardIndex = Shard;
     Sharded.NumShards = 2;
     Sharded.Jobs = Shard ? 3 : 1;
@@ -436,12 +436,12 @@ TEST(AttackTest, PrecisionRenderingIsExact) {
 TEST(AttackDeathTest, ForeignCheckpointIsRefused) {
   AsmProgram Program = allFamiliesProgram();
   std::string Path = tempPath("attack_foreign.ckpt");
-  AttackEngineConfig First = makeEngine(17, 18, 6);
+  EngineConfig First = makeEngine(17, 18, 6);
   First.CheckpointFile = Path;
   First.MaxBatches = 1;
   AttackEngine(Program, edgcfConfig(), First).run();
 
-  AttackEngineConfig Other = First;
+  EngineConfig Other = First;
   Other.Seed = 99; // Different plan, same checkpoint file.
   EXPECT_DEATH(AttackEngine(Program, edgcfConfig(), Other).run(),
                "belongs to a different attack campaign");
@@ -454,7 +454,7 @@ TEST(AttackDeathTest, ForeignCheckpointIsRefused) {
 // loop must continue it to the uninterrupted shard's registry.
 TEST(AttackTest, EarlierFormatShardCheckpointResumesToReference) {
   AsmProgram Program = allFamiliesProgram();
-  AttackEngineConfig Shard1 = makeEngine(17, 18, 3);
+  EngineConfig Shard1 = makeEngine(17, 18, 3);
   Shard1.ShardIndex = 1;
   Shard1.NumShards = 2;
   AttackEngineReport Uncut =
@@ -468,7 +468,7 @@ TEST(AttackTest, EarlierFormatShardCheckpointResumesToReference) {
     std::ofstream Out(Path);
     Out << In.rdbuf();
   }
-  AttackEngineConfig Resume = Shard1;
+  EngineConfig Resume = Shard1;
   Resume.CheckpointFile = Path;
   AttackEngineReport Resumed =
       AttackEngine(Program, edgcfConfig(), Resume).run();
@@ -478,4 +478,69 @@ TEST(AttackTest, EarlierFormatShardCheckpointResumesToReference) {
   EXPECT_EQ(AttackEngine::resultToJson(Resumed, Shard1),
             AttackEngine::resultToJson(Uncut, Shard1));
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// One EngineConfig for both kinds: recovery, evasion bundles, refusals
+//===----------------------------------------------------------------------===//
+
+TEST(AttackTest, EngineRecoveryEqualsInProcessRunWithRecovery) {
+  AsmProgram Program = allFamiliesProgram();
+  RecoveryConfig Recovery;
+  Recovery.CheckpointInterval = 50;
+  EngineConfig Engine = makeEngine(17, 18, 5);
+  Engine.Recovery = &Recovery;
+  AttackEngineReport Report =
+      AttackEngine(Program, edgcfConfig(true), Engine).run();
+
+  AttackCampaign Campaign(Program, edgcfConfig(true));
+  ASSERT_TRUE(Campaign.prepare(Engine.MaxInsns));
+  AttackResult Result = Campaign.runWithRecovery(18, 17, Recovery, 2);
+  EXPECT_EQ(Result.Attacks, 18u);
+  EXPECT_TRUE(Result == Report.Result);
+  EXPECT_EQ(Campaign.metrics().snapshot().toJson(), Report.Registry.toJson());
+  EXPECT_NE(AttackEngine::resultToJson(Report, Engine).find(
+                "\"model\":\"attack\",\"recovery\":true"),
+            std::string::npos);
+}
+
+TEST(AttackTest, EngineWritesEvasionBundlesUnderRecovery) {
+  AsmProgram Program = allFamiliesProgram();
+  RecoveryConfig Recovery;
+  Recovery.CheckpointInterval = 50;
+  std::string Dir = tempPath("engine_evasions");
+  telemetry::FlightRecorder Recorder(Dir, 64);
+  EngineConfig Engine = makeEngine(17, 18, 5);
+  Engine.Jobs = 2;
+  Engine.Recovery = &Recovery;
+  Engine.Recorder = &Recorder;
+  AttackEngineReport Report =
+      AttackEngine(Program, edgcfConfig(false), Engine).run();
+  uint64_t Undetected = Report.Result.totals().undetected();
+  ASSERT_GT(Undetected, 0u);
+  EXPECT_EQ(Recorder.bundleCount(), Undetected)
+      << "one proof bundle per Evaded/Timeout attack";
+  std::ifstream In(Recorder.lastPath());
+  ASSERT_TRUE(In.is_open()) << Recorder.lastPath();
+  std::string Text((std::istreambuf_iterator<char>(In)),
+                   std::istreambuf_iterator<char>());
+  EXPECT_NE(Text.find("attack-evasion"), std::string::npos);
+}
+
+TEST(AttackDeathTest, FaultOnlyFieldsAreRefused) {
+  AsmProgram Program = allFamiliesProgram();
+  const std::function<void(EngineConfig &)> Edits[] = {
+      [](EngineConfig &E) { E.StopHalfWidth = 0.1; },
+      [](EngineConfig &E) { E.CoordinatorDir = "coord"; },
+      [](EngineConfig &E) { E.TrackPropagation = true; },
+      [](EngineConfig &E) { E.GoldenTraceFile = "golden.trace"; },
+      [](EngineConfig &E) { E.Sites = SiteClass::OriginalOnly; },
+      [](EngineConfig &E) { E.Model = FaultModel::Burst; },
+  };
+  for (const auto &Edit : Edits) {
+    EngineConfig Engine = makeEngine(17, 18, 6);
+    Edit(Engine);
+    EXPECT_DEATH(AttackEngine(Program, edgcfConfig(), Engine),
+                 "attack campaigns take no early stopping");
+  }
 }

@@ -9,13 +9,17 @@
 #include "support/Json.h"
 #include "support/Prng.h"
 #include "support/Stats.h"
+#include "telemetry/FlightRecorder.h"
 #include "telemetry/LiveExport.h"
 #include "telemetry/Metrics.h"
+#include "telemetry/Trace.h"
 #include "workloads/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <signal.h>
 #include <sys/stat.h>
@@ -1079,4 +1083,203 @@ TEST(CampaignEngineCheckpointTest, HostileNumbersAreRejected) {
     EXPECT_FALSE(Error.empty()) << To;
   }
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Recovery campaigns and per-run attachments
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+RecoveryConfig makeRecovery() {
+  RecoveryConfig Recovery;
+  Recovery.CheckpointInterval = 500;
+  return Recovery;
+}
+
+std::vector<std::string> listDir(const std::string &Dir) {
+  std::vector<std::string> Names;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    Names.push_back(Entry.path().filename().string());
+  std::sort(Names.begin(), Names.end());
+  return Names;
+}
+
+} // namespace
+
+TEST(CampaignEngineTest, RecoveryRunEqualsInProcessRunWithRecovery) {
+  AsmProgram Program = makeProgram();
+  RecoveryConfig Recovery = makeRecovery();
+  EngineConfig Engine = makeEngine(23, 40, 7);
+  Engine.Recovery = &Recovery;
+  EngineReport Report = CampaignEngine(Program, makeDbtConfig(), Engine).run();
+
+  FaultCampaign Campaign(Program, makeDbtConfig());
+  ASSERT_TRUE(Campaign.prepare(Engine.MaxInsns));
+  CampaignResult Result =
+      Campaign.runWithRecovery(40, 23, SiteClass::Any, Recovery, /*Jobs=*/3);
+  EXPECT_TRUE(Result == Report.Result);
+  EXPECT_GT(Result.totals().Recovered, 0u);
+  EXPECT_EQ(Campaign.metrics().snapshot().toJson(), Report.Registry.toJson());
+}
+
+TEST(CampaignEngineTest, RecoveryCampaignCutResumesIdentically) {
+  AsmProgram Program = makeProgram();
+  DbtConfig Config = makeDbtConfig();
+  RecoveryConfig Recovery = makeRecovery();
+  EngineConfig Base = makeEngine(101, 40, 8);
+  Base.Recovery = &Recovery;
+  EngineReport Reference = CampaignEngine(Program, Config, Base).run();
+
+  std::string Path = tempPath("recovery_resume.ckpt");
+  EngineConfig Interrupted = Base;
+  Interrupted.CheckpointFile = Path;
+  Interrupted.MaxBatches = 2;
+  EXPECT_FALSE(CampaignEngine(Program, Config, Interrupted).run().Finished);
+
+  EngineConfig Resume = Base;
+  Resume.CheckpointFile = Path;
+  Resume.Jobs = 3;
+  EngineReport Resumed = CampaignEngine(Program, Config, Resume).run();
+  EXPECT_TRUE(Resumed.Resumed);
+  EXPECT_TRUE(Resumed.Finished);
+  EXPECT_EQ(Resumed.Registry.toJson(), Reference.Registry.toJson());
+  EXPECT_EQ(CampaignEngine::resultToJson(Resumed, Base),
+            CampaignEngine::resultToJson(Reference, Base));
+  std::remove(Path.c_str());
+}
+
+TEST(CampaignEngineTest, RecoveryShardMergeReproducesUnshardedRun) {
+  AsmProgram Program = makeProgram();
+  DbtConfig Config = makeDbtConfig();
+  RecoveryConfig Recovery = makeRecovery();
+  EngineConfig Base = makeEngine(404, 40, 8);
+  Base.Recovery = &Recovery;
+  EngineReport Reference = CampaignEngine(Program, Config, Base).run();
+  std::string ReferenceJson = CampaignEngine::resultToJson(Reference, Base);
+  EXPECT_NE(ReferenceJson.find("\"recovery\":true"), std::string::npos);
+
+  std::vector<ShardResult> Shards;
+  for (unsigned Shard = 0; Shard < 2; ++Shard) {
+    EngineConfig Sharded = Base;
+    Sharded.ShardIndex = Shard;
+    Sharded.NumShards = 2;
+    Sharded.Jobs = Shard ? 3 : 1;
+    EngineReport Part = CampaignEngine(Program, Config, Sharded).run();
+    ShardResult Parsed;
+    std::string Error;
+    ASSERT_TRUE(CampaignEngine::parseShardResult(
+        CampaignEngine::resultToJson(Part, Sharded), Parsed, Error))
+        << Error;
+    EXPECT_TRUE(Parsed.Recovery);
+    Shards.push_back(std::move(Parsed));
+  }
+  ShardResult Merged;
+  std::string Error;
+  ASSERT_TRUE(CampaignEngine::mergeShards(Shards, Merged, Error)) << Error;
+  EXPECT_TRUE(Merged.Recovery);
+  EXPECT_EQ(Merged.Model, "single");
+  EXPECT_EQ(Merged.Completed, Reference.Completed);
+  EXPECT_EQ(Merged.Registry.toJson(), Reference.Registry.toJson());
+}
+
+TEST(CampaignEngineTest, MergeRefusesMixedModelsAndRecovery) {
+  ShardResult A;
+  A.NumShards = 2;
+  A.Seed = 7;
+  A.Model = "single";
+  ShardResult B = A;
+  B.Shard = 1;
+  ShardResult Out;
+  std::string Error;
+  ASSERT_TRUE(CampaignEngine::mergeShards({A, B}, Out, Error)) << Error;
+  EXPECT_EQ(Out.Model, "single");
+  EXPECT_FALSE(Out.Recovery);
+
+  for (const char *Model : {"burst", "attack", ""}) {
+    B.Model = Model;
+    EXPECT_FALSE(CampaignEngine::mergeShards({A, B}, Out, Error)) << Model;
+    EXPECT_NE(Error.find("disagree on the campaign kind"), std::string::npos)
+        << Error;
+  }
+  B.Model = "single";
+  B.Recovery = true;
+  EXPECT_FALSE(CampaignEngine::mergeShards({A, B}, Out, Error));
+  EXPECT_NE(Error.find("with recovery"), std::string::npos) << Error;
+}
+
+TEST(CampaignEngineDeathTest, RecoveryAndPlainCheckpointsDoNotMix) {
+  AsmProgram Program = makeProgram();
+  DbtConfig Config = makeDbtConfig();
+  RecoveryConfig Recovery = makeRecovery();
+  for (bool RecoveryFirst : {true, false}) {
+    std::string Path = tempPath("recovery_mix.ckpt");
+    EngineConfig First = makeEngine(101, 40, 8);
+    First.CheckpointFile = Path;
+    First.MaxBatches = 1;
+    EngineConfig Other = First;
+    (RecoveryFirst ? First : Other).Recovery = &Recovery;
+    CampaignEngine(Program, Config, First).run();
+    EXPECT_DEATH(CampaignEngine(Program, Config, Other).run(),
+                 "belongs to a different campaign");
+    std::remove(Path.c_str());
+  }
+}
+
+TEST(CampaignEngineDeathTest, PropagationUnderRecoveryIsRefused) {
+  AsmProgram Program = makeProgram();
+  RecoveryConfig Recovery = makeRecovery();
+  EngineConfig Engine = makeEngine(101, 40, 8);
+  Engine.Recovery = &Recovery;
+  Engine.TrackPropagation = true;
+  EXPECT_DEATH(CampaignEngine(Program, makeDbtConfig(), Engine),
+               "propagation tracking does not compose with recovery");
+}
+
+TEST(CampaignEngineTest, RecorderAndTracerMatchSerialInjection) {
+  // The engine replays every injection it ran with the recorder after
+  // its parallel loop; the bundles (names and bytes) and the trace equal
+  // a serial injectDetailed loop over the same schedule.
+  AsmProgram Program = makeProgram();
+  const uint64_t Count = 12, Seed = 31;
+  std::string EngineDir = tempPath("engine_bundles");
+  std::string SerialDir = tempPath("serial_bundles");
+  std::filesystem::remove_all(EngineDir);
+  std::filesystem::remove_all(SerialDir);
+
+  telemetry::FlightRecorder EngineRecorder(EngineDir, 64);
+  telemetry::EventTracer EngineTracer(1024);
+  EngineConfig Engine = makeEngine(Seed, Count, 5);
+  Engine.Jobs = 3;
+  Engine.Recorder = &EngineRecorder;
+  Engine.Tracer = &EngineTracer;
+  EngineReport Report = CampaignEngine(Program, makeDbtConfig(), Engine).run();
+  EXPECT_EQ(Report.Completed, Count);
+
+  FaultCampaign Campaign(Program, makeDbtConfig());
+  ASSERT_TRUE(Campaign.prepare(Engine.MaxInsns));
+  telemetry::FlightRecorder SerialRecorder(SerialDir, 64);
+  telemetry::EventTracer SerialTracer(1024);
+  uint64_t Done = 0;
+  for (const PlannedFault &Fault :
+       Campaign.plan(Count * 4, Seed, SiteClass::Any)) {
+    if (Fault.Category == BranchErrorCategory::NoError || Done == Count)
+      continue;
+    InjectionReport R = Campaign.injectDetailed(Fault, &SerialRecorder);
+    SerialTracer.record(++Done, telemetry::TraceEventKind::CampaignInjection,
+                        getOutcomeName(R.Result), Fault.SiteAddr,
+                        R.LatencyInsns);
+  }
+  ASSERT_EQ(Done, Count);
+
+  EXPECT_EQ(EngineRecorder.bundleCount(), Count);
+  std::vector<std::string> Names = listDir(EngineDir);
+  ASSERT_EQ(Names, listDir(SerialDir));
+  for (const std::string &Name : Names)
+    EXPECT_EQ(readFile(EngineDir + "/" + Name),
+              readFile(SerialDir + "/" + Name))
+        << Name;
+  EXPECT_EQ(EngineTracer.renderChromeJson(), SerialTracer.renderChromeJson());
+  std::filesystem::remove_all(EngineDir);
+  std::filesystem::remove_all(SerialDir);
 }

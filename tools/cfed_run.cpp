@@ -33,22 +33,28 @@
 //                        as monitor corruption, 0x5EC)
 //   --recover            run under checkpoint/rollback recovery: detections
 //                        roll back and re-execute instead of terminating
-//                        (with --inject: classify Recovered/RecoveryFailed)
+//                        (campaign modes: every injection does, and
+//                        classifies as Recovered/RecoveryFailed)
 //   --watchdog=<n>       errant-flow watchdog bound in instructions
 //                        (0 disables; default 1M; needs --recover)
 //   --ckpt-interval=<n>  instructions between checkpoints (default 10000;
 //                        needs --recover)
-//   --inject=<n>         run an n-fault injection campaign instead of a
-//                        plain run
-//   --campaign=<n>       run an n-fault campaign through the campaign
-//                        engine: batched, checkpointed, resumable
+//   --campaign=<n>       run an n-fault campaign instead of a plain run,
+//                        through the campaign engine: batched,
+//                        checkpointed, resumable, shardable
 //   --campaign-attack=<n> adversarial mode: run an n-attack campaign
 //                        (return forging / IBTC swaps / code patching)
-//                        and print the per-family precision matrix;
-//                        shares the engine checkpoint/shard/jobs flags;
-//                        with --recover, attacks run under rollback
-//                        recovery; with --postmortem-dir, every evaded
-//                        attack leaves a flight-recorder bundle
+//                        through the same engine and print the
+//                        per-family precision matrix
+//
+//   Both campaign modes take --recover (with --watchdog/--ckpt-interval),
+//   --postmortem-dir, --trace, --jobs, --seed, --max-insns, --live-export,
+//   --run-id and the --campaign-checkpoint/-interval/-shard/-out flags.
+//   --campaign-stop-ci, --campaign-coordinator, --fault-model,
+//   --golden-trace and --prop-trace apply to --campaign only; an attack
+//   campaign refuses them, and --prop-trace/--golden-trace refuse
+//   --recover.
+//
 //   --campaign-checkpoint=<file>
 //                        checkpoint file; an existing one resumes the
 //                        campaign where it stopped
@@ -82,8 +88,7 @@
 //                        (default: the input name, or campaign-<seed>
 //                        for engine runs)
 //   --fault-model=<m>    single|multi|burst mask shape for planned
-//                        faults (default single; applies to --inject
-//                        and --campaign)
+//                        faults (default single)
 //   --jobs=<n>           injection thread count (default 1)
 //   --seed=<n>           campaign seed (default 1)
 //   --disasm             print the guest disassembly and exit
@@ -92,13 +97,16 @@
 //   --stats[=json|csv]   emit the telemetry-registry snapshot: human text
 //                        on stderr (default), or JSON / CSV on stdout
 //   --trace=<file>       write the structured event trace as Chrome
-//                        trace_event JSON (open in about://tracing)
+//                        trace_event JSON (open in about://tracing);
+//                        campaign modes record one campaign-injection
+//                        event per injection
 //   --trace-buffer=<n>   event ring-buffer capacity (default 65536)
 //   --profile-blocks[=N] attach a block-execution profile and print the
 //                        top-N hot-block report after the run (default 10)
 //   --postmortem-dir=DIR write flight-recorder post-mortem bundles (one
 //                        JSON file per trap / watchdog fire / ladder
-//                        escalation; per-injection bundles with --inject)
+//                        escalation; campaign modes: one per fault
+//                        injection, or per evaded attack)
 //   --golden-trace=FILE  plain run: record the per-sub-block architectural
 //                        digest oracle to FILE; campaign modes: also dump
 //                        the campaign's internal oracle to FILE after the
@@ -116,7 +124,6 @@
 
 #include "cfg/Cfg.h"
 #include "dbt/Dbt.h"
-#include "fault/Campaign.h"
 #include "fault/CampaignEngine.h"
 #include "isa/Disasm.h"
 #include "recovery/Recovery.h"
@@ -156,22 +163,15 @@ struct Options {
   uint64_t MaxInsns = 200000000ULL;
   bool Recover = false;
   RecoveryConfig Recovery;
-  uint64_t Injections = 0;
-  uint64_t Seed = 1;
   uint64_t CampaignInjections = 0;
   uint64_t AttackCount = 0;
-  std::string CampaignCheckpoint;
-  uint64_t CampaignInterval = 64;
-  unsigned ShardIndex = 0;
-  unsigned NumShards = 1;
+  /// The campaign-only knobs parse straight into the engine
+  /// configuration (see engineConfig()).
+  EngineConfig Engine;
   std::string CampaignOut;
-  double StopHalfWidth = 0.0;
-  std::string CoordinatorDir;
   std::string LiveExport;
   uint64_t LiveIntervalMs = 1000;
   std::string RunId;
-  FaultModel Model = FaultModel::SingleBit;
-  unsigned Jobs = 1;
   bool Disasm = false;
   bool DumpCfg = false;
   bool DumpCache = false;
@@ -196,7 +196,7 @@ int usage() {
                "[--verify-dispatch=N] [--shadow-sig]\n"
                "                [--recover] [--watchdog=N] "
                "[--ckpt-interval=N]\n"
-               "                [--inject=N] [--seed=N] "
+               "                [--seed=N] "
                "[--disasm] [--dump-cfg]\n"
                "                [--campaign=N] [--campaign-attack=N] "
                "[--shadow-stack]\n"
@@ -339,9 +339,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (F.Name == "--ckpt-interval") {
       if (!Uint(Opts.Recovery.CheckpointInterval, "<instruction interval>"))
         return false;
-    } else if (F.Name == "--inject") {
-      if (!Uint(Opts.Injections, "<count>"))
-        return false;
     } else if (F.Name == "--campaign") {
       if (!Uint(Opts.CampaignInjections, "<count>"))
         return false;
@@ -351,10 +348,10 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (F.Name == "--campaign-checkpoint") {
       if (!F.HasValue || F.Value.empty())
         return cli::badValue(F.Name, "<file>", F.Value);
-      Opts.CampaignCheckpoint = F.Value;
+      Opts.Engine.CheckpointFile = F.Value;
     } else if (F.Name == "--campaign-interval") {
-      if (!Uint(Opts.CampaignInterval, "<count>") ||
-          Opts.CampaignInterval == 0)
+      if (!Uint(Opts.Engine.CheckpointInterval, "<count>") ||
+          Opts.Engine.CheckpointInterval == 0)
         return cli::badValue(F.Name, "<count >= 1>", F.Value);
     } else if (F.Name == "--campaign-shard") {
       uint64_t K = 0, N = 0;
@@ -363,20 +360,21 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
           !cli::parseUint(F.Value.substr(0, Slash), K) ||
           !cli::parseUint(F.Value.substr(Slash + 1), N) || N == 0 || K >= N)
         return cli::badValue(F.Name, "<k/n with 0 <= k < n>", F.Value);
-      Opts.ShardIndex = static_cast<unsigned>(K);
-      Opts.NumShards = static_cast<unsigned>(N);
+      Opts.Engine.ShardIndex = static_cast<unsigned>(K);
+      Opts.Engine.NumShards = static_cast<unsigned>(N);
     } else if (F.Name == "--campaign-out") {
       if (!F.HasValue || F.Value.empty())
         return cli::badValue(F.Name, "<file>", F.Value);
       Opts.CampaignOut = F.Value;
     } else if (F.Name == "--campaign-stop-ci") {
-      if (!F.HasValue || !cli::parseDouble(F.Value, Opts.StopHalfWidth) ||
-          Opts.StopHalfWidth <= 0.0 || Opts.StopHalfWidth >= 0.5)
+      double &Width = Opts.Engine.StopHalfWidth;
+      if (!F.HasValue || !cli::parseDouble(F.Value, Width) || Width <= 0.0 ||
+          Width >= 0.5)
         return cli::badValue(F.Name, "<half-width in (0, 0.5)>", F.Value);
     } else if (F.Name == "--campaign-coordinator") {
       if (!F.HasValue || F.Value.empty())
         return cli::badValue(F.Name, "<directory>", F.Value);
-      Opts.CoordinatorDir = F.Value;
+      Opts.Engine.CoordinatorDir = F.Value;
     } else if (F.Name == "--live-export") {
       if (!F.HasValue || F.Value.empty())
         return cli::badValue(F.Name, "<file>", F.Value);
@@ -390,13 +388,13 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return cli::badValue(F.Name, "<id>", F.Value);
       Opts.RunId = F.Value;
     } else if (F.Name == "--fault-model") {
-      if (!F.HasValue || !parseFaultModel(F.Value, Opts.Model))
+      if (!F.HasValue || !parseFaultModel(F.Value, Opts.Engine.Model))
         return cli::badValue(F.Name, "single|multi|burst", F.Value);
     } else if (F.Name == "--jobs") {
-      if (!cli::parseJobs(F.Name, F.Value, Opts.Jobs))
+      if (!cli::parseJobs(F.Name, F.Value, Opts.Engine.Jobs))
         return false;
     } else if (F.Name == "--seed") {
-      if (!Uint(Opts.Seed, "<seed>"))
+      if (!Uint(Opts.Engine.Seed, "<seed>"))
         return false;
     } else if (F.Name == "--disasm") {
       if (!Bare(Opts.Disasm))
@@ -447,35 +445,26 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     std::fprintf(stderr, "error: missing <file.s | workload> argument\n");
     return false;
   }
-  if (!Opts.CoordinatorDir.empty() && Opts.CampaignInjections == 0) {
+  if (!Opts.Engine.CoordinatorDir.empty() && Opts.CampaignInjections == 0) {
     std::fprintf(stderr, "error: --campaign-coordinator needs --campaign\n");
     return false;
   }
-  if (Opts.AttackCount > 0 &&
-      (Opts.CampaignInjections > 0 || Opts.Injections > 0)) {
+  if (Opts.AttackCount > 0 && Opts.CampaignInjections > 0) {
     std::fprintf(stderr, "error: --campaign-attack excludes --campaign "
-                         "and --inject (one campaign mode per run)\n");
+                         "(one campaign mode per run)\n");
     return false;
   }
-  if (Opts.AttackCount > 0 &&
-      (Opts.StopHalfWidth > 0.0 || !Opts.CoordinatorDir.empty() ||
-       Opts.PropTrace || !Opts.GoldenTraceFile.empty())) {
-    std::fprintf(stderr,
-                 "error: --campaign-stop-ci/--campaign-coordinator/"
-                 "--golden-trace/--prop-trace do not apply to "
-                 "--campaign-attack\n");
-    return false;
-  }
-  // Campaign modes record their own oracle during prepare(); only a
-  // plain-run replay needs an external trace file.
-  if (Opts.PropTrace && Opts.GoldenTraceFile.empty() &&
-      Opts.Injections == 0 && Opts.CampaignInjections == 0) {
+  // Campaign modes record their own oracle during prepare() (and the
+  // engines refuse what a campaign kind cannot honour); only a plain-run
+  // replay needs an external trace file.
+  bool Campaign = Opts.AttackCount > 0 || Opts.CampaignInjections > 0;
+  if (Opts.PropTrace && Opts.GoldenTraceFile.empty() && !Campaign) {
     std::fprintf(stderr,
                  "error: --prop-trace on a plain run needs "
                  "--golden-trace=FILE (record one with a prior clean run)\n");
     return false;
   }
-  if (Opts.Recover && Opts.CampaignInjections == 0 && Opts.Injections == 0 &&
+  if (Opts.Recover && !Campaign &&
       (Opts.PropTrace || !Opts.GoldenTraceFile.empty())) {
     std::fprintf(stderr, "error: --golden-trace/--prop-trace do not compose "
                          "with a plain --recover run (rollback rewinds "
@@ -592,150 +581,6 @@ void countDetection(telemetry::MetricsRegistry &Registry,
       .inc(N);
 }
 
-int runCampaign(const AsmProgram &Program, const Options &Opts,
-                telemetry::MetricsRegistry &Registry,
-                telemetry::EventTracer *Tracer) {
-  FaultCampaign Campaign(Program, Opts.Config);
-  // Propagation tracking must be decided before prepare(): the digest
-  // markers change the code-cache layout.
-  bool Prop = Opts.PropTrace || !Opts.GoldenTraceFile.empty();
-  Campaign.enablePropagation(Prop);
-  if (!Campaign.prepare(Opts.MaxInsns)) {
-    std::fprintf(stderr, "error: golden run failed (program must halt "
-                         "and the technique must support the program)\n");
-    return 1;
-  }
-  if (Prop && !Opts.GoldenTraceFile.empty()) {
-    std::string Err;
-    if (!Campaign.goldenTrace().save(Opts.GoldenTraceFile, &Err)) {
-      std::fprintf(stderr, "error: cannot write golden trace: %s\n",
-                   Err.c_str());
-      return 1;
-    }
-    reportNotef("golden trace: %llu records written to %s",
-                (unsigned long long)Campaign.goldenTrace().Records.size(),
-                Opts.GoldenTraceFile.c_str());
-  }
-  std::unique_ptr<telemetry::FlightRecorder> Recorder;
-  if (!Opts.PostmortemDir.empty()) {
-    Recorder = std::make_unique<telemetry::FlightRecorder>(
-        Opts.PostmortemDir, Opts.TraceBuffer < 256 ? Opts.TraceBuffer : 256);
-    Recorder->setPrefix("injection_");
-  }
-  std::printf("golden: %llu insns, %llu branch executions, hash "
-              "%016llx\n",
-              (unsigned long long)Campaign.goldenInsns(),
-              (unsigned long long)Campaign.branchExecutions(SiteClass::Any),
-              (unsigned long long)Campaign.goldenHash());
-  if (Opts.Recover) {
-    OutcomeCounts Totals;
-    auto Faults = Campaign.plan(Opts.Injections * 4, Opts.Seed,
-                                SiteClass::Any, Opts.Model);
-    uint64_t Done = 0;
-    uint64_t Ckpts = 0, Rollbacks = 0, Watchdogs = 0;
-    for (const PlannedFault &Fault : Faults) {
-      if (Fault.Category == BranchErrorCategory::NoError)
-        continue;
-      if (Done++ >= Opts.Injections)
-        break;
-      FaultCampaign::RecoveryInjection Inj =
-          Campaign.injectWithRecovery(Fault, Opts.Recovery, Recorder.get());
-      Totals.add(Inj.Result);
-      Registry.counter(getOutcomeCounterName(Fault.Category, Inj.Result))
-          .inc();
-      Registry.counter("fault.injections").inc();
-      // Recovered and RecoveryFailed runs went through a detection
-      // before rolling back; count them toward the category's traps.
-      if (Inj.Result == Outcome::DetectedSignature ||
-          Inj.Result == Outcome::DetectedHardware ||
-          Inj.Result == Outcome::Recovered ||
-          Inj.Result == Outcome::RecoveryFailed)
-        countDetection(Registry, Fault.Category);
-      Ckpts += Inj.Recovery.NumCheckpoints;
-      Rollbacks += Inj.Recovery.NumRollbacks;
-      Watchdogs += Inj.Recovery.NumWatchdogFires;
-      if (Tracer)
-        Tracer->record(Done, telemetry::TraceEventKind::CampaignInjection,
-                       getOutcomeName(Inj.Result), Fault.SiteAddr,
-                       Inj.Recovery.NumRollbacks);
-    }
-    Registry.counter("recovery.checkpoints").inc(Ckpts);
-    Registry.counter("recovery.rollbacks").inc(Rollbacks);
-    Registry.counter("recovery.watchdog_fires").inc(Watchdogs);
-    Table T;
-    T.setHeader({"outcome", "count"});
-    T.addRow({"recovered", std::to_string(Totals.Recovered)});
-    T.addRow({"masked", std::to_string(Totals.Masked)});
-    T.addRow({"recovery failed", std::to_string(Totals.RecoveryFailed)});
-    T.addRow({"silent data corruption", std::to_string(Totals.Sdc)});
-    T.addRow({"timeout", std::to_string(Totals.Timeout)});
-    std::printf("%s", T.render().c_str());
-    if (Recorder)
-      reportNotef("post-mortem: %llu bundles written under %s",
-                  (unsigned long long)Recorder->bundleCount(),
-                  Recorder->dir().c_str());
-    publishTracerDrops(Opts, Registry, Tracer);
-    emitStats(Opts, Registry);
-    return writeTrace(Opts, Tracer) ? 0 : 1;
-  }
-  OutcomeCounts Totals;
-  uint64_t LatencySum = 0;
-  auto Faults = Campaign.plan(Opts.Injections * 4, Opts.Seed,
-                              SiteClass::Any, Opts.Model);
-  uint64_t Done = 0;
-  for (const PlannedFault &Fault : Faults) {
-    if (Fault.Category == BranchErrorCategory::NoError)
-      continue;
-    if (Done++ >= Opts.Injections)
-      break;
-    InjectionReport Report = Campaign.injectDetailed(Fault, Recorder.get());
-    Totals.add(Report.Result);
-    Registry.counter(getOutcomeCounterName(Fault.Category, Report.Result))
-        .inc();
-    Registry.counter("fault.injections").inc();
-    if (Report.Prop.Enabled) {
-      Registry
-          .counter(getPropagationCounterName(Fault.Category,
-                                             Report.Prop.Class))
-          .inc();
-      if (Report.Prop.Class == telemetry::PropClass::DetectedAfterDivergence)
-        Registry
-            .histogram(getPropagationDistanceName(Fault.Category),
-                       telemetry::propDistanceBounds())
-            .observe(Report.Prop.InsnsCrossed);
-    }
-    if (Report.Result == Outcome::DetectedSignature ||
-        Report.Result == Outcome::DetectedHardware)
-      countDetection(Registry, Fault.Category);
-    if (Tracer)
-      Tracer->record(Done, telemetry::TraceEventKind::CampaignInjection,
-                     getOutcomeName(Report.Result), Fault.SiteAddr,
-                     Report.LatencyInsns);
-    if (Report.Result == Outcome::DetectedSignature)
-      LatencySum += Report.LatencyInsns;
-  }
-  Table T;
-  T.setHeader({"outcome", "count"});
-  T.addRow({"detected (signature)", std::to_string(Totals.DetectedSig)});
-  T.addRow({"detected (hardware)", std::to_string(Totals.DetectedHw)});
-  T.addRow({"masked", std::to_string(Totals.Masked)});
-  T.addRow({"silent data corruption", std::to_string(Totals.Sdc)});
-  T.addRow({"timeout", std::to_string(Totals.Timeout)});
-  std::printf("%s", T.render().c_str());
-  if (Totals.DetectedSig)
-    std::printf("mean signature-detection latency: %llu insns\n",
-                (unsigned long long)(LatencySum / Totals.DetectedSig));
-  if (Prop)
-    std::printf("%s", renderPropagationFunnel(Registry.snapshot()).c_str());
-  if (Recorder)
-    reportNotef("post-mortem: %llu bundles written under %s",
-                (unsigned long long)Recorder->bundleCount(),
-                Recorder->dir().c_str());
-  publishTracerDrops(Opts, Registry, Tracer);
-  emitStats(Opts, Registry);
-  return writeTrace(Opts, Tracer) ? 0 : 1;
-}
-
 /// Writes \p ResultJson to --campaign-out when given; false (with an
 /// error line) when the file cannot be written.
 bool writeCampaignOut(const Options &Opts, const std::string &ResultJson) {
@@ -751,35 +596,37 @@ bool writeCampaignOut(const Options &Opts, const std::string &ResultJson) {
   return true;
 }
 
-/// The --campaign path: batched, checkpointed, optionally sharded and
-/// self-stopping injection through the campaign engine.
-int runEngine(const AsmProgram &Program, const Options &Opts,
-              telemetry::MetricsRegistry &Registry) {
-  EngineConfig Engine;
-  Engine.NumInjections = Opts.CampaignInjections;
-  Engine.Seed = Opts.Seed;
-  Engine.Sites = SiteClass::Any;
-  Engine.Model = Opts.Model;
+/// The one EngineConfig both campaign modes run with.
+EngineConfig engineConfig(const Options &Opts,
+                          telemetry::FlightRecorder *Recorder,
+                          telemetry::EventTracer *Tracer) {
+  EngineConfig Engine = Opts.Engine;
+  Engine.NumInjections =
+      Opts.AttackCount > 0 ? Opts.AttackCount : Opts.CampaignInjections;
   Engine.MaxInsns = Opts.MaxInsns;
-  Engine.Jobs = Opts.Jobs;
-  Engine.CheckpointInterval = Opts.CampaignInterval;
-  Engine.CheckpointFile = Opts.CampaignCheckpoint;
-  Engine.ShardIndex = Opts.ShardIndex;
-  Engine.NumShards = Opts.NumShards;
-  Engine.StopHalfWidth = Opts.StopHalfWidth;
-  Engine.CoordinatorDir = Opts.CoordinatorDir;
   Engine.LiveExportFile = Opts.LiveExport;
   Engine.RunId = Opts.RunId;
   Engine.TrackPropagation = Opts.PropTrace || !Opts.GoldenTraceFile.empty();
   Engine.GoldenTraceFile = Opts.GoldenTraceFile;
+  Engine.Recovery = Opts.Recover ? &Opts.Recovery : nullptr;
+  Engine.Recorder = Recorder;
+  Engine.Tracer = Tracer;
+  return Engine;
+}
 
-  CampaignEngine Runner(Program, Opts.Config, Engine);
-  EngineReport Report = Runner.run();
+/// The --campaign path: batched, checkpointed, optionally sharded and
+/// self-stopping injection through the campaign engine. Prints the
+/// per-cell table, folds the engine's instruments into \p Registry and
+/// returns the result file text.
+std::string runEngine(const AsmProgram &Program, const Options &Opts,
+                      const EngineConfig &Engine,
+                      telemetry::MetricsRegistry &Registry) {
+  EngineReport Report = CampaignEngine(Program, Opts.Config, Engine).run();
 
   Table T;
   T.setHeader({"cell", "inj", "det-sig", "det-hw", "masked", "SDC",
-               "timeout", "SDC rate", "95% CI", "lat p50", "lat p90",
-               "skip", "realloc"});
+               "timeout", "recovered", "rec-fail", "SDC rate", "95% CI",
+               "lat p50", "lat p90", "skip", "realloc"});
   for (const CellReport &Cell : Report.Cells) {
     if (Cell.Counts.total() == 0 && Cell.Skipped == 0)
       continue;
@@ -798,6 +645,8 @@ int runEngine(const AsmProgram &Program, const Options &Opts,
               std::to_string(Cell.Counts.Masked),
               std::to_string(Cell.Counts.Sdc),
               std::to_string(Cell.Counts.Timeout),
+              std::to_string(Cell.Counts.Recovered),
+              std::to_string(Cell.Counts.RecoveryFailed),
               formatString("%.3f", Cell.SdcRate),
               formatString("[%.3f, %.3f]", Cell.Interval.Low,
                            Cell.Interval.High),
@@ -813,82 +662,30 @@ int runEngine(const AsmProgram &Program, const Options &Opts,
               "shard=%u/%u%s%s\n",
               (unsigned long long)Report.Completed,
               (unsigned long long)Report.Planned,
-              (unsigned long long)Report.Skipped, Opts.ShardIndex,
-              Opts.NumShards, Report.Resumed ? " resumed" : "",
+              (unsigned long long)Report.Skipped, Engine.ShardIndex,
+              Engine.NumShards, Report.Resumed ? " resumed" : "",
               Report.Finished ? "" : " (interrupted)");
 
-  if (!writeCampaignOut(Opts, CampaignEngine::resultToJson(Report, Engine)))
-    return 1;
-
   // Fold the engine's cumulative instruments into the global registry
-  // so --stats reports them alongside everything else.
+  // so --stats reports them alongside everything else. Recovered and
+  // RecoveryFailed runs went through a detection before rolling back;
+  // they count toward the category's traps.
   Registry.merge(Report.Registry);
   for (const CellReport &Cell : Report.Cells)
     countDetection(Registry, Cell.Category,
-                   Cell.Counts.DetectedSig + Cell.Counts.DetectedHw);
-  emitStats(Opts, Registry);
-  return 0;
+                   Cell.Counts.DetectedSig + Cell.Counts.DetectedHw +
+                       Cell.Counts.Recovered + Cell.Counts.RecoveryFailed);
+  return CampaignEngine::resultToJson(Report, Engine);
 }
 
-/// The --campaign-attack path: adversarial campaigns with the
-/// per-family precision matrix. The engine (checkpointed, shardable)
-/// drives the default mode; --recover and --postmortem-dir switch to
-/// the direct AttackCampaign so recovery classification and evasion
-/// bundles are available.
-int runAttack(const AsmProgram &Program, const Options &Opts,
-              telemetry::MetricsRegistry &Registry) {
-  bool Direct = Opts.Recover || !Opts.PostmortemDir.empty();
-  if (Direct &&
-      (!Opts.CampaignCheckpoint.empty() || Opts.NumShards > 1)) {
-    std::fprintf(stderr,
-                 "error: --recover/--postmortem-dir attack campaigns do "
-                 "not compose with --campaign-checkpoint/"
-                 "--campaign-shard\n");
-    return 1;
-  }
-
-  telemetry::RegistrySnapshot Snap;
-  AttackEngineConfig Engine;
-  Engine.NumAttacks = Opts.AttackCount;
-  Engine.Seed = Opts.Seed;
-  Engine.MaxInsns = Opts.MaxInsns;
-  Engine.Jobs = Opts.Jobs;
-  Engine.CheckpointInterval = Opts.CampaignInterval;
-  Engine.CheckpointFile = Opts.CampaignCheckpoint;
-  Engine.ShardIndex = Opts.ShardIndex;
-  Engine.NumShards = Opts.NumShards;
-
-  AttackEngineReport Report;
-  if (Direct) {
-    AttackCampaign Campaign(Program, Opts.Config);
-    if (!Campaign.prepare(Opts.MaxInsns)) {
-      std::fprintf(stderr, "error: golden run failed to halt within the "
-                           "instruction budget\n");
-      return 1;
-    }
-    if (Opts.Recover) {
-      if (!Opts.PostmortemDir.empty())
-        reportNote("--postmortem-dir is ignored for attack campaigns "
-                   "under --recover");
-      Report.Result = Campaign.runWithRecovery(Opts.AttackCount, Opts.Seed,
-                                               Opts.Recovery, Opts.Jobs);
-    } else {
-      telemetry::FlightRecorder Recorder(Opts.PostmortemDir, 256);
-      Report.Result =
-          Campaign.run(Opts.AttackCount, Opts.Seed, Opts.Jobs, &Recorder);
-      reportNotef("post-mortem: %llu bundles written under %s",
-                  static_cast<unsigned long long>(Recorder.bundleCount()),
-                  Opts.PostmortemDir.c_str());
-    }
-    Report.Registry = Campaign.metrics().snapshot();
-    Report.Completed = Report.Result.Attacks;
-    Report.Planned = Report.Result.Attacks;
-  } else {
-    AttackEngine Runner(Program, Opts.Config, Engine);
-    Report = Runner.run();
-  }
-  Snap = Report.Registry;
-
+/// The --campaign-attack path: adversarial campaigns through the attack
+/// engine, with the per-family precision matrix. Returns the result file
+/// text like runEngine.
+std::string runAttack(const AsmProgram &Program, const Options &Opts,
+                      const EngineConfig &Engine,
+                      telemetry::MetricsRegistry &Registry) {
+  AttackEngineReport Report = AttackEngine(Program, Opts.Config, Engine).run();
+  const telemetry::RegistrySnapshot &Snap = Report.Registry;
   std::printf("%s", renderPrecisionMatrix(Snap).c_str());
   std::printf("%s\n", renderPrecisionSummaryLine(Snap).c_str());
   std::printf("attack-campaign: completed=%llu planned=%llu "
@@ -896,12 +693,9 @@ int runAttack(const AsmProgram &Program, const Options &Opts,
               (unsigned long long)Report.Completed,
               (unsigned long long)Report.Planned,
               (unsigned long long)Snap.counterOr("attack.gadget_valid"),
-              Opts.ShardIndex, Opts.NumShards,
+              Engine.ShardIndex, Engine.NumShards,
               Report.Resumed ? " resumed" : "",
               Report.Finished ? "" : " (interrupted)");
-
-  if (!writeCampaignOut(Opts, AttackEngine::resultToJson(Report, Engine)))
-    return 1;
 
   Registry.merge(Snap);
   for (unsigned F = 0; F < NumAttackFamilies; ++F) {
@@ -910,8 +704,7 @@ int runAttack(const AsmProgram &Program, const Options &Opts,
     countDetection(Registry, attackCategory(static_cast<AttackFamily>(F)),
                    C.detected() + C.DetectedShadow);
   }
-  emitStats(Opts, Registry);
-  return 0;
+  return AttackEngine::resultToJson(Report, Engine);
 }
 
 } // namespace
@@ -955,14 +748,33 @@ int main(int Argc, char **Argv) {
   if (!Opts.TraceFile.empty())
     Tracer = std::make_unique<telemetry::EventTracer>(Opts.TraceBuffer);
 
-  if (Opts.AttackCount > 0)
-    return runAttack(Program, Opts, Registry);
-  if (Opts.CampaignInjections > 0)
-    return runEngine(Program, Opts, Registry);
+  std::unique_ptr<telemetry::FlightRecorder> Recorder;
+  if (!Opts.PostmortemDir.empty()) {
+    Recorder = std::make_unique<telemetry::FlightRecorder>(
+        Opts.PostmortemDir, Opts.TraceBuffer < 256 ? Opts.TraceBuffer : 256);
+    if (Opts.CampaignInjections > 0)
+      Recorder->setPrefix("injection_");
+  }
 
-  // Live telemetry. The campaign engine publishes its own snapshots
-  // inline at batch boundaries (deterministic); every other mode samples
-  // the global registry from a background service thread. The exporter
+  if (Opts.AttackCount > 0 || Opts.CampaignInjections > 0) {
+    EngineConfig Engine = engineConfig(Opts, Recorder.get(), Tracer.get());
+    std::string Result = Opts.AttackCount > 0
+                             ? runAttack(Program, Opts, Engine, Registry)
+                             : runEngine(Program, Opts, Engine, Registry);
+    if (Recorder)
+      reportNotef("post-mortem: %llu bundles written under %s",
+                  (unsigned long long)Recorder->bundleCount(),
+                  Recorder->dir().c_str());
+    if (!writeCampaignOut(Opts, Result))
+      return 1;
+    publishTracerDrops(Opts, Registry, Tracer.get());
+    emitStats(Opts, Registry);
+    return writeTrace(Opts, Tracer.get()) ? 0 : 1;
+  }
+
+  // Live telemetry. The campaign engines publish their own snapshots
+  // inline at batch boundaries (deterministic); a plain run samples the
+  // global registry from a background service thread. The exporter
   // publishes a final snapshot when it is destroyed on return, after the
   // end-of-run gauges have been folded in.
   std::unique_ptr<telemetry::LiveExporter> Live;
@@ -979,14 +791,11 @@ int main(int Argc, char **Argv) {
     Live->start();
   }
 
-  if (Opts.Injections > 0)
-    return runCampaign(Program, Opts, Registry, Tracer.get());
-
   Memory Mem;
   Interpreter Interp(Mem);
   StopInfo Stop;
-  // Golden-trace record/replay for plain runs; the campaign paths above
-  // manage their own oracle inside prepare().
+  // Golden-trace record/replay for plain runs; the campaign engines
+  // manage their own oracle.
   telemetry::DigestRecorder Digests;
   telemetry::GoldenTrace Oracle;
   bool RecordTrace = !Opts.GoldenTraceFile.empty() && !Opts.PropTrace;
@@ -1001,10 +810,6 @@ int main(int Argc, char **Argv) {
   }
   telemetry::PhaseProfiler Profiler;
   telemetry::BlockProfile Profile;
-  std::unique_ptr<telemetry::FlightRecorder> Recorder;
-  if (!Opts.PostmortemDir.empty())
-    Recorder = std::make_unique<telemetry::FlightRecorder>(
-        Opts.PostmortemDir, Opts.TraceBuffer < 256 ? Opts.TraceBuffer : 256);
   std::unique_ptr<Dbt> Translator;
   if (Opts.Native) {
     if (Opts.ProfileBlocks)

@@ -24,7 +24,9 @@
 ///   cfed-stat merge FILE... [-o OUT]     fold campaign shard result files
 ///                                        (cfed-run --campaign-out) into one
 ///                                        report identical to the unsharded
-///                                        campaign's
+///                                        campaign's; shards of different
+///                                        seeds, models or recovery settings
+///                                        are refused
 ///   cfed-stat latency FILE               detection-latency table from the
 ///                                        fault.latency.* histograms of a
 ///                                        campaign result or registry
@@ -545,6 +547,10 @@ std::string mergedToJson(const ShardResult &Merged, size_t NumFiles) {
   Out += ",\"num_shards\":" + std::to_string(Merged.NumShards);
   Out += ",\"shards_merged\":" + std::to_string(NumFiles);
   Out += ",\"seed\":" + std::to_string(Merged.Seed);
+  Out += ",\"model\":";
+  json::appendString(Out, Merged.Model);
+  if (Merged.Recovery)
+    Out += ",\"recovery\":true";
   Out += ",\"completed\":" + std::to_string(Merged.Completed);
   Out += ",\"skipped\":" + std::to_string(Merged.Skipped);
   Out += ",\"finished\":";
@@ -634,7 +640,7 @@ int cmdMerge(int Argc, char **Argv) {
   CampaignResult Result = campaignResultFromSnapshot(Merged.Registry);
   Table T;
   T.setHeader({"cell", "inj", "det-sig", "det-hw", "masked", "SDC",
-               "timeout"});
+               "timeout", "recovered", "rec-fail"});
   for (unsigned C = 0; C < NumBranchErrorCategories; ++C) {
     auto Cat = static_cast<BranchErrorCategory>(C);
     const OutcomeCounts &Row = Result.of(Cat);
@@ -643,7 +649,8 @@ int cmdMerge(int Argc, char **Argv) {
     T.addRow({getCategoryName(Cat), formatCount(Row.total()),
               formatCount(Row.DetectedSig), formatCount(Row.DetectedHw),
               formatCount(Row.Masked), formatCount(Row.Sdc),
-              formatCount(Row.Timeout)});
+              formatCount(Row.Timeout), formatCount(Row.Recovered),
+              formatCount(Row.RecoveryFailed)});
   }
   std::printf("%s", T.render().c_str());
   OutcomeCounts Totals = Result.totals();
@@ -654,14 +661,16 @@ int cmdMerge(int Argc, char **Argv) {
   // One fixed-format line the CI shard-invariance gate string-compares.
   std::printf("campaign-summary: injections=%llu detected_sig=%llu "
               "detected_hw=%llu masked=%llu sdc=%llu timeout=%llu "
-              "skipped=%llu\n",
+              "skipped=%llu recovered=%llu rec_fail=%llu\n",
               (unsigned long long)Result.Injections,
               (unsigned long long)Totals.DetectedSig,
               (unsigned long long)Totals.DetectedHw,
               (unsigned long long)Totals.Masked,
               (unsigned long long)Totals.Sdc,
               (unsigned long long)Totals.Timeout,
-              (unsigned long long)Merged.Skipped);
+              (unsigned long long)Merged.Skipped,
+              (unsigned long long)Totals.Recovered,
+              (unsigned long long)Totals.RecoveryFailed);
 
   // Propagation campaigns: render the merged funnel plus one fixed-format
   // line the CI shard-invariance gate string-compares against the

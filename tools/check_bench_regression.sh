@@ -120,6 +120,33 @@ fi
 echo "sharded campaign merge matches unsharded reference"
 echo "  $MERGED_SUM"
 
+# --- Sharded recovery-campaign smoke ----------------------------------------
+# The same comparison with every injection under checkpoint/rollback
+# recovery: the recovery plan hash, the Recovered/RecoveryFailed tallies
+# and the "recovery" result marker must survive the shard split, and the
+# merged campaign-summary (recovered=/rec_fail= included) must equal the
+# unsharded reference verbatim.
+"$BUILD/tools/cfed-run" --tech=edgcf --campaign=40 --seed=7 --jobs=2 \
+  --recover --campaign-out="$CAMP/recref.json" "$CAMP/smoke.s" >/dev/null
+for K in 0 1; do
+  "$BUILD/tools/cfed-run" --tech=edgcf --campaign=40 --seed=7 \
+    --jobs=$((K + 1)) --campaign-shard=$K/2 --recover \
+    --campaign-out="$CAMP/recshard$K.json" "$CAMP/smoke.s" >/dev/null
+done
+REC_REF=$("$BUILD/tools/cfed-stat" merge "$CAMP/recref.json" \
+          | grep '^campaign-summary:')
+REC_MERGED=$("$BUILD/tools/cfed-stat" merge "$CAMP/recshard0.json" \
+             "$CAMP/recshard1.json" | grep '^campaign-summary:')
+if [ "$REC_REF" != "$REC_MERGED" ]; then
+  echo "check_bench_regression: sharded recovery campaign merge diverged" \
+       "from the unsharded reference" >&2
+  echo "  unsharded: $REC_REF" >&2
+  echo "  merged:    $REC_MERGED" >&2
+  exit 1
+fi
+echo "sharded recovery campaign merge matches unsharded reference"
+echo "  $REC_MERGED"
+
 # --- Sharded propagation-tally smoke ----------------------------------------
 # The same 2-shard/unsharded comparison with fault-propagation tracking
 # on: every injection replays against the campaign's golden digest trace
