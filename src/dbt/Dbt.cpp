@@ -12,6 +12,7 @@
 #include "vm/Loader.h"
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 using namespace cfed;
@@ -763,52 +764,56 @@ namespace {
 constexpr uint64_t FnvOffset = 1469598103934665603ULL;
 constexpr uint64_t FnvPrime = 1099511628211ULL;
 
-void fnvFold(uint64_t &H, const uint8_t *Data, size_t N) {
-  for (size_t I = 0; I < N; ++I)
-    H = (H ^ Data[I]) * FnvPrime;
-}
-
-void fnvFold64(uint64_t &H, uint64_t V) {
-  uint8_t Bytes[8];
-  for (unsigned I = 0; I < 8; ++I)
-    Bytes[I] = static_cast<uint8_t>(V >> (I * 8));
-  fnvFold(H, Bytes, 8);
-}
+/// One FNV-style step over a whole 64-bit word. For a fixed word each
+/// step is a bijection of H (xor, then multiply by an odd prime), so two
+/// inputs that differ in exactly one word always fold to different values.
+void foldWord(uint64_t &H, uint64_t W) { H = (H ^ W) * FnvPrime; }
 
 } // namespace
 
 uint64_t Dbt::computeIntegrityWord(const TranslatedBlock &TB) const {
   uint64_t H = FnvOffset;
-  uint8_t Buf[256];
+  uint64_t Buf[32];
   uint64_t End = TB.CacheAddr + TB.CacheSize;
   for (uint64_t Addr = TB.CacheAddr; Addr < End;) {
     uint64_t Chunk = std::min<uint64_t>(sizeof(Buf), End - Addr);
     Mem.readRaw(Addr, Buf, Chunk);
-    fnvFold(H, Buf, Chunk);
+    // A size that is not a multiple of 8 (only a corrupted entry has
+    // one) folds its zero-padded tail as a last word.
+    if (Chunk % 8 != 0)
+      std::memset(reinterpret_cast<uint8_t *>(Buf) + Chunk, 0,
+                  8 - Chunk % 8);
+    for (uint64_t W = 0; W < (Chunk + 7) / 8; ++W)
+      foldWord(H, Buf[W]);
     Addr += Chunk;
   }
   // Sealed header: the entry metadata a flipped BlockTable slot would
   // change. Folding it into the same word makes one verification cover
   // both the emitted code and the table entry describing it.
-  fnvFold64(H, TB.GuestAddr);
-  fnvFold64(H, TB.CacheAddr);
-  fnvFold64(H, TB.CacheSize);
+  foldWord(H, TB.GuestAddr);
+  foldWord(H, TB.CacheAddr);
+  foldWord(H, TB.CacheSize);
   return H;
 }
 
+bool Dbt::isPlausibleBlock(const TranslatedBlock &TB) const {
+  // A flipped CacheAddr/CacheSize could point the hash walk outside the
+  // mapped cache region.
+  return TB.CacheAddr >= CacheBase && TB.CacheSize != 0 &&
+         TB.CacheAddr + TB.CacheSize >= TB.CacheAddr &&
+         TB.CacheAddr + TB.CacheSize <= CacheAlloc;
+}
+
 bool Dbt::verifyIntegrityWord(const TranslatedBlock &TB) const {
-  // Plausibility before hashing: a flipped CacheAddr/CacheSize could
-  // point the hash walk outside the mapped cache region.
-  if (TB.CacheAddr < CacheBase || TB.CacheSize == 0 ||
-      TB.CacheAddr + TB.CacheSize < TB.CacheAddr ||
-      TB.CacheAddr + TB.CacheSize > CacheAlloc)
-    return false;
-  return computeIntegrityWord(TB) == TB.IntegrityWord;
+  return isPlausibleBlock(TB) &&
+         computeIntegrityWord(TB) == TB.IntegrityWord;
 }
 
 void Dbt::resealBlocksContaining(uint64_t CacheAddr) {
+  // An implausible entry keeps its stale word: the next verification of
+  // it fails, which is the detection we want.
   for (TranslatedBlock &TB : BlockMap)
-    if (TB.containsCacheAddr(CacheAddr))
+    if (TB.containsCacheAddr(CacheAddr) && isPlausibleBlock(TB))
       TB.IntegrityWord = computeIntegrityWord(TB);
 }
 

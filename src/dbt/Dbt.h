@@ -489,14 +489,18 @@ private:
   /// never zero so a cleared entry cannot masquerade as sealed.
   static uint64_t ibtcCheckWord(uint64_t Guest, uint64_t Cache);
 
-  /// FNV-1a over the block's cache byte range plus its sealed entry
-  /// metadata (guest address, cache address, size).
+  /// FNV-style fold, one 64-bit word per step, over the block's cache
+  /// byte range plus its sealed entry metadata (guest address, cache
+  /// address, size).
   uint64_t computeIntegrityWord(const TranslatedBlock &TB) const;
+  /// True when \p TB's cache range lies inside the allocated cache, so
+  /// its integrity word can be computed at all.
+  bool isPlausibleBlock(const TranslatedBlock &TB) const;
   /// Plausibility-checks \p TB's metadata and recomputes its integrity
   /// word. False means the block (or its table entry) is corrupted.
   bool verifyIntegrityWord(const TranslatedBlock &TB) const;
-  /// Recomputes the integrity words of every live block whose range
-  /// contains \p CacheAddr (after a legitimate chain-patch write).
+  /// Recomputes the integrity words of every live, plausible block whose
+  /// range contains \p CacheAddr (after a legitimate chain-patch write).
   void resealBlocksContaining(uint64_t CacheAddr);
   /// Lazy per-dispatch verification of \p GuestTarget's block. Returns
   /// true when a mismatch was found and the unit was quarantined (the

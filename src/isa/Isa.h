@@ -17,6 +17,8 @@
 #ifndef CFED_ISA_ISA_H
 #define CFED_ISA_ISA_H
 
+#include "support/Diagnostics.h"
+
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -103,6 +105,22 @@ enum class Opcode : uint8_t {
 /// Number of defined opcodes.
 unsigned getNumOpcodes();
 
+/// Per-opcode tables the interpreter consults on every instruction,
+/// generated from Opcodes.def so they fold into the dispatch loop instead
+/// of costing an out-of-line call.
+namespace detail {
+inline constexpr uint8_t OpcodeCosts[] = {
+#define HANDLE_OPCODE(ENUM, MNEMONIC, SPEC, COST, WRITES_FLAGS, KIND) COST,
+#include "isa/Opcodes.def"
+};
+inline constexpr bool OpcodeHasOffset[] = {
+#define HANDLE_OPCODE(ENUM, MNEMONIC, SPEC, COST, WRITES_FLAGS, KIND)          \
+  KIND == OpKind::Jump || KIND == OpKind::CondJump ||                          \
+      KIND == OpKind::RegZeroJump || KIND == OpKind::Call,
+#include "isa/Opcodes.def"
+};
+} // namespace detail
+
 /// Returns the assembly mnemonic for \p Op.
 const char *getOpcodeMnemonic(Opcode Op);
 
@@ -110,7 +128,11 @@ const char *getOpcodeMnemonic(Opcode Op);
 const char *getOpcodeSpec(Opcode Op);
 
 /// Returns the cycle cost of \p Op in the performance model.
-unsigned getOpcodeCost(Opcode Op);
+inline unsigned getOpcodeCost(Opcode Op) {
+  assert(static_cast<unsigned>(Op) < sizeof(detail::OpcodeCosts) &&
+         "opcode out of range");
+  return detail::OpcodeCosts[static_cast<unsigned>(Op)];
+}
 
 /// Returns true if \p Op overwrites the FLAGS register.
 bool opcodeWritesFlags(Opcode Op);
@@ -124,7 +146,11 @@ bool isBlockTerminator(Opcode Op);
 
 /// Returns true if \p Op is a branch with a PC-relative offset encoded in
 /// the Imm field — the "address offset" fault sites of the error model.
-bool hasBranchOffset(Opcode Op);
+inline bool hasBranchOffset(Opcode Op) {
+  assert(static_cast<unsigned>(Op) < sizeof(detail::OpcodeHasOffset) &&
+         "opcode out of range");
+  return detail::OpcodeHasOffset[static_cast<unsigned>(Op)];
+}
 
 /// Condition codes, evaluated against FLAGS exactly like their IA-32
 /// counterparts.
@@ -201,7 +227,39 @@ struct Flags {
 };
 
 /// Evaluates condition \p CC against \p F.
-bool evalCondCode(CondCode CC, const Flags &F);
+inline bool evalCondCode(CondCode CC, const Flags &F) {
+  switch (CC) {
+  case CondCode::EQ:
+    return F.ZF;
+  case CondCode::NE:
+    return !F.ZF;
+  case CondCode::LT:
+    return F.SF != F.OF;
+  case CondCode::LE:
+    return F.ZF || F.SF != F.OF;
+  case CondCode::GT:
+    return !F.ZF && F.SF == F.OF;
+  case CondCode::GE:
+    return F.SF == F.OF;
+  case CondCode::B:
+    return F.CF;
+  case CondCode::BE:
+    return F.CF || F.ZF;
+  case CondCode::A:
+    return !F.CF && !F.ZF;
+  case CondCode::AE:
+    return !F.CF;
+  case CondCode::S:
+    return F.SF;
+  case CondCode::NS:
+    return !F.SF;
+  case CondCode::O:
+    return F.OF;
+  case CondCode::NO:
+    return !F.OF;
+  }
+  cfed_unreachable("covered switch");
+}
 
 /// One decoded VISA instruction. Fields A, B and C carry register numbers
 /// or a condition code depending on the opcode's operand spec; Imm carries
@@ -243,7 +301,20 @@ struct Instruction {
   }
 
   /// Condition code of a Jcc / CMov / SetCC instruction.
-  CondCode cond() const;
+  CondCode cond() const {
+    // The condition code binds to the field dictated by the operand spec:
+    // Jcc -> A, SetCC -> B, CMov -> C (see Opcodes.def).
+    switch (Op) {
+    case Opcode::Jcc:
+      return static_cast<CondCode>(A);
+    case Opcode::SetCC:
+      return static_cast<CondCode>(B);
+    case Opcode::CMov:
+      return static_cast<CondCode>(C);
+    default:
+      cfed_unreachable("opcode has no condition code");
+    }
+  }
 
   bool operator==(const Instruction &Other) const = default;
 };

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -55,29 +56,17 @@ uint64_t DigestRecorder::mixWindow(const uint64_t *W) {
   return mixWindowScalar(W);
 }
 
-void DigestRecorder::onMarker(uint32_t Slot, const uint64_t *Regs,
-                              const double *FpRegs, unsigned FlagBits) {
-  if (Slot >= Markers.size())
-    return;
-  const MarkerInfo &M = Markers[Slot];
-  if (!M.Capture) {
-    GuestRetired += M.Delta;
-    return;
-  }
-  captureRecord(GuestRetired + M.Delta, M.TermPC, M.Checked, Regs, FpRegs,
-                FlagBits);
-  GuestRetired += M.Delta + 1; // Body plus the terminator itself.
-}
-
-void DigestRecorder::captureRecord(uint64_t Key, uint64_t TermPC, bool Checked,
-                                   const uint64_t *Regs, const double *FpRegs,
-                                   unsigned FlagBits) {
+template <uint64_t (*Mix)(const uint64_t *)>
+[[gnu::always_inline]] inline void
+DigestRecorder::stageRecord(uint64_t Key, uint64_t TermPC, bool Checked,
+                            const uint64_t *Regs, const double *FpRegs,
+                            unsigned FlagBits) {
   // Capture cost sets the digest_overhead gate, so the fold is built
   // around one rotate-and-XOR pre-mix of the whole 16-word register
   // window (vectorized on AVX-512 hosts) per multiply: two to three
   // multiplies per capture total, versus one per word for a naive
   // FNV-over-words.
-  uint64_t R = foldWord(FnvOffset, mixWindow(Regs));
+  uint64_t R = foldWord(FnvOffset, Mix(Regs));
   // The FP file is folded only once it has been written this run (see
   // noteFpWrite): the flag's history is tier-identical, FpActive
   // itself rides in the Misc word so a faulted path that first touches
@@ -86,26 +75,80 @@ void DigestRecorder::captureRecord(uint64_t Key, uint64_t TermPC, bool Checked,
   if (FpActive) {
     uint64_t FpBits[NumDigestFpRegs];
     std::memcpy(FpBits, FpRegs, sizeof(FpBits));
-    R = foldWord(R, mixWindow(FpBits));
+    R = foldWord(R, Mix(FpBits));
   }
   // StoreAcc/OutAcc are already multiply-mixed, and the low-entropy
   // FLAGS/count fields ride on disjoint shifts, so one fold suffices
   // for the whole summary word.
   uint64_t Misc = FlagBits ^ FpActive << 8 ^ StoreCount << 9 ^
                   OutLen << 48 ^ rotl(StoreAcc, 16) ^ rotl(OutAcc, 40);
-  uint64_t H = foldWord(R, Misc);
-  Staged.push_back(
-      StagedRecord{Key | (Checked ? StagedCheckedBit : 0), TermPC, H});
+  *StagedNext++ = StagedRecord{Key | (Checked ? StagedCheckedBit : 0),
+                               TermPC, foldWord(R, Misc)};
   // The store summary is a per-boundary delta; output is cumulative.
   StoreAcc = FnvOffset;
   StoreCount = 0;
 }
 
-void DigestRecorder::materialize() {
-  if (Staged.empty())
+template <uint64_t (*Mix)(const uint64_t *)>
+[[gnu::always_inline]] inline void
+DigestRecorder::markerCapture(uint32_t Slot, const uint64_t *Regs,
+                              const double *FpRegs, unsigned FlagBits) {
+  if (Slot >= Markers.size())
     return;
-  Records.reserve(Records.size() + Staged.size());
-  for (const StagedRecord &S : Staged) {
+  const MarkerInfo &M = Markers[Slot];
+  uint64_t Key = GuestRetired + M.Delta;
+  if (!M.Capture) {
+    GuestRetired = Key;
+    return;
+  }
+  GuestRetired = Key + 1; // Body plus the terminator itself.
+  // A live FP file or a full staging buffer leaves through
+  // captureRecord (which grows the buffer). Every other capture is a
+  // leaf: no call and no stack array, so no callee-saved register
+  // spills around it.
+  if (FpActive || StagedNext == StagedEnd)
+    return captureRecord(Key, M.TermPC, M.Checked, Regs, FpRegs, FlagBits);
+  stageRecord<Mix>(Key, M.TermPC, M.Checked, Regs, FpRegs, FlagBits);
+}
+
+#if CFED_DIGEST_AVX512
+// The marker capture with mixWindowAvx512 inlined; the target attribute
+// lets the vector code sit in the leaf instead of behind a call.
+__attribute__((target("avx512f"))) void
+DigestRecorder::markerCaptureAvx512(uint32_t Slot, const uint64_t *Regs,
+                                    const double *FpRegs, unsigned FlagBits) {
+  markerCapture<mixWindowAvx512>(Slot, Regs, FpRegs, FlagBits);
+}
+#endif
+
+void DigestRecorder::onMarker(uint32_t Slot, const uint64_t *Regs,
+                              const double *FpRegs, unsigned FlagBits) {
+#if CFED_DIGEST_AVX512
+  if (UseAvx512)
+    return markerCaptureAvx512(Slot, Regs, FpRegs, FlagBits);
+#endif
+  markerCapture<mixWindowScalar>(Slot, Regs, FpRegs, FlagBits);
+}
+
+void DigestRecorder::captureRecord(uint64_t Key, uint64_t TermPC, bool Checked,
+                                   const uint64_t *Regs, const double *FpRegs,
+                                   unsigned FlagBits) {
+  if (StagedNext == StagedEnd) {
+    size_t Len = StagedNext - Staged.data();
+    Staged.resize(std::max<size_t>(1024, 2 * Staged.size()));
+    StagedNext = Staged.data() + Len;
+    StagedEnd = Staged.data() + Staged.size();
+  }
+  stageRecord<mixWindow>(Key, TermPC, Checked, Regs, FpRegs, FlagBits);
+}
+
+void DigestRecorder::materialize() {
+  size_t StagedLen = StagedNext - Staged.data();
+  if (StagedLen == 0)
+    return;
+  Records.reserve(Records.size() + StagedLen);
+  for (size_t I = 0; I < StagedLen; ++I) {
+    const StagedRecord &S = Staged[I];
     DigestRecord R;
     R.Key = S.KeyAndChecked & ~StagedCheckedBit;
     R.TermPC = S.TermPC;
@@ -115,7 +158,7 @@ void DigestRecorder::materialize() {
     PrevChain = R.Chain;
     Records.push_back(R);
   }
-  Staged.clear();
+  StagedNext = Staged.data();
 }
 
 const char *telemetry::getPropClassName(PropClass C) {

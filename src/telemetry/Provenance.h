@@ -105,6 +105,10 @@ public:
   static constexpr uint64_t FnvOffset = 0xcbf29ce484222325ULL;
   static constexpr uint64_t FnvPrime = 0x100000001b3ULL;
 
+  DigestRecorder() = default;
+  DigestRecorder(const DigestRecorder &) = delete;
+  DigestRecorder &operator=(const DigestRecorder &) = delete;
+
   /// One multiply per folded word; the byte-at-a-time FNV would put the
   /// capture cost well past the digest_overhead gate.
   static uint64_t foldWord(uint64_t H, uint64_t V) {
@@ -170,7 +174,8 @@ public:
   /// Marker-mode capture from a planted Digest instruction. Out of
   /// line (Provenance.cpp) together with captureRecord: the interpreter
   /// pays one call per marker and keeps the capture body out of its
-  /// dispatch loop's code footprint.
+  /// dispatch loop's code footprint. The call lands in a leaf with the
+  /// host's window mix compiled in (markerCapture).
   void onMarker(uint32_t Slot, const uint64_t *Regs, const double *FpRegs,
                 unsigned FlagBits);
 
@@ -206,7 +211,7 @@ public:
   /// accumulators) while keeping the marker table.
   void resetRun() {
     Records.clear();
-    Staged.clear();
+    StagedNext = Staged.data();
     GuestRetired = 0;
     PrevChain = FnvOffset;
     StoreAcc = FnvOffset;
@@ -257,10 +262,22 @@ private:
 
   /// Out of line (Provenance.cpp): the capture body is large enough
   /// that inlining it into the interpreter's dispatch loop costs more
-  /// in code footprint than the call costs in overhead.
+  /// in code footprint than the call costs in overhead. Grows the
+  /// staging buffer when it is full.
   void captureRecord(uint64_t Key, uint64_t TermPC, bool Checked,
                      const uint64_t *Regs, const double *FpRegs,
                      unsigned FlagBits);
+  /// The capture body with window mix \p Mix; needs a free staging slot.
+  template <uint64_t (*Mix)(const uint64_t *)>
+  void stageRecord(uint64_t Key, uint64_t TermPC, bool Checked,
+                   const uint64_t *Regs, const double *FpRegs,
+                   unsigned FlagBits);
+  /// onMarker's body with window mix \p Mix, and its AVX-512 build.
+  template <uint64_t (*Mix)(const uint64_t *)>
+  void markerCapture(uint32_t Slot, const uint64_t *Regs,
+                     const double *FpRegs, unsigned FlagBits);
+  void markerCaptureAvx512(uint32_t Slot, const uint64_t *Regs,
+                           const double *FpRegs, unsigned FlagBits);
 
   /// Folds the chain over the staged records and appends them to
   /// Records (Provenance.cpp). Idempotent between captures; incremental
@@ -270,7 +287,14 @@ private:
   Mode CaptureMode = Mode::Interp;
   std::vector<MarkerInfo> Markers;
   std::vector<DigestRecord> Records;
+  /// [Staged.data(), StagedNext) are the staged records and StagedEnd
+  /// is the end of the buffer. The buffer only grows (captureRecord),
+  /// so a capture writes through a pointer instead of paying
+  /// push_back's reallocation path; the pointers are why the recorder
+  /// cannot be copied.
   std::vector<StagedRecord> Staged;
+  StagedRecord *StagedNext = nullptr;
+  StagedRecord *StagedEnd = nullptr;
   uint64_t GuestRetired = 0;
   uint64_t PrevChain = FnvOffset;
   uint64_t StoreAcc = FnvOffset;

@@ -65,6 +65,7 @@ uint64_t cfed::hashOutput(const std::string &Data) {
 void Interpreter::resetCounters() {
   Insns = 0;
   Cycles = 0;
+  FusedInsns = 0;
   OutputBuffer.clear();
 }
 
@@ -86,6 +87,7 @@ void Interpreter::publishMetrics(telemetry::MetricsRegistry &Registry) const {
   Registry.gauge("vm.predecode_misses").set(Misses);
   if (Hits + Misses > 0)
     Registry.gauge("vm.predecode_hit_rate").set(Hits / (Hits + Misses));
+  Registry.gauge("vm.fused_insns").set(static_cast<double>(FusedInsns));
 }
 
 std::string cfed::formatTrapDiagnostic(const StopInfo &Stop,
@@ -160,6 +162,66 @@ int64_t signedRem(int64_t A, int64_t B) {
   return A % B;
 }
 
+uint64_t immValue(const Instruction &I) {
+  return static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
+}
+
+/// The value a flag-neutral register op writes to its A register. These
+/// ops read only registers and cannot trap, which is what lets a fused
+/// run (see the Lea handler) retire them without their own dispatch.
+template <Opcode Op>
+uint64_t regOpValue(const Instruction &I, const uint64_t *Regs) {
+  if constexpr (Op == Opcode::Lea)
+    return Regs[I.B] + immValue(I);
+  else if constexpr (Op == Opcode::LeaR)
+    return Regs[I.B] + Regs[I.C];
+  else if constexpr (Op == Opcode::Not)
+    return ~Regs[I.B];
+  else if constexpr (Op == Opcode::Mov)
+    return Regs[I.B];
+  else {
+    static_assert(Op == Opcode::MovI, "not a flag-neutral register op");
+    return immValue(I);
+  }
+}
+
+/// regOpValue for a runtime opcode; false when \p I is not one of them.
+/// Forced inline: a call per instruction would undo the fused run.
+[[gnu::always_inline]] inline bool
+evalRegOp(const Instruction &I, const uint64_t *Regs, uint64_t &Value) {
+  switch (I.Op) {
+  case Opcode::Lea:
+    Value = regOpValue<Opcode::Lea>(I, Regs);
+    return true;
+  case Opcode::LeaR:
+    Value = regOpValue<Opcode::LeaR>(I, Regs);
+    return true;
+  case Opcode::Not:
+    Value = regOpValue<Opcode::Not>(I, Regs);
+    return true;
+  case Opcode::Mov:
+    Value = regOpValue<Opcode::Mov>(I, Regs);
+    return true;
+  case Opcode::MovI:
+    Value = regOpValue<Opcode::MovI>(I, Regs);
+    return true;
+  default:
+    return false;
+  }
+}
+
+bool isCondBranch(Opcode Op) {
+  return Op == Opcode::Jcc || Op == Opcode::Jzr || Op == Opcode::Jnzr;
+}
+
+/// Direction of a Jcc/Jzr/Jnzr against the architectural state.
+[[gnu::always_inline]] inline bool
+condBranchTaken(const Instruction &I, const uint64_t *Regs, const Flags &F) {
+  if (I.Op == Opcode::Jcc)
+    return evalCondCode(I.cond(), F);
+  return (Regs[I.A] == 0) == (I.Op == Opcode::Jzr);
+}
+
 } // namespace
 
 // Dispatch strategy. On compilers with labels-as-values (GCC/Clang) the run
@@ -184,8 +246,39 @@ int64_t signedRem(int64_t A, int64_t B) {
 #define OP_BREAK goto next_insn
 
 StopInfo Interpreter::run(uint64_t MaxInsns) {
+  // The three per-instruction hooks select the hooked instantiation; the
+  // hook-free one skips their tests and fuses runs of check code. Hooks that
+  // act only inside their own opcode handlers (DbtHooks, BlockProfile,
+  // DigestRecorder) stay runtime checks in both.
+  if (PreInsn || Fault || Profiler)
+    return runLoop<true>(MaxInsns);
+  return runLoop<false>(MaxInsns);
+}
+
+template <bool Hooked> StopInfo Interpreter::runLoop(uint64_t MaxInsns) {
   StopInfo Stop;
   uint64_t Budget = MaxInsns;
+
+  // Progress counters and the PC live in locals across the loop: a guest
+  // register store goes through a uint64_t pointer the compiler must
+  // assume aliases the members, so member counters would cost a memory
+  // round trip per instruction. SYNC_COUNTERS publishes them before any
+  // code outside the loop can look — DbtHooks (whose tracer clock reads
+  // instructionCount()) and the exit. The hooked loop counts in the
+  // members directly, where its hooks read and rewind them. (Lambdas would
+  // take the locals' addresses and pin them in memory; hence macros.)
+  uint64_t LocalInsns = Insns, LocalCycles = Cycles, LocalHits = 0,
+           LocalFused = 0;
+  uint64_t &NInsns = Hooked ? Insns : LocalInsns;
+  uint64_t &NCycles = Hooked ? Cycles : LocalCycles;
+#define SYNC_COUNTERS()                                                        \
+  do {                                                                         \
+    Insns = NInsns;                                                            \
+    Cycles = NCycles;                                                          \
+    Mem.notePredecodeHits(LocalHits);                                          \
+    FusedInsns += LocalFused;                                                  \
+    LocalHits = LocalFused = 0;                                                \
+  } while (0)
 
   // Digest capture (DESIGN.md §14). DRec drives the mode-independent
   // store/output summaries and the Digest markers; DXfer is non-null
@@ -200,47 +293,68 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
       DRec->noteFpWrite();
   };
 
-  auto MakeTrap = [&](TrapKind Kind, uint64_t TrapAddr,
-                      int32_t BreakCode = 0) {
+  auto MakeTrap = [&Stop, this](TrapKind Kind, uint64_t TrapAddr,
+                                int32_t BreakCode = 0) {
     Stop.Kind = StopKind::Trapped;
     Stop.Trap = Kind;
     Stop.TrapAddr = TrapAddr;
     Stop.BreakCode = BreakCode;
     Stop.PC = State.PC;
-    return Stop;
   };
+  // Every stop leaves through `stopped`, which publishes the counters.
+#define TRAP(...)                                                              \
+  do {                                                                         \
+    MakeTrap(__VA_ARGS__);                                                     \
+    goto stopped;                                                              \
+  } while (0)
+  // A store that hit a write-protected page is retried when the DBT handled
+  // the fault (self-modifying code).
+#define RETRY_IF_DBT_HANDLED(R, Addr)                                          \
+  if (R == MemResult::NoWrite && Dbt) {                                        \
+    SYNC_COUNTERS();                                                           \
+    if (Dbt->onWriteViolation(Addr)) {                                         \
+      State.PC = PC;                                                           \
+      continue;                                                                \
+    }                                                                          \
+  }
 
+  uint64_t PC = State.PC;
   while (Budget-- > 0) {
-    uint64_t PC = State.PC;
     // Fast path: the predecode cache hands back a decoded record for
     // aligned PCs on executable pages without touching the bytes.
-    MemResult Fetch = MemResult::Ok;
-    const Instruction *Pre = Mem.fetchDecoded(PC, Fetch);
-    if (Fetch != MemResult::Ok)
-      return MakeTrap(TrapKind::ExecViolation, PC);
+    const Instruction *Pre = Mem.peekDecoded(PC);
     Instruction I;
     if (Pre) {
+      ++LocalHits;
       I = *Pre;
     } else {
-      // Slow path: misaligned PC (may straddle pages) or bytes that do
-      // not decode. Reproduces the exact trap semantics of a raw fetch.
-      uint8_t Raw[InsnSize];
-      Fetch = Mem.fetch(PC, Raw, InsnSize);
+      MemResult Fetch = MemResult::Ok;
+      Pre = Mem.fetchDecoded(PC, Fetch);
       if (Fetch != MemResult::Ok)
-        return MakeTrap(TrapKind::ExecViolation, PC);
-      auto Decoded = Instruction::decode(Raw);
-      if (!Decoded)
-        return MakeTrap(TrapKind::IllegalInsn, PC);
-      I = *Decoded;
+        TRAP(TrapKind::ExecViolation, PC);
+      if (Pre) {
+        I = *Pre;
+      } else {
+        // Slow path: misaligned PC (may straddle pages) or bytes that do
+        // not decode. Reproduces the exact trap semantics of a raw fetch.
+        uint8_t Raw[InsnSize];
+        Fetch = Mem.fetch(PC, Raw, InsnSize);
+        if (Fetch != MemResult::Ok)
+          TRAP(TrapKind::ExecViolation, PC);
+        auto Decoded = Instruction::decode(Raw);
+        if (!Decoded)
+          TRAP(TrapKind::IllegalInsn, PC);
+        I = *Decoded;
+      }
     }
 
-    ++Insns;
-    Cycles += getOpcodeCost(I.Op);
+    ++NInsns;
+    NCycles += getOpcodeCost(I.Op);
 
     // Digest markers are invisible to hooks: register-fault injectors
     // count executed instructions to pick their injection instant, and
     // that instant must not shift when digest capture is enabled.
-    if (PreInsn && I.Op != Opcode::Digest)
+    if (Hooked && PreInsn && I.Op != Opcode::Digest)
       PreInsn->onInsn(PC, I, State);
 
     uint64_t *Regs = State.Regs;
@@ -252,9 +366,12 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
     // hook may flip offset bits (I.Imm) or the flag bits this branch sees
     // (BranchFlags). The architectural FLAGS register is not modified —
     // the model is a transient upset at the branch (Section 2).
-    Flags BranchFlags = F;
-    if (Fault && hasBranchOffset(I.Op))
-      Fault->apply(PC, I, BranchFlags, State);
+    Flags BranchFlags;
+    if (Hooked) {
+      BranchFlags = F;
+      if (Fault && hasBranchOffset(I.Op))
+        Fault->apply(PC, I, BranchFlags, State);
+    }
 
 #if CFED_COMPUTED_GOTO
     // One entry per opcode, in Opcodes.def order — identical to the
@@ -273,14 +390,14 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
       OP_BREAK;
     OP_CASE(Halt):
       if (DXfer)
-        DXfer->onTransfer(Insns - 1, PC, Regs, Fp, F.pack());
+        DXfer->onTransfer(NInsns - 1, PC, Regs, Fp, F.pack());
       Stop.Kind = StopKind::Halted;
       Stop.PC = PC;
-      return Stop;
+      goto stopped;
     OP_CASE(Brk):
       if (DXfer)
-        DXfer->onTransfer(Insns - 1, PC, Regs, Fp, F.pack());
-      return MakeTrap(TrapKind::BreakTrap, PC, I.Imm);
+        DXfer->onTransfer(NInsns - 1, PC, Regs, Fp, F.pack());
+      TRAP(TrapKind::BreakTrap, PC, I.Imm);
     OP_CASE(Out): {
       // Decimal append without the printf round-trip: Out sits inside the
       // run loop of every workload.
@@ -359,7 +476,7 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
     OP_CASE(Div): {
       int64_t B = static_cast<int64_t>(Regs[I.C]);
       if (B == 0)
-        return MakeTrap(TrapKind::DivByZero, PC);
+        TRAP(TrapKind::DivByZero, PC);
       Regs[I.A] = static_cast<uint64_t>(
           signedDiv(static_cast<int64_t>(Regs[I.B]), B));
       OP_BREAK;
@@ -367,7 +484,7 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
     OP_CASE(Rem): {
       int64_t B = static_cast<int64_t>(Regs[I.C]);
       if (B == 0)
-        return MakeTrap(TrapKind::DivByZero, PC);
+        TRAP(TrapKind::DivByZero, PC);
       Regs[I.A] = static_cast<uint64_t>(
           signedRem(static_cast<int64_t>(Regs[I.B]), B));
       OP_BREAK;
@@ -417,16 +534,55 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
     }
 
     OP_CASE(Lea):
-      Regs[I.A] = Regs[I.B] + static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-      OP_BREAK;
+      Regs[I.A] = regOpValue<Opcode::Lea>(I, Regs);
+      goto run_on;
     OP_CASE(LeaR):
-      Regs[I.A] = Regs[I.B] + Regs[I.C];
-      OP_BREAK;
+      Regs[I.A] = regOpValue<Opcode::LeaR>(I, Regs);
+      goto run_on;
+    OP_CASE(Not):
+      Regs[I.A] = regOpValue<Opcode::Not>(I, Regs);
+      goto run_on;
     OP_CASE(Mov):
-      Regs[I.A] = Regs[I.B];
-      OP_BREAK;
+      Regs[I.A] = regOpValue<Opcode::Mov>(I, Regs);
+      goto run_on;
     OP_CASE(MovI):
-      Regs[I.A] = static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
+      Regs[I.A] = regOpValue<Opcode::MovI>(I, Regs);
+    run_on:
+      // Superinstruction for the translator's check code (DESIGN.md §6).
+      // After an instruction that writes no memory and no flags, retire
+      // the next slots of its page without dispatching them while they
+      // are flag-neutral register ops or Prof markers, and end the run
+      // with the first conditional branch, retired too. Any other
+      // opcode, the page end or the end of the budget ends it first.
+      // Only where nothing can observe the seams (no per-insn hook, no
+      // interp-mode digest capture), so counts, cycles, predecode hits
+      // and stops are those of one dispatch per instruction. The slot
+      // array stays valid because nothing in a run writes memory.
+      if (!Hooked && !DXfer && Pre) {
+        for (const Instruction *J = Pre + 1;
+             Budget > 0 && NextPC % PageSize != 0; ++J) {
+          uint64_t Value;
+          bool RegOp = evalRegOp(*J, Regs, Value);
+          bool Branch = isCondBranch(J->Op);
+          if (!RegOp && !Branch && J->Op != Opcode::Prof)
+            break;
+          --Budget;
+          ++NInsns;
+          NCycles += getOpcodeCost(J->Op);
+          ++LocalHits;
+          ++LocalFused;
+          if (Branch) {
+            NextPC = condBranchTaken(*J, Regs, F) ? J->branchTarget(NextPC)
+                                                  : NextPC + InsnSize;
+            break;
+          }
+          if (RegOp)
+            Regs[J->A] = Value;
+          else if (BlockProf)
+            BlockProf->bump(static_cast<uint32_t>(J->Imm));
+          NextPC += InsnSize;
+        }
+      }
       OP_BREAK;
     OP_CASE(MovHi):
       Regs[I.A] = (Regs[I.A] & 0xffffffffULL) |
@@ -438,9 +594,6 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
       setFlagsSub(F, 0, B, R);
       OP_BREAK;
     }
-    OP_CASE(Not):
-      Regs[I.A] = ~Regs[I.B];
-      OP_BREAK;
 
     OP_CASE(Cmp): {
       uint64_t A = Regs[I.A], B = Regs[I.B];
@@ -469,19 +622,16 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
       uint64_t Addr = Regs[I.B] + static_cast<int64_t>(I.Imm);
       uint64_t Value = Mem.read64(Addr, R);
       if (R != MemResult::Ok)
-        return MakeTrap(TrapKind::ReadViolation, Addr);
+        TRAP(TrapKind::ReadViolation, Addr);
       Regs[I.A] = Value;
       OP_BREAK;
     }
     OP_CASE(St): {
       uint64_t Addr = Regs[I.A] + static_cast<int64_t>(I.Imm);
       MemResult R = Mem.write64(Addr, Regs[I.B]);
-      if (R == MemResult::NoWrite && Dbt && Dbt->onWriteViolation(Addr)) {
-        State.PC = PC; // Retry the store after the DBT handled the fault.
-        continue;
-      }
+      RETRY_IF_DBT_HANDLED(R, Addr);
       if (R != MemResult::Ok)
-        return MakeTrap(TrapKind::WriteViolation, Addr);
+        TRAP(TrapKind::WriteViolation, Addr);
       // Note the store only after it succeeded: the SMC retry path above
       // re-executes the instruction and must not double-count it.
       if (DRec)
@@ -493,19 +643,16 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
       uint64_t Addr = Regs[I.B] + static_cast<int64_t>(I.Imm);
       uint8_t Value = Mem.read8(Addr, R);
       if (R != MemResult::Ok)
-        return MakeTrap(TrapKind::ReadViolation, Addr);
+        TRAP(TrapKind::ReadViolation, Addr);
       Regs[I.A] = Value;
       OP_BREAK;
     }
     OP_CASE(StB): {
       uint64_t Addr = Regs[I.A] + static_cast<int64_t>(I.Imm);
       MemResult R = Mem.write8(Addr, static_cast<uint8_t>(Regs[I.B]));
-      if (R == MemResult::NoWrite && Dbt && Dbt->onWriteViolation(Addr)) {
-        State.PC = PC;
-        continue;
-      }
+      RETRY_IF_DBT_HANDLED(R, Addr);
       if (R != MemResult::Ok)
-        return MakeTrap(TrapKind::WriteViolation, Addr);
+        TRAP(TrapKind::WriteViolation, Addr);
       if (DRec)
         DRec->noteStore(Addr, Regs[I.B] & 0xff);
       OP_BREAK;
@@ -514,7 +661,7 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
       Regs[RegSP] -= 8;
       MemResult R = Mem.write64(Regs[RegSP], Regs[I.A]);
       if (R != MemResult::Ok)
-        return MakeTrap(TrapKind::WriteViolation, Regs[RegSP]);
+        TRAP(TrapKind::WriteViolation, Regs[RegSP]);
       if (DRec)
         DRec->noteStore(Regs[RegSP], Regs[I.A]);
       OP_BREAK;
@@ -523,7 +670,7 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
       MemResult R = MemResult::Ok;
       uint64_t Value = Mem.read64(Regs[RegSP], R);
       if (R != MemResult::Ok)
-        return MakeTrap(TrapKind::ReadViolation, Regs[RegSP]);
+        TRAP(TrapKind::ReadViolation, Regs[RegSP]);
       Regs[I.A] = Value;
       Regs[RegSP] += 8;
       OP_BREAK;
@@ -531,9 +678,9 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
 
     OP_CASE(Jmp):
       if (DXfer)
-        DXfer->onTransfer(Insns - 1, PC, Regs, Fp, F.pack());
+        DXfer->onTransfer(NInsns - 1, PC, Regs, Fp, F.pack());
       NextPC = I.branchTarget(PC);
-      if (Profiler)
+      if (Hooked && Profiler)
         Profiler->onBranch(PC, I, BranchFlags, true, NextPC);
       OP_BREAK;
     OP_CASE(Jcc): {
@@ -541,31 +688,31 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
       // possibly fault-perturbed view: the error model is a transient
       // upset at the branch, not a FLAGS corruption.
       if (DXfer)
-        DXfer->onTransfer(Insns - 1, PC, Regs, Fp, F.pack());
-      bool Taken = evalCondCode(I.cond(), BranchFlags);
+        DXfer->onTransfer(NInsns - 1, PC, Regs, Fp, F.pack());
+      bool Taken = evalCondCode(I.cond(), Hooked ? BranchFlags : F);
       if (Taken)
         NextPC = I.branchTarget(PC);
-      if (Profiler)
+      if (Hooked && Profiler)
         Profiler->onBranch(PC, I, BranchFlags, Taken, NextPC);
       OP_BREAK;
     }
     OP_CASE(Jzr): {
       if (DXfer)
-        DXfer->onTransfer(Insns - 1, PC, Regs, Fp, F.pack());
+        DXfer->onTransfer(NInsns - 1, PC, Regs, Fp, F.pack());
       bool Taken = Regs[I.A] == 0;
       if (Taken)
         NextPC = I.branchTarget(PC);
-      if (Profiler)
+      if (Hooked && Profiler)
         Profiler->onBranch(PC, I, BranchFlags, Taken, NextPC);
       OP_BREAK;
     }
     OP_CASE(Jnzr): {
       if (DXfer)
-        DXfer->onTransfer(Insns - 1, PC, Regs, Fp, F.pack());
+        DXfer->onTransfer(NInsns - 1, PC, Regs, Fp, F.pack());
       bool Taken = Regs[I.A] != 0;
       if (Taken)
         NextPC = I.branchTarget(PC);
-      if (Profiler)
+      if (Hooked && Profiler)
         Profiler->onBranch(PC, I, BranchFlags, Taken, NextPC);
       OP_BREAK;
     }
@@ -573,25 +720,25 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
       // Capture precedes the return-address push, matching the DBT's
       // marker placement (before the translator's MovI/Push lowering).
       if (DXfer)
-        DXfer->onTransfer(Insns - 1, PC, Regs, Fp, F.pack());
+        DXfer->onTransfer(NInsns - 1, PC, Regs, Fp, F.pack());
       Regs[RegSP] -= 8;
       MemResult R = Mem.write64(Regs[RegSP], PC + InsnSize);
       if (R != MemResult::Ok)
-        return MakeTrap(TrapKind::WriteViolation, Regs[RegSP]);
+        TRAP(TrapKind::WriteViolation, Regs[RegSP]);
       if (DRec)
         DRec->noteStore(Regs[RegSP], PC + InsnSize);
       NextPC = I.branchTarget(PC);
-      if (Profiler)
+      if (Hooked && Profiler)
         Profiler->onBranch(PC, I, BranchFlags, true, NextPC);
       OP_BREAK;
     }
     OP_CASE(CallR): {
       if (DXfer)
-        DXfer->onTransfer(Insns - 1, PC, Regs, Fp, F.pack());
+        DXfer->onTransfer(NInsns - 1, PC, Regs, Fp, F.pack());
       Regs[RegSP] -= 8;
       MemResult R = Mem.write64(Regs[RegSP], PC + InsnSize);
       if (R != MemResult::Ok)
-        return MakeTrap(TrapKind::WriteViolation, Regs[RegSP]);
+        TRAP(TrapKind::WriteViolation, Regs[RegSP]);
       if (DRec)
         DRec->noteStore(Regs[RegSP], PC + InsnSize);
       NextPC = Regs[I.A];
@@ -599,16 +746,16 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
     }
     OP_CASE(JmpR):
       if (DXfer)
-        DXfer->onTransfer(Insns - 1, PC, Regs, Fp, F.pack());
+        DXfer->onTransfer(NInsns - 1, PC, Regs, Fp, F.pack());
       NextPC = Regs[I.A];
       OP_BREAK;
     OP_CASE(Ret): {
       if (DXfer)
-        DXfer->onTransfer(Insns - 1, PC, Regs, Fp, F.pack());
+        DXfer->onTransfer(NInsns - 1, PC, Regs, Fp, F.pack());
       MemResult R = MemResult::Ok;
       uint64_t Target = Mem.read64(Regs[RegSP], R);
       if (R != MemResult::Ok)
-        return MakeTrap(TrapKind::ReadViolation, Regs[RegSP]);
+        TRAP(TrapKind::ReadViolation, Regs[RegSP]);
       Regs[RegSP] += 8;
       NextPC = Target;
       OP_BREAK;
@@ -667,7 +814,7 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
       uint64_t Addr = Regs[I.B] + static_cast<int64_t>(I.Imm);
       uint64_t Bits = Mem.read64(Addr, R);
       if (R != MemResult::Ok)
-        return MakeTrap(TrapKind::ReadViolation, Addr);
+        TRAP(TrapKind::ReadViolation, Addr);
       double Value;
       static_assert(sizeof(Value) == sizeof(Bits));
       __builtin_memcpy(&Value, &Bits, sizeof(Value));
@@ -680,12 +827,9 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
       uint64_t Bits;
       __builtin_memcpy(&Bits, &Fp[I.B], sizeof(Bits));
       MemResult R = Mem.write64(Addr, Bits);
-      if (R == MemResult::NoWrite && Dbt && Dbt->onWriteViolation(Addr)) {
-        State.PC = PC;
-        continue;
-      }
+      RETRY_IF_DBT_HANDLED(R, Addr);
       if (R != MemResult::Ok)
-        return MakeTrap(TrapKind::WriteViolation, Addr);
+        TRAP(TrapKind::WriteViolation, Addr);
       if (DRec)
         DRec->noteStore(Addr, Bits);
       OP_BREAK;
@@ -707,14 +851,16 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
 
     OP_CASE(Tramp): {
       if (!Dbt)
-        return MakeTrap(TrapKind::IllegalInsn, PC);
+        TRAP(TrapKind::IllegalInsn, PC);
+      SYNC_COUNTERS();
       NextPC = Dbt->onDirectExit(PC, static_cast<uint64_t>(
                                          static_cast<int64_t>(I.Imm)));
       OP_BREAK;
     }
     OP_CASE(TrampR): {
       if (!Dbt)
-        return MakeTrap(TrapKind::IllegalInsn, PC);
+        TRAP(TrapKind::IllegalInsn, PC);
+      SYNC_COUNTERS();
       NextPC = Dbt->onIndirectExit(PC, Regs[I.A]);
       OP_BREAK;
     }
@@ -732,10 +878,14 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
       // run with digests enabled truncates, injects faults and counts
       // latencies at exactly the same guest instants as one without.
       ++Budget;
-      --Insns;
+      --NInsns;
       if (DRec)
         DRec->onMarker(static_cast<uint32_t>(I.Imm), Regs, Fp, F.pack());
-      OP_BREAK;
+      // The marker writes no memory and no flags, so a fused run goes on
+      // after it: markers sit right before a block's signature update,
+      // and without the run a digest-recording run would pay one more
+      // dispatch per block than the same run without digests.
+      goto run_on;
     }
 #if !CFED_COMPUTED_GOTO
     }
@@ -743,12 +893,18 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
 
   next_insn:
     State.PC = NextPC;
+    PC = NextPC;
   }
 
   Stop.Kind = StopKind::InsnLimit;
   Stop.PC = State.PC;
+stopped:
+  SYNC_COUNTERS();
   return Stop;
 }
 
 #undef OP_CASE
 #undef OP_BREAK
+#undef SYNC_COUNTERS
+#undef TRAP
+#undef RETRY_IF_DBT_HANDLED

@@ -209,6 +209,9 @@ public:
   uint64_t instructionCount() const { return Insns; }
   /// Weighted cycle count so far (the performance-model metric).
   uint64_t cycleCount() const { return Cycles; }
+  /// Instructions retired so far by a fused run of check code, without a
+  /// dispatch of their own (they count in instructionCount() as usual).
+  uint64_t fusedInsnCount() const { return FusedInsns; }
 
   /// Program output accumulated by Out/OutC instructions.
   const std::string &output() const { return OutputBuffer; }
@@ -231,6 +234,10 @@ public:
   void publishMetrics(telemetry::MetricsRegistry &Registry) const;
 
 private:
+  /// The run loop, instantiated with and without the per-instruction
+  /// hooks (PreInsnHook, FaultHook, BranchObserver); run() picks one.
+  template <bool Hooked> StopInfo runLoop(uint64_t MaxInsns);
+
   Memory &Mem;
   CpuState State;
   FaultHook *Fault = nullptr;
@@ -241,6 +248,7 @@ private:
   telemetry::DigestRecorder *DigestRec = nullptr;
   uint64_t Insns = 0;
   uint64_t Cycles = 0;
+  uint64_t FusedInsns = 0;
   std::string OutputBuffer;
 };
 

@@ -5,43 +5,32 @@
 #include "support/Diagnostics.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 using namespace cfed;
 
-Memory::Page *Memory::lookup(uint64_t PageIndex) {
-  if (PageIndex == CachedIndex)
-    return CachedPage;
-  auto It = Pages.find(PageIndex);
-  Page *P = It == Pages.end() ? nullptr : It->second.get();
-  CachedIndex = PageIndex;
-  CachedPage = P;
-  return P;
-}
-
-const Memory::Page *Memory::lookup(uint64_t PageIndex) const {
-  return const_cast<Memory *>(this)->lookup(PageIndex);
-}
-
 void Memory::mapRegion(uint64_t Base, uint64_t Size, uint8_t Perms) {
+  if (Base >= AddrLimit || Size > AddrLimit - Base)
+    reportFatalErrorf("mapRegion [0x%llx, +0x%llx) beyond the page table",
+                      static_cast<unsigned long long>(Base),
+                      static_cast<unsigned long long>(Size));
   uint64_t First = Base / PageSize;
   uint64_t Last = (Base + Size + PageSize - 1) / PageSize;
   for (uint64_t Index = First; Index < Last; ++Index) {
-    auto &Slot = Pages[Index];
+    auto &Slot = Table[Index];
     if (!Slot)
       Slot = std::make_unique<Page>();
     Slot->Perms = Perms;
   }
-  CachedIndex = ~0ULL;
-  CachedPage = nullptr;
 }
 
 void Memory::setPerms(uint64_t Base, uint64_t Size, uint8_t Perms) {
   uint64_t First = Base / PageSize;
   uint64_t Last = (Base + Size + PageSize - 1) / PageSize;
   for (uint64_t Index = First; Index < Last; ++Index) {
-    Page *P = lookup(Index);
+    Page *P = pageAt(Index * PageSize);
     if (!P)
       reportFatalErrorf("setPerms on unmapped page 0x%llx",
                         static_cast<unsigned long long>(Index * PageSize));
@@ -50,23 +39,21 @@ void Memory::setPerms(uint64_t Base, uint64_t Size, uint8_t Perms) {
 }
 
 uint8_t Memory::getPerms(uint64_t Addr) const {
-  const Page *P = lookup(Addr / PageSize);
+  const Page *P = pageAt(Addr);
   return P ? P->Perms : static_cast<uint8_t>(PermNone);
 }
 
 bool Memory::isMapped(uint64_t Addr) const {
-  return lookup(Addr / PageSize) != nullptr;
+  return pageAt(Addr) != nullptr;
 }
 
 MemResult Memory::access(uint64_t Addr, void *Out, const void *In,
                          uint64_t Size, AccessKind Kind) const {
-  auto *Self = const_cast<Memory *>(this);
   uint64_t Done = 0;
   while (Done < Size) {
     uint64_t Current = Addr + Done;
-    uint64_t PageIndex = Current / PageSize;
     uint64_t PageOffset = Current % PageSize;
-    Page *P = Self->lookup(PageIndex);
+    Page *P = pageAt(Current);
     if (!P)
       return MemResult::Unmapped;
     switch (Kind) {
@@ -87,10 +74,11 @@ MemResult Memory::access(uint64_t Addr, void *Out, const void *In,
     }
     uint64_t Chunk = std::min(Size - Done, PageSize - PageOffset);
     if (In) {
-      uint64_t PageBase = PageIndex * PageSize;
-      if (Self->WriteObserver && PageBase < Self->WriteObserverLimit &&
-          Self->EpochDirty.insert(PageIndex).second)
-        Self->WriteObserver->onPageDirtied(PageBase, P->Bytes);
+      uint64_t PageBase = Current - PageOffset;
+      if (writeReportDue(P, PageBase)) {
+        P->DirtyEpoch = WriteEpoch;
+        WriteObserver->onPageDirtied(PageBase, P->Bytes);
+      }
       std::memcpy(P->Bytes + PageOffset,
                   static_cast<const uint8_t *>(In) + Done, Chunk);
       // Keep the predecode side array coherent with the bytes; writes to
@@ -116,7 +104,8 @@ MemResult Memory::fetch(uint64_t Addr, void *Out, uint64_t Size) const {
   return access(Addr, Out, nullptr, Size, AccessKind::Fetch);
 }
 
-const Instruction *Memory::fetchDecoded(uint64_t Addr, MemResult &Result) {
+const Instruction *Memory::fetchDecodedSlow(uint64_t Addr,
+                                            MemResult &Result) {
   if (Addr % InsnSize != 0) {
     // Misaligned PCs (wild landings) straddle slots and possibly pages:
     // byte-level slow path.
@@ -124,7 +113,7 @@ const Instruction *Memory::fetchDecoded(uint64_t Addr, MemResult &Result) {
     Result = MemResult::Ok;
     return nullptr;
   }
-  Page *P = lookup(Addr / PageSize);
+  Page *P = pageAt(Addr);
   if (!P) {
     Result = MemResult::Unmapped;
     return nullptr;
@@ -157,9 +146,10 @@ const Instruction *Memory::fetchDecoded(uint64_t Addr, MemResult &Result) {
 
 void Memory::invalidatePredecode(uint64_t Base, uint64_t Size) {
   uint64_t First = Base / PageSize;
-  uint64_t Last = (Base + Size + PageSize - 1) / PageSize;
+  uint64_t Last = std::min((Base + Size + PageSize - 1) / PageSize,
+                           NumTablePages);
   for (uint64_t Index = First; Index < Last; ++Index)
-    if (Page *P = lookup(Index))
+    if (Page *P = Table[Index].get())
       P->Decoded.reset();
 }
 
@@ -167,10 +157,10 @@ void Memory::setWriteObserver(PageWriteObserver *Observer,
                               uint64_t LimitAddr) {
   WriteObserver = Observer;
   WriteObserverLimit = Observer ? LimitAddr : 0;
-  EpochDirty.clear();
+  ++WriteEpoch;
 }
 
-void Memory::resetWriteEpoch() { EpochDirty.clear(); }
+void Memory::resetWriteEpoch() { ++WriteEpoch; }
 
 void Memory::writeRaw(uint64_t Addr, const void *In, uint64_t Size) {
   MemResult Result = access(Addr, nullptr, In, Size, AccessKind::Raw);
@@ -184,24 +174,4 @@ void Memory::readRaw(uint64_t Addr, void *Out, uint64_t Size) const {
   if (Result != MemResult::Ok)
     reportFatalErrorf("readRaw from unmapped address 0x%llx",
                       static_cast<unsigned long long>(Addr));
-}
-
-uint64_t Memory::read64(uint64_t Addr, MemResult &Result) const {
-  uint64_t Value = 0;
-  Result = read(Addr, &Value, sizeof(Value));
-  return Value;
-}
-
-MemResult Memory::write64(uint64_t Addr, uint64_t Value) {
-  return write(Addr, &Value, sizeof(Value));
-}
-
-uint8_t Memory::read8(uint64_t Addr, MemResult &Result) const {
-  uint8_t Value = 0;
-  Result = read(Addr, &Value, sizeof(Value));
-  return Value;
-}
-
-MemResult Memory::write8(uint64_t Addr, uint8_t Value) {
-  return write(Addr, &Value, sizeof(Value));
 }

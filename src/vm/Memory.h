@@ -20,6 +20,15 @@
 /// translations, flush unchaining — drops that page's side array, which
 /// preserves self-modifying-code semantics.
 ///
+/// Pages live in one flat table covering the fixed layout of Layout.h
+/// (everything below CacheBase + CacheMaxSize); addresses at or above it
+/// are unmapped. The interpreter's hot accessors (fetchDecoded and
+/// peekDecoded, read64, write64, read8, write8) are inline: an access
+/// inside one page whose permission bit is set — and, for writes, with
+/// no observer report due and no predecoded side array to drop — is one
+/// table index and one copy. Every other access takes the byte-granular
+/// access() loop.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CFED_VM_MEMORY_H
@@ -29,9 +38,9 @@
 #include "vm/Layout.h"
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 namespace cfed {
 
@@ -73,8 +82,16 @@ enum class MemResult : uint8_t {
 /// accesses may straddle pages.
 class Memory {
 public:
+  /// Every mappable address lies below AddrLimit: the page table covers
+  /// the whole layout, up to the end of the code cache.
+  static constexpr uint64_t AddrLimit = CacheBase + CacheMaxSize;
+  static constexpr uint64_t NumTablePages = AddrLimit / PageSize;
+
+  Memory() : Table(NumTablePages) {}
+
   /// Maps [Base, Base+Size) with \p Perms, zero-filled. Rounds outward to
   /// page boundaries. Remapping an existing page just updates permissions.
+  /// Mapping at or beyond AddrLimit is a fatal error.
   void mapRegion(uint64_t Base, uint64_t Size, uint8_t Perms);
 
   /// Changes permissions of all pages overlapping [Base, Base+Size).
@@ -102,7 +119,35 @@ public:
   /// slow path then raises the same illegal-instruction trap a raw decode
   /// would). Permission failures are reported through \p Result exactly
   /// like fetch().
-  const Instruction *fetchDecoded(uint64_t Addr, MemResult &Result);
+  ///
+  /// The returned record is an element of the page's slot array: while
+  /// nothing writes the page, the record k slots further on the same page
+  /// holds the predecoded instruction at Addr + k * InsnSize, or a Nop
+  /// record for an illegal slot.
+  const Instruction *fetchDecoded(uint64_t Addr, MemResult &Result) {
+    if (const Instruction *I = peekDecoded(Addr)) {
+      ++PredecodeHits;
+      Result = MemResult::Ok;
+      return I;
+    }
+    return fetchDecodedSlow(Addr, Result);
+  }
+
+  /// The fetchDecoded() hit path alone: the live predecoded instruction
+  /// at \p Addr, or nullptr when fetchDecoded() would not be a plain hit
+  /// (misaligned, unmapped, not executable, not yet decoded, or illegal).
+  /// Counts nothing; a caller that executes the instruction reports the
+  /// hit with notePredecodeHits().
+  const Instruction *peekDecoded(uint64_t Addr) const {
+    if (Addr % InsnSize != 0 || Addr >= AddrLimit)
+      return nullptr;
+    const Page *P = Table[Addr / PageSize].get();
+    if (!P || !(P->Perms & PermX) || !P->Decoded)
+      return nullptr;
+    uint64_t Slot = (Addr % PageSize) / InsnSize;
+    return P->Decoded->isIllegal(Slot) ? nullptr : &P->Decoded->Insns[Slot];
+  }
+  void notePredecodeHits(uint64_t Count) { PredecodeHits += Count; }
 
   /// Drops predecoded side arrays for all pages overlapping
   /// [Base, Base+Size). Writes invalidate automatically; this is for
@@ -134,10 +179,18 @@ public:
   void writeRaw(uint64_t Addr, const void *In, uint64_t Size);
   void readRaw(uint64_t Addr, void *Out, uint64_t Size) const;
 
-  uint64_t read64(uint64_t Addr, MemResult &Result) const;
-  MemResult write64(uint64_t Addr, uint64_t Value);
-  uint8_t read8(uint64_t Addr, MemResult &Result) const;
-  MemResult write8(uint64_t Addr, uint8_t Value);
+  uint64_t read64(uint64_t Addr, MemResult &Result) const {
+    return readScalar<uint64_t>(Addr, Result);
+  }
+  MemResult write64(uint64_t Addr, uint64_t Value) {
+    return writeScalar(Addr, Value);
+  }
+  uint8_t read8(uint64_t Addr, MemResult &Result) const {
+    return readScalar<uint8_t>(Addr, Result);
+  }
+  MemResult write8(uint64_t Addr, uint8_t Value) {
+    return writeScalar(Addr, Value);
+  }
 
   /// Returns true if any page overlapping [Base, Base+Size) is mapped.
   bool isMapped(uint64_t Addr) const;
@@ -157,26 +210,64 @@ private:
   };
 
   struct Page {
-    uint8_t Perms = PermNone;
-    uint8_t Bytes[PageSize] = {};
     std::unique_ptr<DecodedPage> Decoded;
+    /// Write epoch in which the observer last saw this page dirtied.
+    uint64_t DirtyEpoch = 0;
+    uint8_t Perms = PermNone;
+    alignas(8) uint8_t Bytes[PageSize] = {};
   };
 
   enum class AccessKind { Read, Write, Fetch, Raw };
 
-  Page *lookup(uint64_t PageIndex);
-  const Page *lookup(uint64_t PageIndex) const;
+  /// The page containing \p Addr, or nullptr if unmapped.
+  Page *pageAt(uint64_t Addr) const {
+    return Addr < AddrLimit ? Table[Addr / PageSize].get() : nullptr;
+  }
+  /// The page that holds all of [Addr, Addr+Size) when it is mapped with
+  /// \p Perm; nullptr sends the access down the access() path.
+  Page *fastPage(uint64_t Addr, uint64_t Size, uint8_t Perm) const {
+    if (Addr >= AddrLimit || Addr % PageSize > PageSize - Size)
+      return nullptr;
+    Page *P = Table[Addr / PageSize].get();
+    return P && (P->Perms & Perm) ? P : nullptr;
+  }
+  /// True when a write to \p P (whose base is \p PageBase) must first
+  /// hand the page's pre-image to the observer.
+  bool writeReportDue(const Page *P, uint64_t PageBase) const {
+    return WriteObserver && P->DirtyEpoch != WriteEpoch &&
+           PageBase < WriteObserverLimit;
+  }
+
+  template <typename T> T readScalar(uint64_t Addr, MemResult &Result) const {
+    T Value = 0;
+    if (const Page *P = fastPage(Addr, sizeof(T), PermR)) {
+      std::memcpy(&Value, P->Bytes + Addr % PageSize, sizeof(T));
+      Result = MemResult::Ok;
+    } else {
+      Result = read(Addr, &Value, sizeof(T));
+    }
+    return Value;
+  }
+  template <typename T> MemResult writeScalar(uint64_t Addr, T Value) {
+    Page *P = fastPage(Addr, sizeof(T), PermW);
+    if (!P || P->Decoded || writeReportDue(P, Addr - Addr % PageSize))
+      return write(Addr, &Value, sizeof(T));
+    std::memcpy(P->Bytes + Addr % PageSize, &Value, sizeof(T));
+    return MemResult::Ok;
+  }
+
+  const Instruction *fetchDecodedSlow(uint64_t Addr, MemResult &Result);
   MemResult access(uint64_t Addr, void *Out, const void *In, uint64_t Size,
                    AccessKind Kind) const;
 
-  std::unordered_map<uint64_t, std::unique_ptr<Page>> Pages;
-  // Single-entry lookup cache (pages are immovable once allocated).
-  mutable uint64_t CachedIndex = ~0ULL;
-  mutable Page *CachedPage = nullptr;
+  /// Page table indexed by Addr / PageSize; pages are immovable once
+  /// allocated, so a Page pointer stays valid for the Memory's lifetime.
+  std::vector<std::unique_ptr<Page>> Table;
   PageWriteObserver *WriteObserver = nullptr;
   uint64_t WriteObserverLimit = 0;
-  // Page indices already reported to the observer this epoch.
-  std::unordered_set<uint64_t> EpochDirty;
+  /// Current write epoch; a tracked page whose DirtyEpoch differs has not
+  /// been reported in it yet.
+  uint64_t WriteEpoch = 1;
   uint64_t PredecodeHits = 0;
   uint64_t PredecodeDecodes = 0;
   uint64_t PredecodeSlow = 0;

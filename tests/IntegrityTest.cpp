@@ -16,6 +16,7 @@
 #include "support/Prng.h"
 #include "vm/Layout.h"
 #include "workloads/RandomProgram.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -210,6 +211,26 @@ TEST(IntegrityTest, CampaignIsJobsInvariant) {
   for (IntegrityTarget Target : AllIntegrityTargets)
     EXPECT_TRUE(Serial.of(Target) == Parallel.of(Target))
         << getIntegrityTargetName(Target);
+}
+
+TEST(IntegrityTest, ChainPatchResealSkipsImplausibleEntries) {
+  // Regression: with chained exits, a chain patch reseals every block
+  // covering the patched site. A flipped table entry whose cache range
+  // leaves the allocated cache used to be hashed there too, and the raw
+  // read past the cache end aborted the whole campaign. Resealing now
+  // applies the same plausibility check as verification, so the entry
+  // keeps its stale word and the next verification catches it.
+  DbtConfig Config;
+  Config.Tech = Technique::EdgCf;
+  Config.ChainDirectExits = true;
+  Config.ScrubInterval = 16;
+  Config.VerifyDispatchInterval = 4;
+  Config.ShadowSignature = true;
+  IntegrityCampaignResult Result =
+      runIntegrityCampaign(assembleWorkload("164.gzip"), Config,
+                           /*PerTarget=*/6, /*Seed=*/11, 50000000ULL, 1);
+  EXPECT_EQ(Result.Injections, 18u);
+  EXPECT_EQ(Result.totals().total(), Result.Injections);
 }
 
 TEST(IntegrityTest, OutcomeCounterNamesAreWellFormed) {

@@ -1,0 +1,325 @@
+//===- InterpDiffTest.cpp - Hook-free vs hooked interpreter loop ----------===//
+//
+// Interpreter::run executes a hook-free instantiation of its loop unless
+// a per-instruction hook is installed, and only the hook-free one fuses
+// runs of check code into one dispatch (DESIGN.md §6). These tests hold
+// the two instantiations to the same observable behaviour: stop, CPU
+// state, retired instructions, cycles, output and predecode hit/miss
+// counts. A pass-through PreInsnHook forces the hooked loop without
+// changing anything else.
+//
+//===----------------------------------------------------------------------===//
+
+#include "asm/Assembler.h"
+#include "dbt/Dbt.h"
+#include "telemetry/BlockProfile.h"
+#include "telemetry/Provenance.h"
+#include "vm/Interp.h"
+#include "vm/Loader.h"
+#include "workloads/Workloads.h"
+
+#include <cstring>
+#include <gtest/gtest.h>
+
+using namespace cfed;
+
+namespace {
+
+class PassThroughHook : public PreInsnHook {
+public:
+  void onInsn(uint64_t, const Instruction &, CpuState &) override {}
+};
+
+struct RunResult {
+  StopInfo Stop;
+  CpuState State;
+  uint64_t Insns = 0;
+  uint64_t Cycles = 0;
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
+  uint64_t Fused = 0;
+  std::string Output;
+  /// Every BlockProfile slot count, when a profile was attached.
+  std::vector<uint64_t> ProfileCounts;
+  /// The digest records, when a recorder was attached.
+  std::vector<telemetry::DigestRecord> Digests;
+};
+
+RunResult finish(const Memory &Mem, const Interpreter &Interp,
+                 StopInfo Stop) {
+  RunResult R;
+  R.Stop = Stop;
+  R.State = Interp.state();
+  R.Insns = Interp.instructionCount();
+  R.Cycles = Interp.cycleCount();
+  R.Hits = Mem.predecodeHitCount();
+  R.Misses = Mem.predecodeMissCount();
+  R.Fused = Interp.fusedInsnCount();
+  R.Output = Interp.output();
+  return R;
+}
+
+RunResult runNative(const AsmProgram &Program, bool Hooked,
+                    uint64_t MaxInsns) {
+  Memory Mem;
+  Interpreter Interp(Mem);
+  PassThroughHook Hook;
+  if (Hooked)
+    Interp.setPreInsnHook(&Hook);
+  loadProgram(Program, LoadMode::Native, Mem, Interp.state());
+  return finish(Mem, Interp, Interp.run(MaxInsns));
+}
+
+/// \p Observed attaches a BlockProfile and a (marker-mode) DigestRecorder,
+/// so the translator plants Prof and Digest instructions.
+RunResult runTranslated(const AsmProgram &Program, const DbtConfig &Config,
+                        bool Hooked, uint64_t MaxInsns,
+                        bool Observed = false) {
+  Memory Mem;
+  Interpreter Interp(Mem);
+  PassThroughHook Hook;
+  if (Hooked)
+    Interp.setPreInsnHook(&Hook);
+  Dbt Translator(Mem, Config);
+  telemetry::BlockProfile Profile;
+  telemetry::DigestRecorder Digests;
+  if (Observed) {
+    Translator.setBlockProfile(&Profile);
+    Translator.setDigestRecorder(&Digests);
+  }
+  EXPECT_TRUE(Translator.load(Program, Interp.state()))
+      << Translator.loadError();
+  RunResult R = finish(Mem, Interp, Translator.run(Interp, MaxInsns));
+  if (Observed) {
+    size_t Slots = Profile.numBlocks() + Profile.numEdges();
+    for (uint32_t Slot = 0; Slot < Slots; ++Slot)
+      R.ProfileCounts.push_back(Profile.slotCount(Slot));
+    R.Digests = Digests.takeRecords();
+  }
+  return R;
+}
+
+void expectSameRun(const RunResult &Free, const RunResult &Hooked,
+                   const std::string &What) {
+  SCOPED_TRACE(What);
+  EXPECT_EQ(Free.Stop.Kind, Hooked.Stop.Kind);
+  EXPECT_EQ(Free.Stop.Trap, Hooked.Stop.Trap);
+  EXPECT_EQ(Free.Stop.TrapAddr, Hooked.Stop.TrapAddr);
+  EXPECT_EQ(Free.Stop.BreakCode, Hooked.Stop.BreakCode);
+  EXPECT_EQ(Free.Stop.PC, Hooked.Stop.PC);
+  EXPECT_EQ(0, std::memcmp(Free.State.Regs, Hooked.State.Regs,
+                           sizeof(Free.State.Regs)));
+  EXPECT_EQ(0, std::memcmp(Free.State.FpRegs, Hooked.State.FpRegs,
+                           sizeof(Free.State.FpRegs)));
+  EXPECT_EQ(Free.State.F, Hooked.State.F);
+  EXPECT_EQ(Free.State.PC, Hooked.State.PC);
+  EXPECT_EQ(Free.Insns, Hooked.Insns);
+  EXPECT_EQ(Free.Cycles, Hooked.Cycles);
+  EXPECT_EQ(Free.Hits, Hooked.Hits);
+  EXPECT_EQ(Free.Misses, Hooked.Misses);
+  EXPECT_EQ(Free.Output, Hooked.Output);
+  // The hooked loop never fuses.
+  EXPECT_EQ(Hooked.Fused, 0u);
+}
+
+/// The seven translated configurations of the host benchmark.
+struct NamedConfig {
+  const char *Name;
+  DbtConfig Config;
+};
+
+std::vector<NamedConfig> translatedConfigs() {
+  auto Make = [](Technique Tech, DbtTier Tier) {
+    DbtConfig C;
+    C.Tech = Tech;
+    C.Tier = Tier;
+    return C;
+  };
+  DbtConfig Assured = Make(Technique::EdgCf, DbtTier::Base);
+  Assured.ScrubInterval = 16;
+  Assured.VerifyDispatchInterval = 1;
+  Assured.ShadowSignature = true;
+  Assured.ShadowStack = true;
+  return {{"none_base", Make(Technique::None, DbtTier::Base)},
+          {"ecf_base", Make(Technique::Ecf, DbtTier::Base)},
+          {"edgcf_base", Make(Technique::EdgCf, DbtTier::Base)},
+          {"rcf_base", Make(Technique::Rcf, DbtTier::Base)},
+          {"none_opt", Make(Technique::None, DbtTier::Opt)},
+          {"edgcf_opt", Make(Technique::EdgCf, DbtTier::Opt)},
+          {"assured", Assured}};
+}
+
+constexpr uint64_t WorkloadBudget = 200000000ULL;
+
+std::vector<std::string> allWorkloadNames() {
+  std::vector<std::string> Names;
+  for (const WorkloadInfo &Info : getWorkloadSuite())
+    Names.push_back(Info.Name);
+  return Names;
+}
+
+AsmProgram assembleOk(const std::string &Source) {
+  AsmResult Result = assembleProgram(Source);
+  EXPECT_TRUE(Result.succeeded()) << Result.errorText();
+  return Result.Program;
+}
+
+} // namespace
+
+class InterpDiffWorkloadTest : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(InterpDiffWorkloadTest, HookFreeMatchesHookedLoop) {
+  AsmProgram Program = assembleWorkload(GetParam());
+  expectSameRun(runNative(Program, false, WorkloadBudget),
+                runNative(Program, true, WorkloadBudget), "native");
+  for (const NamedConfig &C : translatedConfigs()) {
+    RunResult Free = runTranslated(Program, C.Config, false, WorkloadBudget);
+    RunResult Hooked = runTranslated(Program, C.Config, true, WorkloadBudget);
+    expectSameRun(Free, Hooked, C.Name);
+    EXPECT_EQ(Free.Stop.Kind, StopKind::Halted) << C.Name;
+    // Every checked configuration has check code to fuse.
+    if (C.Config.Tech != Technique::None) {
+      EXPECT_GT(Free.Fused, 0u) << C.Name;
+    }
+  }
+}
+
+TEST_P(InterpDiffWorkloadTest, ProfileAndDigestsMatchHookedLoop) {
+  // Fused runs bump Prof slots themselves and start right after Digest
+  // markers; with a profile and a digest recorder attached, the per-slot
+  // counts and the digest stream must be those of the hooked loop too.
+  AsmProgram Program = assembleWorkload(GetParam());
+  for (const NamedConfig &C : translatedConfigs()) {
+    std::string Name = C.Name;
+    if (Name != "edgcf_base" && Name != "edgcf_opt" && Name != "assured")
+      continue;
+    RunResult Free =
+        runTranslated(Program, C.Config, false, WorkloadBudget, true);
+    RunResult Hooked =
+        runTranslated(Program, C.Config, true, WorkloadBudget, true);
+    expectSameRun(Free, Hooked, Name);
+    EXPECT_GT(Free.Fused, 0u) << Name;
+    EXPECT_FALSE(Free.ProfileCounts.empty()) << Name;
+    EXPECT_EQ(Free.ProfileCounts, Hooked.ProfileCounts) << Name;
+    EXPECT_FALSE(Free.Digests.empty()) << Name;
+    EXPECT_TRUE(Free.Digests == Hooked.Digests) << Name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, InterpDiffWorkloadTest,
+                         ::testing::ValuesIn(allWorkloadNames()),
+                         [](const auto &Info) {
+                           std::string Name = Info.param;
+                           for (char &Ch : Name)
+                             if (Ch == '.')
+                               Ch = '_';
+                           return Name;
+                         });
+
+namespace {
+
+/// The translator's check shapes in native code: a check pair skipping
+/// a brk, a one-slot conditional update, and the shadow cross-check.
+const char *const CheckIdioms = R"(
+main:
+  movi r1, 3
+  movi r5, 0
+  movi r6, 7
+loop:
+  lea r5, r5, 0
+  jzr r5, 8
+  brk 1
+  cmpi r1, 2
+  lea r6, r6, 5
+  jcc eq, 8
+  lea r6, r6, -3
+  not r7, r6
+  lea r7, r7, 1
+  lear r7, r6, r7
+  jzr r7, 8
+  brk 2
+  mov r8, r6
+  movi r9, 1
+  addi r1, r1, -1
+  jcc ne, loop
+  out r6
+  halt
+)";
+
+} // namespace
+
+TEST(InterpDiffTest, EveryBudgetStopsAtTheSameInstruction) {
+  // A budget may run out anywhere inside a fused run: the stop, the
+  // state and every count must be those of one dispatch per
+  // instruction.
+  AsmProgram Program = assembleOk(CheckIdioms);
+  RunResult Full = runNative(Program, false, 100000);
+  ASSERT_EQ(Full.Stop.Kind, StopKind::Halted);
+  ASSERT_GT(Full.Fused, 0u);
+  for (uint64_t Budget = 0; Budget <= Full.Insns + 1; ++Budget)
+    expectSameRun(runNative(Program, false, Budget),
+                  runNative(Program, true, Budget),
+                  "budget " + std::to_string(Budget));
+}
+
+TEST(InterpDiffTest, BudgetEndingOnLeaStopsAtItsJzr) {
+  AsmProgram Program = assembleOk(CheckIdioms);
+  // Three movi, then the lea of the first check pair.
+  RunResult OnLea = runNative(Program, false, 4);
+  EXPECT_EQ(OnLea.Stop.Kind, StopKind::InsnLimit);
+  EXPECT_EQ(OnLea.Stop.PC, CodeBase + 4 * InsnSize);
+  EXPECT_EQ(OnLea.State.PC, CodeBase + 4 * InsnSize);
+  EXPECT_EQ(OnLea.Insns, 4u);
+  // One more instruction of budget retires the jzr in the same fused
+  // run, which jumps over the brk.
+  RunResult OnJzr = runNative(Program, false, 5);
+  EXPECT_EQ(OnJzr.Stop.Kind, StopKind::InsnLimit);
+  EXPECT_EQ(OnJzr.Stop.PC, CodeBase + 6 * InsnSize);
+  EXPECT_EQ(OnJzr.Insns, 5u);
+  EXPECT_EQ(OnJzr.Fused, OnLea.Fused + 1);
+}
+
+TEST(InterpDiffTest, JumpOntoJzrOfPairRunsItAlone) {
+  AsmProgram Program = assembleOk(R"(
+main:
+  movi r5, 0
+  jmp target
+  lea r5, r5, 1
+target:
+  jzr r5, 8
+  brk 1
+  halt
+)");
+  RunResult Free = runNative(Program, false, 100);
+  expectSameRun(Free, runNative(Program, true, 100), "jump onto jzr");
+  EXPECT_EQ(Free.Stop.Kind, StopKind::Halted);
+  // movi, jmp, jzr, halt: the jzr is taken on r5 == 0 because the lea in
+  // front of it never ran, fused or not.
+  EXPECT_EQ(Free.Insns, 4u);
+  EXPECT_EQ(Free.State.Regs[5], 0u);
+}
+
+TEST(InterpDiffTest, PairSplitAcrossPageEndDoesNotFuse) {
+  // Pad so the lea is the last slot of the first code page and its jzr
+  // the first slot of the next one.
+  auto Source = [](bool Split) {
+    std::string S = "main:\n  movi r5, 0\n";
+    unsigned Pad = PageSize / InsnSize - 2 - (Split ? 0 : 1);
+    for (unsigned I = 0; I < Pad; ++I)
+      S += "  nop\n";
+    S += "  lea r5, r5, 0\n  jzr r5, 8\n  brk 1\n  halt\n";
+    return S;
+  };
+  AsmProgram Split = assembleOk(Source(true));
+  RunResult Free = runNative(Split, false, 10000);
+  expectSameRun(Free, runNative(Split, true, 10000), "split pair");
+  EXPECT_EQ(Free.Stop.Kind, StopKind::Halted);
+  EXPECT_EQ(Free.Fused, 0u);
+  // One slot earlier the same pair shares a page and fuses.
+  AsmProgram Whole = assembleOk(Source(false));
+  RunResult Fused = runNative(Whole, false, 10000);
+  expectSameRun(Fused, runNative(Whole, true, 10000), "whole pair");
+  EXPECT_EQ(Fused.Stop.Kind, StopKind::Halted);
+  EXPECT_EQ(Fused.Fused, 1u);
+}

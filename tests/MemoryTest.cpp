@@ -249,6 +249,144 @@ TEST(MemoryTest, WriteObserverSeesCrossPageWriteOncePerPage) {
   EXPECT_EQ(Observer.Events[1].PageBase, 0x1000u + PageSize);
 }
 
+//===----------------------------------------------------------------------===//
+// Flat page table and the inline fast paths
+//===----------------------------------------------------------------------===//
+
+TEST(MemoryTest, FastPathCoversLastWordStraddleTakesSlowPath) {
+  Memory Mem;
+  Mem.mapRegion(0x1000, PageSize, PermRW);
+  // Offset 4088 is the last whole word of the page: the inline path.
+  uint64_t Last = 0x1000 + PageSize - 8;
+  EXPECT_EQ(Mem.write64(Last, 0x0102030405060708ULL), MemResult::Ok);
+  MemResult R = MemResult::Unmapped;
+  EXPECT_EQ(Mem.read64(Last, R), 0x0102030405060708ULL);
+  EXPECT_EQ(R, MemResult::Ok);
+  // Offset 4089 straddles into the unmapped next page: the byte loop
+  // must report it instead of reading past the page.
+  EXPECT_EQ(Mem.write64(Last + 1, 1), MemResult::Unmapped);
+  Mem.read64(Last + 1, R);
+  EXPECT_EQ(R, MemResult::Unmapped);
+  // Once the next page exists the straddling word round-trips.
+  Mem.mapRegion(0x1000 + PageSize, PageSize, PermRW);
+  EXPECT_EQ(Mem.write64(Last + 1, 0xAABBCCDDEEFF0011ULL), MemResult::Ok);
+  EXPECT_EQ(Mem.read64(Last + 1, R), 0xAABBCCDDEEFF0011ULL);
+  EXPECT_EQ(R, MemResult::Ok);
+  EXPECT_EQ(Mem.read8(0x1000 + PageSize, R), 0xAA); // Top byte, next page.
+}
+
+TEST(MemoryTest, AddressesBeyondPageTableAreUnmapped) {
+  Memory Mem;
+  Mem.mapRegion(Memory::AddrLimit - PageSize, PageSize, PermRWX);
+  MemResult R = MemResult::Ok;
+  for (uint64_t Addr : {Memory::AddrLimit, Memory::AddrLimit + PageSize,
+                        uint64_t(1) << 40, ~uint64_t(0) - 7,
+                        ~uint64_t(0)}) {
+    EXPECT_FALSE(Mem.isMapped(Addr));
+    EXPECT_EQ(Mem.getPerms(Addr), PermNone);
+    Mem.read64(Addr, R);
+    EXPECT_EQ(R, MemResult::Unmapped);
+    Mem.read8(Addr, R);
+    EXPECT_EQ(R, MemResult::Unmapped);
+    EXPECT_EQ(Mem.write64(Addr, 1), MemResult::Unmapped);
+    EXPECT_EQ(Mem.write8(Addr, 1), MemResult::Unmapped);
+    EXPECT_EQ(Mem.fetchDecoded(Addr & ~uint64_t(7), R), nullptr);
+    EXPECT_EQ(R, MemResult::Unmapped);
+  }
+  // The last mapped page is still served, and a word straddling the
+  // limit fails on its unmapped half.
+  EXPECT_EQ(Mem.write64(Memory::AddrLimit - 8, 5), MemResult::Ok);
+  EXPECT_EQ(Mem.write64(Memory::AddrLimit - 4, 5), MemResult::Unmapped);
+}
+
+TEST(MemoryTest, MapRegionBeyondPageTableIsFatal) {
+  EXPECT_DEATH(Memory().mapRegion(Memory::AddrLimit, PageSize, PermRW),
+               "beyond the page table");
+  EXPECT_DEATH(
+      Memory().mapRegion(Memory::AddrLimit - PageSize, 2 * PageSize, PermRW),
+      "beyond the page table");
+  EXPECT_DEATH(Memory().mapRegion(~uint64_t(0) - 5, 16, PermRW),
+               "beyond the page table");
+}
+
+TEST(MemoryTest, FastPathStoreDropsPredecodeOfExecutablePage) {
+  Memory Mem;
+  Mem.mapRegion(0x1000, PageSize, PermRWX);
+  pokeInsn(Mem, 0x1000, insn::rri(Opcode::AddI, 1, 1, 10));
+  MemResult R = MemResult::Ok;
+  ASSERT_NE(Mem.fetchDecoded(0x1000, R), nullptr);
+  uint64_t Misses = Mem.predecodeMissCount();
+  // An aligned in-page store to an RWX page whose side array is live:
+  // it must not skip the invalidation the byte loop performs.
+  uint8_t Buffer[InsnSize];
+  insn::rri(Opcode::AddI, 1, 1, 99).encode(Buffer);
+  uint64_t Word;
+  std::memcpy(&Word, Buffer, sizeof(Word));
+  ASSERT_EQ(Mem.write64(0x1000, Word), MemResult::Ok);
+  const Instruction *I = Mem.fetchDecoded(0x1000, R);
+  ASSERT_NE(I, nullptr);
+  EXPECT_EQ(I->Imm, 99);
+  EXPECT_EQ(Mem.predecodeMissCount(), Misses + 1); // Re-decoded.
+  // A byte store drops it as well.
+  ASSERT_EQ(Mem.write8(0x1004, 7), MemResult::Ok);
+  I = Mem.fetchDecoded(0x1000, R);
+  ASSERT_NE(I, nullptr);
+  EXPECT_EQ(I->Imm, 7);
+  EXPECT_EQ(Mem.predecodeMissCount(), Misses + 2);
+}
+
+TEST(MemoryTest, WriteObserverEpochsUnderFastPathStores) {
+  Memory Mem;
+  Mem.mapRegion(0x1000, 2 * PageSize, PermRW);
+  Mem.mapRegion(CacheBase, PageSize, PermRW);
+  Mem.mapRegion(Memory::AddrLimit - PageSize, PageSize, PermRW);
+  ASSERT_EQ(Mem.write64(0x1000, 0x11), MemResult::Ok);
+
+  RecordingObserver Observer;
+  Mem.setWriteObserver(&Observer, CacheBase);
+  // Aligned word and byte stores: once per page per epoch, before the
+  // bytes land.
+  for (uint64_t Off = 0; Off < 64; Off += 8)
+    ASSERT_EQ(Mem.write64(0x1000 + Off, 0x22), MemResult::Ok);
+  ASSERT_EQ(Mem.write8(0x1000 + 100, 0x33), MemResult::Ok);
+  ASSERT_EQ(Observer.Events.size(), 1u);
+  EXPECT_EQ(Observer.Events[0].PageBase, 0x1000u);
+  EXPECT_EQ(Observer.Events[0].FirstOldByte, 0x11);
+  ASSERT_EQ(Mem.write8(0x1000 + PageSize, 0x44), MemResult::Ok);
+  ASSERT_EQ(Observer.Events.size(), 2u);
+  EXPECT_EQ(Observer.Events[1].PageBase, 0x1000u + PageSize);
+
+  // Pages at or above the limit never report, in any epoch.
+  ASSERT_EQ(Mem.write64(CacheBase, 1), MemResult::Ok);
+  ASSERT_EQ(Mem.write64(Memory::AddrLimit - 8, 1), MemResult::Ok);
+  EXPECT_EQ(Observer.Events.size(), 2u);
+
+  // A new epoch re-arms every tracked page exactly once.
+  Mem.resetWriteEpoch();
+  ASSERT_EQ(Mem.write64(0x1008, 0x55), MemResult::Ok);
+  ASSERT_EQ(Mem.write64(0x1010, 0x66), MemResult::Ok);
+  ASSERT_EQ(Mem.write64(CacheBase, 2), MemResult::Ok);
+  ASSERT_EQ(Observer.Events.size(), 3u);
+  EXPECT_EQ(Observer.Events[2].PageBase, 0x1000u);
+  EXPECT_EQ(Observer.Events[2].FirstOldByte, 0x22);
+
+  // Re-installing the observer starts a fresh epoch too.
+  Mem.setWriteObserver(&Observer, CacheBase);
+  ASSERT_EQ(Mem.write8(0x1000, 0x77), MemResult::Ok);
+  ASSERT_EQ(Mem.write8(0x1001, 0x78), MemResult::Ok);
+  ASSERT_EQ(Observer.Events.size(), 4u);
+
+  // Without an observer nothing reports; a later observer sees the page
+  // as it is then.
+  Mem.setWriteObserver(nullptr, 0);
+  ASSERT_EQ(Mem.write8(0x1000, 0x88), MemResult::Ok);
+  EXPECT_EQ(Observer.Events.size(), 4u);
+  Mem.setWriteObserver(&Observer, CacheBase);
+  ASSERT_EQ(Mem.write8(0x1000, 0x99), MemResult::Ok);
+  ASSERT_EQ(Observer.Events.size(), 5u);
+  EXPECT_EQ(Observer.Events[4].FirstOldByte, 0x88);
+}
+
 TEST(LoaderTest, NativeLayout) {
   AsmResult R = assembleProgram(".data\nv: .word 9\n.code\nmain:\nhalt\n"
                                 ".entry main\n");
