@@ -101,6 +101,12 @@ public:
   /// reason for excluding CFCSS and ECCA from its DBT).
   virtual bool requiresWholeProgramCfg() const { return false; }
 
+  /// A copy of this checker with the same technique state (for the
+  /// whole-program techniques, the prepared signature assignment). The
+  /// copy's emission counters still point into this checker's registry
+  /// until bindMetrics() rebinds them; a forked translator does that.
+  virtual std::unique_ptr<ControlFlowChecker> clone() const = 0;
+
   /// Supplies the whole-program CFG (eager mode). Returns false if the
   /// program cannot be instrumented by this technique (e.g. indirect
   /// calls defeat CFCSS's static signature assignment).

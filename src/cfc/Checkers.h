@@ -24,6 +24,9 @@ namespace cfed {
 class NoneChecker : public ControlFlowChecker {
 public:
   Technique technique() const override { return Technique::None; }
+  std::unique_ptr<ControlFlowChecker> clone() const override {
+    return std::make_unique<NoneChecker>(*this);
+  }
   void initState(CpuState &State, uint64_t EntryL) const override;
   void prologueImpl(std::vector<Instruction> &Out, uint64_t L,
                     bool DoCheck) const override;
@@ -47,6 +50,9 @@ class EdgCfChecker : public ControlFlowChecker {
 public:
   explicit EdgCfChecker(UpdateFlavor Flavor) : Flavor(Flavor) {}
   Technique technique() const override { return Technique::EdgCf; }
+  std::unique_ptr<ControlFlowChecker> clone() const override {
+    return std::make_unique<EdgCfChecker>(*this);
+  }
   void initState(CpuState &State, uint64_t EntryL) const override;
   void prologueImpl(std::vector<Instruction> &Out, uint64_t L,
                     bool DoCheck) const override;
@@ -75,6 +81,9 @@ class RcfChecker : public ControlFlowChecker {
 public:
   explicit RcfChecker(UpdateFlavor Flavor) : Flavor(Flavor) {}
   Technique technique() const override { return Technique::Rcf; }
+  std::unique_ptr<ControlFlowChecker> clone() const override {
+    return std::make_unique<RcfChecker>(*this);
+  }
   void initState(CpuState &State, uint64_t EntryL) const override;
   void prologueImpl(std::vector<Instruction> &Out, uint64_t L,
                     bool DoCheck) const override;
@@ -106,6 +115,9 @@ class EcfChecker : public ControlFlowChecker {
 public:
   explicit EcfChecker(UpdateFlavor Flavor) : Flavor(Flavor) {}
   Technique technique() const override { return Technique::Ecf; }
+  std::unique_ptr<ControlFlowChecker> clone() const override {
+    return std::make_unique<EcfChecker>(*this);
+  }
   void initState(CpuState &State, uint64_t EntryL) const override;
   void prologueImpl(std::vector<Instruction> &Out, uint64_t L,
                     bool DoCheck) const override;
@@ -134,6 +146,9 @@ private:
 class CfcssChecker : public ControlFlowChecker {
 public:
   Technique technique() const override { return Technique::Cfcss; }
+  std::unique_ptr<ControlFlowChecker> clone() const override {
+    return std::make_unique<CfcssChecker>(*this);
+  }
   bool requiresWholeProgramCfg() const override { return true; }
   bool prepare(const Cfg &Graph) override;
   void initState(CpuState &State, uint64_t EntryL) const override;
@@ -186,6 +201,9 @@ private:
 class EccaChecker : public ControlFlowChecker {
 public:
   Technique technique() const override { return Technique::Ecca; }
+  std::unique_ptr<ControlFlowChecker> clone() const override {
+    return std::make_unique<EccaChecker>(*this);
+  }
   bool requiresWholeProgramCfg() const override { return true; }
   bool prepare(const Cfg &Graph) override;
   void initState(CpuState &State, uint64_t EntryL) const override;

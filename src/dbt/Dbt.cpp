@@ -65,6 +65,30 @@ Dbt::Dbt(Memory &Mem, DbtConfig Config, telemetry::MetricsRegistry *Metrics)
     ShadowStack.bindMetrics(*this->Metrics);
 }
 
+Dbt::Dbt(Memory &Mem, const Dbt &Parent) : Dbt(Mem, Parent.Config) {
+  Metrics->merge(Parent.Metrics->snapshot());
+  Checker = Parent.Checker->clone();
+  Checker->bindMetrics(*Metrics);
+  BlockMap = Parent.BlockMap;
+  SafePoints = Parent.SafePoints;
+  Retired = Parent.Retired;
+  NumCheckSites = Parent.NumCheckSites;
+  LoadError = Parent.LoadError;
+  Ibtc = Parent.Ibtc;
+  Patches = Parent.Patches;
+  CacheAlloc = Parent.CacheAlloc;
+  GuestCodeBase = Parent.GuestCodeBase;
+  GuestCodeSize = Parent.GuestCodeSize;
+  GuestEntry = Parent.GuestEntry;
+  CodePagesWritable = Parent.CodePagesWritable;
+  DispatchesSinceScrub = Parent.DispatchesSinceScrub;
+  EagerLeaders = Parent.EagerLeaders;
+  if (Parent.Profile) {
+    OwnedProfile = std::make_unique<telemetry::BlockProfile>(*Parent.Profile);
+    Profile = OwnedProfile.get();
+  }
+}
+
 Dbt::~Dbt() = default;
 
 bool Dbt::load(const AsmProgram &Program, CpuState &State) {

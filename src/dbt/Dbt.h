@@ -213,6 +213,15 @@ public:
   /// telemetry::MetricsRegistry::global().
   Dbt(Memory &Mem, DbtConfig Config,
       telemetry::MetricsRegistry *Metrics = nullptr);
+  /// A fork of \p Parent onto \p Mem, a copy-on-write fork of Parent's
+  /// memory (DESIGN.md §12). Copies every piece of host state a run reads
+  /// — configuration, block table, safe points, retired ranges, IBTC,
+  /// chain patches, cache allocation, scrub and integrity counters, the
+  /// registry's values (into a private registry), the block profile and
+  /// a clone of the checker — so running the fork from Parent's point
+  /// equals running Parent on. Attachments (digest recorder, tracer,
+  /// flight recorder, phase profiler) start detached.
+  Dbt(Memory &Mem, const Dbt &Parent);
   ~Dbt() override;
 
   /// Loads \p Program in translated mode, prepares the checker (eager

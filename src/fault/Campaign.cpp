@@ -8,6 +8,7 @@
 #include "support/Prng.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 using namespace cfed;
@@ -238,78 +239,80 @@ public:
   }
 };
 
-/// Base for hooks that index dynamic branch executions within a site
-/// class.
-class ClassCountingHook : public FaultHook {
+/// Planning hook: indexes dynamic branch executions within the site
+/// class and, at each candidate's instance, records the analytic category
+/// and retired-instruction index for the pre-drawn fault. It snapshots
+/// the run just before a deviating candidate that stands at least
+/// \p Spacing instructions past the previous snapshot (instant 0 for the
+/// first), none when \p Spacing is 0, and ends the run at the last
+/// candidate.
+class PlanningHook : public FaultHook {
 public:
-  ClassCountingHook(SiteClass Sites,
-                    const std::unordered_set<uint64_t> &InstrSites)
-      : Sites(Sites), InstrSites(InstrSites) {}
+  PlanningHook(SiteClass Sites, const std::unordered_set<uint64_t> &InstrSites,
+               GuestRun &Planner, std::vector<PlannedFault> &Faults,
+               uint64_t Spacing,
+               std::vector<std::unique_ptr<GuestRun>> &Snapshots)
+      : Sites(Sites), InstrSites(InstrSites), Planner(Planner),
+        Faults(Faults), Spacing(Spacing), Snapshots(Snapshots) {}
 
-protected:
-  bool isInstr(uint64_t SiteAddr) const {
-    return InstrSites.count(SiteAddr) != 0;
+  void apply(uint64_t InsnAddr, Instruction &I, Flags &F,
+             const CpuState &State) override {
+    bool Instr = InstrSites.count(InsnAddr) != 0;
+    if (Sites != SiteClass::Any &&
+        (Sites == SiteClass::InstrumentationOnly) != Instr)
+      return;
+    ++Counter;
+    while (Next < Faults.size() && Faults[Next].Instance == Counter) {
+      PlannedFault &Fault = Faults[Next++];
+      Fault.Category = categorize(Planner.Translator, InsnAddr, I, F, State,
+                                  Fault.Kind, Fault.Mask);
+      Fault.InstrSite = Instr;
+      Fault.SiteAddr = InsnAddr;
+      Fault.InsnIndex = Planner.Interp.instructionCount();
+      if (Fault.Category != BranchErrorCategory::NoError && Spacing &&
+          Fault.InsnIndex >= LastSnapshot + Spacing)
+        snapshotBefore(I.Op);
+    }
+    if (Next == Faults.size())
+      Planner.Interp.requestStop();
   }
-  bool matches(uint64_t SiteAddr) const {
-    return Sites == SiteClass::Any ||
-           (Sites == SiteClass::InstrumentationOnly) == isInstr(SiteAddr);
+
+private:
+  /// The hook runs after this branch was charged but before it executes;
+  /// the snapshot stands just before it, its counts adjusted the way
+  /// RecoveryManager adjusts a checkpoint's.
+  void snapshotBefore(Opcode Op) {
+    const Interpreter &Live = Planner.Interp;
+    LastSnapshot = Live.instructionCount();
+    std::unique_ptr<GuestRun> Snap = Planner.snapshot();
+    Snap->Interp.restoreProgress(Live.instructionCount() - 1,
+                                 Live.cycleCount() - getOpcodeCost(Op),
+                                 Live.output().size());
+    Snapshots.push_back(std::move(Snap));
   }
 
   SiteClass Sites;
   const std::unordered_set<uint64_t> &InstrSites;
-  uint64_t Counter = 0;
-};
-
-/// Planning hook: at each selected instance, records the analytic
-/// category for the pre-drawn fault.
-class PlanningHook : public ClassCountingHook {
-public:
-  PlanningHook(SiteClass Sites, const std::unordered_set<uint64_t> &InstrSites,
-               const Dbt &Translator, std::vector<PlannedFault> &Faults)
-      : ClassCountingHook(Sites, InstrSites), Translator(Translator),
-        Faults(Faults) {}
-
-  void apply(uint64_t InsnAddr, Instruction &I, Flags &F,
-             const CpuState &State) override {
-    if (!matches(InsnAddr))
-      return;
-    ++Counter;
-    while (Next < Faults.size() && Faults[Next].Instance == Counter) {
-      PlannedFault &Fault = Faults[Next];
-      Fault.Category = categorize(Translator, InsnAddr, I, F, State,
-                                  Fault.Kind, Fault.Mask);
-      Fault.InstrSite = isInstr(InsnAddr);
-      Fault.SiteAddr = InsnAddr;
-      ++Next;
-    }
-  }
-
-private:
-  const Dbt &Translator;
+  GuestRun &Planner;
   std::vector<PlannedFault> &Faults; // Sorted by Instance.
+  uint64_t Spacing;
+  std::vector<std::unique_ptr<GuestRun>> &Snapshots;
+  uint64_t Counter = 0;
   size_t Next = 0;
+  /// Instant of the latest snapshot's candidate (0: the load-time one).
+  uint64_t LastSnapshot = 0;
 };
 
-/// Injection hook: applies the fault at the chosen instance.
-class InjectionHook : public ClassCountingHook {
+/// Applies one planned fault to the branch it is armed for
+/// (Interpreter::armFault at the fault's retired-instruction index).
+class FaultApplier : public FaultHook {
 public:
-  InjectionHook(SiteClass Sites,
-                const std::unordered_set<uint64_t> &InstrSites,
-                const PlannedFault &Fault, const Interpreter &Interp)
-      : ClassCountingHook(Sites, InstrSites), Fault(Fault), Interp(Interp) {}
+  explicit FaultApplier(const PlannedFault &Fault) : Fault(Fault) {}
 
   bool Fired = false;
-  /// Dynamic instruction count at the moment the fault fired.
-  uint64_t InsnsAtFire = 0;
 
-  void apply(uint64_t InsnAddr, Instruction &I, Flags &F,
-             const CpuState &) override {
-    if (Fired || !matches(InsnAddr))
-      return;
-    if (++Counter != Fault.Instance)
-      return;
+  void apply(uint64_t, Instruction &I, Flags &F, const CpuState &) override {
     Fired = true;
-    InsnsAtFire = Interp.instructionCount();
     if (Fault.Kind == FaultKind::AddrBit)
       I.Imm = static_cast<int32_t>(static_cast<uint32_t>(I.Imm) ^
                                    static_cast<uint32_t>(Fault.Mask));
@@ -319,7 +322,6 @@ public:
 
 private:
   const PlannedFault &Fault;
-  const Interpreter &Interp;
 };
 
 } // namespace
@@ -328,14 +330,20 @@ FaultCampaign::FaultCampaign(const AsmProgram &Program, DbtConfig Config)
     : Program(Program), Config(Config) {}
 
 bool FaultCampaign::prepare(uint64_t MaxInsns) {
-  telemetry::DigestRecorder Digests;
-  GuestRun Ref(Program, Config, PropEnabled ? &Digests : nullptr);
+  Prepared = false;
+  Snapshots.clear();
+  GuestRun Ref(Program, Config, PropEnabled);
+  if (!Ref.Loaded)
+    return false;
+  // The load-time snapshot, instant 0: every later run forks from it or
+  // from a plan-time snapshot, never loads again.
+  Start = Ref.snapshot();
   CountingHook Hook;
   Ref.Interp.setFaultHook(&Hook);
   if (!Ref.golden(MaxInsns, Reference))
     return false;
   if (PropEnabled) {
-    Golden.Records = Digests.takeRecords();
+    Golden.Records = Ref.Digests->takeRecords();
     // Fingerprint the reference execution, not the bytes of the image:
     // the output hash and retired count together reject an oracle
     // recorded from a different program or configuration.
@@ -365,8 +373,10 @@ uint64_t FaultCampaign::branchExecutions(SiteClass Class) const {
 
 std::vector<PlannedFault> FaultCampaign::plan(uint64_t NumCandidates,
                                               uint64_t Seed, SiteClass Class,
-                                              FaultModel Model) {
+                                              FaultModel Model,
+                                              bool TakeSnapshots) {
   assert(Prepared && "call prepare() first");
+  Snapshots.clear();
   uint64_t Population = branchExecutions(Class);
   if (Population == 0)
     return {};
@@ -382,7 +392,6 @@ std::vector<PlannedFault> FaultCampaign::plan(uint64_t NumCandidates,
   for (uint64_t InstanceIdx : Instances) {
     PlannedFault Fault;
     Fault.Instance = InstanceIdx;
-    Fault.Class = Class;
     // 32 addr bits + 4 flag bits, uniformly (the Section 2 model). The
     // domain draw doubles as the SingleBit mask draw, so single-bit
     // plans reproduce the pre-FaultModel sequences bit-for-bit.
@@ -402,14 +411,20 @@ std::vector<PlannedFault> FaultCampaign::plan(uint64_t NumCandidates,
     Faults.push_back(Fault);
   }
 
-  // A prop-enabled campaign plants Digest markers in every instance —
-  // including this one, or the cache layout (and so the site addresses
-  // recorded in prepare()) would not reproduce.
-  telemetry::DigestRecorder Digests;
-  GuestRun Planner(Program, Config, PropEnabled ? &Digests : nullptr);
-  PlanningHook Hook(Class, InstrSites, Planner.Translator, Faults);
+  // The planning run forks the load-time snapshot, so a prop-enabled
+  // campaign's Digest markers (and with them the cache layout and the
+  // site addresses recorded in prepare()) reproduce. Its snapshots stand
+  // at least golden/MaxPlanSnapshots instructions apart; the planning run
+  // never passes the golden run's end, so there are at most
+  // MaxPlanSnapshots of them however many candidates there are.
+  GuestRun Planner(*Start);
+  uint64_t Spacing =
+      TakeSnapshots ? (Reference.Insns + MaxPlanSnapshots - 1) /
+                          MaxPlanSnapshots
+                    : 0;
+  PlanningHook Hook(Class, InstrSites, Planner, Faults, Spacing, Snapshots);
   Planner.Interp.setFaultHook(&Hook);
-  Planner.finish(Reference);
+  Planner.Translator.run(Planner.Interp, Reference.budget());
   return Faults;
 }
 
@@ -458,33 +473,47 @@ void writeInjectionBundle(telemetry::FlightRecorder &Recorder, GuestRun &Run,
 } // namespace
 
 InjectionReport
-FaultCampaign::injectRun(const PlannedFault &Fault,
-                         const RecoveryConfig *Recovery,
-                         telemetry::FlightRecorder *Recorder) const {
+FaultCampaign::injectFrom(const PlannedFault &Fault, RunFrom From,
+                          const RecoveryConfig *Recovery,
+                          telemetry::FlightRecorder *Recorder,
+                          telemetry::RegistrySnapshot *Final) const {
   assert(Prepared && "call prepare() first");
-  // Recovery campaigns do not track propagation, but the layout must
-  // still match prepare()'s when the campaign is prop-enabled.
-  telemetry::DigestRecorder Digests;
-  GuestRun Run(Program, Config, PropEnabled ? &Digests : nullptr);
-  InjectionHook Hook(Fault.Class, InstrSites, Fault, Run.Interp);
-  Run.Interp.setFaultHook(&Hook);
+  std::optional<GuestRun> Run;
+  if (From == RunFrom::Load) {
+    Run.emplace(Program, Config, PropEnabled);
+  } else if (From == RunFrom::Start) {
+    Run.emplace(*Start);
+  } else {
+    // The latest snapshot standing at or before the fault's instant.
+    auto After = std::partition_point(
+        Snapshots.begin(), Snapshots.end(), [&](const auto &Snap) {
+          return Snap->Interp.instructionCount() < Fault.InsnIndex;
+        });
+    Run.emplace(After == Snapshots.begin() ? *Start : **std::prev(After));
+  }
+  FaultApplier Hook(Fault);
+  if (Fault.InsnIndex)
+    Run->Interp.armFault(&Hook, Fault.InsnIndex);
   std::unique_ptr<telemetry::EventTracer> Tracer;
   if (Recorder) {
     Tracer = std::make_unique<telemetry::EventTracer>(Recorder->maxEvents());
-    Run.Translator.setTracer(Tracer.get());
+    Run->Translator.setTracer(Tracer.get());
   }
-  RunEnd End = Run.finish(Reference, Recovery);
+  RunEnd End = Run->finish(Reference, Recovery);
 
   InjectionReport Report;
   Report.Result = toOutcome(classifyRun(FaultDetectors, End));
   Report.Fired = Hook.Fired;
   Report.LatencyInsns =
-      Hook.Fired ? Run.Interp.instructionCount() - Hook.InsnsAtFire : 0;
+      Hook.Fired ? Run->Interp.instructionCount() - Fault.InsnIndex : 0;
   if (PropEnabled && !Recovery)
     Report.Prop = telemetry::analyzePropagation(
-        Golden.Records, Digests.records(), toPropOutcome(Report.Result));
+        Golden.Records, Run->Digests->records(), toPropOutcome(Report.Result),
+        Run->Digests->firstRecord());
   if (Recorder)
-    writeInjectionBundle(*Recorder, Run, End, Fault, Report);
+    writeInjectionBundle(*Recorder, *Run, End, Fault, Report);
+  if (Final)
+    *Final = Run->Translator.metrics().snapshot();
   Report.Recovery = std::move(End.Recovery);
   return Report;
 }
@@ -492,14 +521,19 @@ FaultCampaign::injectRun(const PlannedFault &Fault,
 InjectionReport
 FaultCampaign::injectDetailed(const PlannedFault &Fault,
                               telemetry::FlightRecorder *Recorder) const {
-  return injectRun(Fault, nullptr, Recorder);
+  // A bundle replay starts at instant 0 so its event ring starts at
+  // program start.
+  return injectFrom(Fault, Recorder ? RunFrom::Start : RunFrom::Snapshot,
+                    nullptr, Recorder);
 }
 
 FaultCampaign::RecoveryInjection
 FaultCampaign::injectWithRecovery(const PlannedFault &Fault,
                                   const RecoveryConfig &Recovery,
                                   telemetry::FlightRecorder *Recorder) const {
-  return injectRun(Fault, &Recovery, Recorder);
+  // Recovery starts at instant 0: its checkpoint ring and rollbacks
+  // depend on the whole run.
+  return injectFrom(Fault, RunFrom::Start, &Recovery, Recorder);
 }
 
 CampaignResult FaultCampaign::runOneBatch(uint64_t NumInjections,

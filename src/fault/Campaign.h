@@ -20,7 +20,12 @@
 ///     and one single-bit fault each (32 offset bits + 4 flag bits, as
 ///     in Section 2's model) and classifies each candidate's branch-error
 ///     category analytically, enabling stratified per-category sampling.
-///  3. inject():  one fresh run per planned fault; the outcome is
+///     It snapshots the run just before deviating candidates and stops
+///     at the last candidate.
+///  3. inject():  one run per planned fault, forked copy-on-write from
+///     the latest snapshot at or before the fault's instant (DESIGN.md
+///     §12) and faulted at the branch's retired-instruction index; the
+///     outcome is
 ///     classified as detected-by-signature (the instrumentation's
 ///     .report_error, or ECCA's div-by-zero inside instrumentation),
 ///     detected-by-hardware (memory protection / illegal instruction —
@@ -74,14 +79,16 @@ struct PlannedFault {
   /// XOR mask over the 32 offset bits (AddrBit) or 4 flag bits
   /// (FlagBit). Never zero.
   uint64_t Mask = 1;
-  /// The site class the instance index counts within.
-  SiteClass Class = SiteClass::Any;
   /// Analytically determined branch-error category.
   BranchErrorCategory Category = BranchErrorCategory::NoError;
   /// The fault strikes an instrumentation-inserted branch.
   bool InstrSite = false;
   /// Cache address of the faulted branch.
   uint64_t SiteAddr = 0;
+  /// Retired-instruction index of the faulted branch execution in the
+  /// fault-free run (instructionCount() right after it): where an
+  /// injection applies the fault. 0 when planning never reached it.
+  uint64_t InsnIndex = 0;
 };
 
 /// How one injected run ended. Keep NumOutcomes in sync.
@@ -217,14 +224,28 @@ public:
   /// Candidates whose fault provably does not deviate control flow are
   /// returned with Category == NoError; callers typically filter them.
   /// \p Model selects the mask shape (the default reproduces the
-  /// Section 2 single-bit model draw-for-draw).
+  /// Section 2 single-bit model draw-for-draw). With \p TakeSnapshots
+  /// the planning run snapshots itself just before deviating candidates
+  /// spaced at least goldenInsns() / MaxPlanSnapshots instructions apart,
+  /// replacing the previous plan's snapshots; pass false when no
+  /// injection of the plan forks one (recovery runs start at instant 0).
+  /// The candidates are the same either way. Not thread-safe with
+  /// injections.
   std::vector<PlannedFault> plan(uint64_t NumCandidates, uint64_t Seed,
                                  SiteClass Sites,
-                                 FaultModel Model = FaultModel::SingleBit);
+                                 FaultModel Model = FaultModel::SingleBit,
+                                 bool TakeSnapshots = true);
+
+  /// The most snapshots one plan takes, whatever its size: they are
+  /// spaced over the golden run, so an injection replays at most
+  /// goldenInsns() / MaxPlanSnapshots instructions before its fault.
+  static constexpr uint64_t MaxPlanSnapshots = 64;
+  /// Snapshots the current plan took.
+  size_t numSnapshots() const { return Snapshots.size(); }
 
   /// Executes one planned fault and classifies the outcome. Thread-safe
-  /// after prepare(): every injection runs in a fresh Memory/Dbt/Interp
-  /// instance and only reads campaign state.
+  /// after prepare(): every injection runs in its own fork of a snapshot
+  /// and only reads campaign state.
   Outcome inject(const PlannedFault &Fault) const;
 
   /// Like inject(), additionally reporting detection latency. With a
@@ -234,6 +255,28 @@ public:
   InjectionReport
   injectDetailed(const PlannedFault &Fault,
                  telemetry::FlightRecorder *Recorder = nullptr) const;
+
+  /// Where an injected run starts.
+  enum class RunFrom : uint8_t {
+    /// The latest plan-time snapshot at or before the fault's instant
+    /// (plain injections).
+    Snapshot,
+    /// The load-time snapshot, instant 0 (recovery runs and bundle
+    /// replays, whose checkpoint ring and event stream start at program
+    /// start).
+    Start,
+    /// A fresh load of the program: the replay every fork must equal.
+    Load,
+  };
+
+  /// One injected run from \p From, plain or under \p Recovery, with a
+  /// bundle when \p Recorder is set; \p Final, when set, receives the
+  /// run's final translator registry. The fork-equals-replay
+  /// differential runs one fault from each RunFrom and compares.
+  InjectionReport injectFrom(const PlannedFault &Fault, RunFrom From,
+                             const RecoveryConfig *Recovery = nullptr,
+                             telemetry::FlightRecorder *Recorder = nullptr,
+                             telemetry::RegistrySnapshot *Final = nullptr) const;
 
   /// Outcome of one injected run executed under a RecoveryManager
   /// (Result, Fired and Recovery are filled).
@@ -274,11 +317,6 @@ public:
   const telemetry::MetricsRegistry &metrics() const { return Metrics; }
 
 private:
-  /// One injected run, plain or under \p Recovery.
-  InjectionReport injectRun(const PlannedFault &Fault,
-                            const RecoveryConfig *Recovery,
-                            telemetry::FlightRecorder *Recorder) const;
-
   /// run()/runWithRecovery(): one checkpoint-free batch through the
   /// campaign batch loop, folded into Metrics.
   CampaignResult runOneBatch(uint64_t NumInjections, uint64_t Seed,
@@ -297,6 +335,13 @@ private:
   bool Prepared = false;
   bool PropEnabled = false;
   telemetry::GoldenTrace Golden;
+  /// The load-time snapshot (instant 0) and the current plan's
+  /// snapshots in instant order. Every injection forks one; they
+  /// outlive those forks (plan() and prepare() replace them only
+  /// between injections), so frozen pages are freed on the thread that
+  /// planned.
+  std::unique_ptr<GuestRun> Start;
+  std::vector<std::unique_ptr<GuestRun>> Snapshots;
 };
 
 } // namespace cfed

@@ -6,14 +6,36 @@
 #include "fault/Campaign.h"
 #include "support/Diagnostics.h"
 
+#include <cassert>
+
 using namespace cfed;
 
 GuestRun::GuestRun(const AsmProgram &Program, const DbtConfig &Config,
-                   telemetry::DigestRecorder *Digests)
-    : Translator(Mem, Config), Interp(Mem) {
-  if (Digests)
-    Translator.setDigestRecorder(Digests);
+                   bool TrackDigests)
+    : Digests(TrackDigests ? std::make_unique<telemetry::DigestRecorder>()
+                           : nullptr),
+      Translator(Mem, Config), Interp(Mem) {
+  Translator.setDigestRecorder(Digests.get());
   Loaded = Translator.load(Program, Interp.state());
+}
+
+template <typename MemoryTag>
+GuestRun::GuestRun(const GuestRun &From, MemoryTag Tag)
+    : Mem(From.Mem, Tag),
+      Digests(From.Digests
+                  ? std::make_unique<telemetry::DigestRecorder>(*From.Digests)
+                  : nullptr),
+      Translator(Mem, From.Translator), Interp(Mem, From.Interp),
+      Loaded(From.Loaded) {
+  Translator.setDigestRecorder(Digests.get());
+}
+
+GuestRun::GuestRun(const GuestRun &Snapshot)
+    : GuestRun(Snapshot, Memory::Fork) {}
+
+std::unique_ptr<GuestRun> GuestRun::snapshot() {
+  Mem.freeze();
+  return std::unique_ptr<GuestRun>(new GuestRun(*this, Memory::Image));
 }
 
 bool GuestRun::golden(uint64_t MaxInsns, GoldenRun &Out) {
@@ -31,11 +53,14 @@ RunEnd GuestRun::finish(const GoldenRun &Golden,
   RunEnd End;
   End.UnderRecovery = Recovery != nullptr;
   if (Recovery) {
+    // The seed checkpoint sits at the program entry.
+    assert(Interp.instructionCount() == 0 && "recovery starts at instant 0");
     RecoveryManager Manager(Interp, Translator, *Recovery);
     End.Recovery = Manager.run(Golden.budget());
     End.Stop = End.Recovery.FinalStop;
   } else {
-    End.Stop = Translator.run(Interp, Golden.budget());
+    End.Stop = Translator.run(Interp,
+                              Golden.budget() - Interp.instructionCount());
   }
   End.GoldenOutput = End.Stop.Kind == StopKind::Halted &&
                      hashOutput(Interp.output()) == Golden.Hash;

@@ -55,28 +55,50 @@ struct RunEnd {
   bool TrapInInstrumentation = false;
 };
 
-/// One fresh execution instance with \p Program loaded.
+/// One execution instance: a fresh one with the program loaded, a
+/// copy-on-write fork of a snapshot, or a snapshot (DESIGN.md §12).
 struct GuestRun {
   Memory Mem;
+  /// The run's digest stream, when it tracks propagation.
+  std::unique_ptr<telemetry::DigestRecorder> Digests;
   Dbt Translator;
   Interpreter Interp;
   bool Loaded;
 
-  /// \p Digests must be attached before load(): eager configurations
-  /// translate at load time, and every run of a campaign must share one
-  /// code-cache layout.
+  /// Loads \p Program. With \p TrackDigests the digest recorder is
+  /// attached before load(): eager configurations translate at load
+  /// time, and every run of a campaign must share one code-cache layout.
   GuestRun(const AsmProgram &Program, const DbtConfig &Config,
-           telemetry::DigestRecorder *Digests = nullptr);
+           bool TrackDigests = false);
+
+  /// Forks \p Snapshot (made by snapshot()): shares its pages and copies
+  /// its translator, CPU state, progress, output and digest capture
+  /// state, so running the fork equals running on from where the
+  /// snapshot was taken. Any number of threads may fork one snapshot at
+  /// once.
+  explicit GuestRun(const GuestRun &Snapshot);
+
+  /// Freezes this run's memory and returns a snapshot of the run at this
+  /// point, for later forks to start from. A snapshot holds a memory
+  /// image (DESIGN.md §12) and is never run itself. This run goes on;
+  /// its next write to each page copies it.
+  std::unique_ptr<GuestRun> snapshot();
 
   /// Runs the loaded program (hooks already attached) as the golden run;
   /// false unless it loaded and halts within \p MaxInsns.
   bool golden(uint64_t MaxInsns, GoldenRun &Out);
 
-  /// Runs a planning or injected run within \p Golden's budget: plain
+  /// Runs a planning or injected run up to \p Golden's budget (counted
+  /// from program start, so a fork gets what is left of it): plain
   /// Dbt::run, or RecoveryManager::run when \p Recovery is given. Fatal
   /// when the program did not load (its golden run did).
   RunEnd finish(const GoldenRun &Golden,
                 const RecoveryConfig *Recovery = nullptr);
+
+private:
+  /// Copies \p From's run state onto a memory made by
+  /// Memory(From.Mem, \p Tag): an image or a fork.
+  template <typename MemoryTag> GuestRun(const GuestRun &From, MemoryTag Tag);
 };
 
 /// Which detectors a campaign kind credits beyond the signature check's

@@ -11,6 +11,13 @@
 using namespace cfed;
 using namespace cfed::telemetry;
 
+BlockProfile::BlockProfile(const BlockProfile &Other)
+    : NumSlots(Other.NumSlots), HotThreshold(Other.HotThreshold),
+      Blocks(Other.Blocks), EdgeSlots(Other.EdgeSlots) {
+  for (const auto &C : Other.Chunks)
+    Chunks.push_back(std::make_unique<Chunk>(*C));
+}
+
 uint32_t BlockProfile::allocSlot() {
   if (NumSlots % ChunkSize == 0)
     Chunks.push_back(std::make_unique<Chunk>());

@@ -63,7 +63,8 @@ public:
   };
 
   BlockProfile() = default;
-  BlockProfile(const BlockProfile &) = delete;
+  /// A deep copy: same slots, counts and metadata.
+  BlockProfile(const BlockProfile &Other);
   BlockProfile &operator=(const BlockProfile &) = delete;
 
   /// Returns the counter slot for the block entered at \p GuestAddr,

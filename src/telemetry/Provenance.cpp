@@ -5,6 +5,7 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstring>
 
@@ -142,6 +143,20 @@ void DigestRecorder::captureRecord(uint64_t Key, uint64_t TermPC, bool Checked,
   stageRecord<mixWindow>(Key, TermPC, Checked, Regs, FpRegs, FlagBits);
 }
 
+DigestRecorder::DigestRecorder(const DigestRecorder &Other)
+    : CaptureMode(Other.CaptureMode), Markers(Other.Markers),
+      FirstRecord(Other.FirstRecord + Other.Records.size() +
+                  (Other.StagedNext - Other.Staged.data())),
+      GuestRetired(Other.GuestRetired), PrevChain(Other.PrevChain),
+      StoreAcc(Other.StoreAcc), StoreCount(Other.StoreCount),
+      OutAcc(Other.OutAcc), OutLen(Other.OutLen), FpActive(Other.FpActive) {
+  // Continue the chain past Other's records still staged.
+  for (const StagedRecord *S = Other.Staged.data(); S != Other.StagedNext;
+       ++S)
+    PrevChain = chainStep(PrevChain, S->KeyAndChecked & ~StagedCheckedBit,
+                          S->TermPC, S->Local);
+}
+
 void DigestRecorder::materialize() {
   size_t StagedLen = StagedNext - Staged.data();
   if (StagedLen == 0)
@@ -153,7 +168,7 @@ void DigestRecorder::materialize() {
     R.Key = S.KeyAndChecked & ~StagedCheckedBit;
     R.TermPC = S.TermPC;
     R.Local = S.Local;
-    R.Chain = foldWord(PrevChain ^ R.Key ^ rotHalf(R.TermPC), R.Local);
+    R.Chain = chainStep(PrevChain, R.Key, R.TermPC, R.Local);
     R.Checked = (S.KeyAndChecked & StagedCheckedBit) != 0;
     PrevChain = R.Chain;
     Records.push_back(R);
@@ -214,23 +229,31 @@ std::vector<uint64_t> telemetry::propDistanceBounds() {
 PropagationReport
 telemetry::analyzePropagation(const std::vector<DigestRecord> &Golden,
                               const std::vector<DigestRecord> &Faulted,
-                              PropOutcome HowItEnded) {
+                              PropOutcome HowItEnded, uint64_t FaultedFirst) {
   PropagationReport R;
   R.Enabled = true;
 
+  // The whole faulted stream is Golden[0, First) followed by Faulted.
+  assert(FaultedFirst <= Golden.size() && "fork beyond the golden stream");
+  size_t First = FaultedFirst;
+  size_t FaultedSize = First + Faulted.size();
+  auto FaultedAt = [&](size_t I) -> const DigestRecord & {
+    return I < First ? Golden[I] : Faulted[I - First];
+  };
+
   // First chain mismatch over the common prefix; a length difference
   // with a clean prefix diverges at the first extra/missing record.
-  size_t Common = std::min(Golden.size(), Faulted.size());
+  size_t Common = std::min(Golden.size(), FaultedSize);
   size_t Div = Common;
-  for (size_t I = 0; I < Common; ++I) {
-    if (Golden[I].Chain != Faulted[I].Chain) {
+  for (size_t I = First; I < Common; ++I) {
+    if (Golden[I].Chain != FaultedAt(I).Chain) {
       Div = I;
       break;
     }
   }
   bool Diverged =
       Div < Common ||
-      (Golden.size() != Faulted.size() && Faulted.size() > Golden.size());
+      (Golden.size() != FaultedSize && FaultedSize > Golden.size());
   // A faulted run that is a strict prefix of the golden stream stopped
   // early (a check or trap cut it short) without corrupting state: for
   // a detected, masked or timed-out run that is not an architectural
@@ -240,35 +263,35 @@ telemetry::analyzePropagation(const std::vector<DigestRecord> &Golden,
   // its concrete first-divergence point (in golden coordinates; the
   // tail metrics stay zero, nothing executed past it).
   if (!Diverged && HowItEnded == PropOutcome::Sdc &&
-      Faulted.size() < Golden.size()) {
+      FaultedSize < Golden.size()) {
     Diverged = true;
-    Div = Faulted.size();
+    Div = FaultedSize;
   }
   if (Diverged) {
     R.Diverged = true;
     R.DivergenceOrdinal = Div;
-    const DigestRecord &At =
-        Div < Faulted.size() ? Faulted[Div] : Golden[Div];
+    const DigestRecord &At = Div < FaultedSize ? FaultedAt(Div) : Golden[Div];
     R.DivergenceKey = At.Key;
     R.DivergencePC = At.TermPC;
 
     // The propagation tail: every faulted boundary from the divergence
     // on (once the chain breaks it never re-matches).
     std::vector<uint64_t> Blocks;
-    for (size_t I = Div; I < Faulted.size(); ++I) {
-      Blocks.push_back(Faulted[I].TermPC);
-      if (Faulted[I].Checked)
+    for (size_t I = Div; I < FaultedSize; ++I) {
+      Blocks.push_back(FaultedAt(I).TermPC);
+      if (FaultedAt(I).Checked)
         ++R.ChecksCrossed;
     }
     std::sort(Blocks.begin(), Blocks.end());
     R.TaintedBlocks =
         std::unique(Blocks.begin(), Blocks.end()) - Blocks.begin();
-    if (!Faulted.empty() && Faulted.back().Key >= R.DivergenceKey)
-      R.InsnsCrossed = Faulted.back().Key - R.DivergenceKey;
+    if (FaultedSize && FaultedAt(FaultedSize - 1).Key >= R.DivergenceKey)
+      R.InsnsCrossed = FaultedAt(FaultedSize - 1).Key - R.DivergenceKey;
   }
 
-  bool FinalStateMatches = !Golden.empty() && !Faulted.empty() &&
-                           Golden.back().Local == Faulted.back().Local;
+  bool FinalStateMatches =
+      !Golden.empty() && FaultedSize &&
+      Golden.back().Local == FaultedAt(FaultedSize - 1).Local;
   switch (HowItEnded) {
   case PropOutcome::Detected:
     R.Class = R.Diverged ? PropClass::DetectedAfterDivergence

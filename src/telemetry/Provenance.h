@@ -106,7 +106,11 @@ public:
   static constexpr uint64_t FnvPrime = 0x100000001b3ULL;
 
   DigestRecorder() = default;
-  DigestRecorder(const DigestRecorder &) = delete;
+  /// A recorder whose stream continues \p Other's: the same marker table
+  /// and capture state, but none of \p Other's records. Its records()
+  /// are the stream's from record firstRecord() on, so a forked run
+  /// holds only what it records after its fork point.
+  DigestRecorder(const DigestRecorder &Other);
   DigestRecorder &operator=(const DigestRecorder &) = delete;
 
   /// One multiply per folded word; the byte-at-a-time FNV would put the
@@ -211,6 +215,7 @@ public:
   /// accumulators) while keeping the marker table.
   void resetRun() {
     Records.clear();
+    FirstRecord = 0;
     StagedNext = Staged.data();
     GuestRetired = 0;
     PrevChain = FnvOffset;
@@ -235,6 +240,9 @@ public:
     materialize();
     return std::move(Records);
   }
+  /// Stream position of records().front(): the records before it were
+  /// recorded by the run this one was copied from.
+  uint64_t firstRecord() const { return FirstRecord; }
   uint64_t guestRetired() const { return GuestRetired; }
 
 private:
@@ -279,6 +287,12 @@ private:
   void markerCaptureAvx512(uint32_t Slot, const uint64_t *Regs,
                            const double *FpRegs, unsigned FlagBits);
 
+  /// One link of the chain digest: the record after \p Prev.
+  static uint64_t chainStep(uint64_t Prev, uint64_t Key, uint64_t TermPC,
+                            uint64_t Local) {
+    return foldWord(Prev ^ Key ^ rotHalf(TermPC), Local);
+  }
+
   /// Folds the chain over the staged records and appends them to
   /// Records (Provenance.cpp). Idempotent between captures; incremental
   /// calls continue the chain where the last one stopped.
@@ -287,11 +301,13 @@ private:
   Mode CaptureMode = Mode::Interp;
   std::vector<MarkerInfo> Markers;
   std::vector<DigestRecord> Records;
+  /// Stream position of Records.front() (firstRecord()).
+  uint64_t FirstRecord = 0;
   /// [Staged.data(), StagedNext) are the staged records and StagedEnd
   /// is the end of the buffer. The buffer only grows (captureRecord),
   /// so a capture writes through a pointer instead of paying
-  /// push_back's reallocation path; the pointers are why the recorder
-  /// cannot be copied.
+  /// push_back's reallocation path; a copy starts with an empty buffer
+  /// of its own.
   std::vector<StagedRecord> Staged;
   StagedRecord *StagedNext = nullptr;
   StagedRecord *StagedEnd = nullptr;
@@ -368,10 +384,13 @@ struct PropagationReport {
 
 /// Replays \p Faulted against the \p Golden oracle: finds the first
 /// chain divergence, measures the propagation tail, and classifies the
-/// injection into the funnel given how the run ended.
+/// injection into the funnel given how the run ended. \p Faulted holds
+/// the faulted stream from record \p FaultedFirst on (a forked run's
+/// DigestRecorder::firstRecord()); the records before it are Golden's.
 PropagationReport analyzePropagation(const std::vector<DigestRecord> &Golden,
                                      const std::vector<DigestRecord> &Faulted,
-                                     PropOutcome HowItEnded);
+                                     PropOutcome HowItEnded,
+                                     uint64_t FaultedFirst = 0);
 
 /// Counter name "prop.cat_<cat>.<class>" — per-category funnel tallies.
 std::string getPropCounterName(const char *CategoryName, PropClass C);

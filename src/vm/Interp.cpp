@@ -246,6 +246,30 @@ condBranchTaken(const Instruction &I, const uint64_t *Regs, const Flags &F) {
 #define OP_BREAK goto next_insn
 
 StopInfo Interpreter::run(uint64_t MaxInsns) {
+  if (ArmedFault && ArmedAt > Insns && ArmedAt - Insns <= MaxInsns)
+    return runArmed(MaxInsns);
+  return runSelected(MaxInsns);
+}
+
+StopInfo Interpreter::runArmed(uint64_t MaxInsns) {
+  uint64_t Start = Insns;
+  if (uint64_t Before = ArmedAt - 1 - Insns) {
+    StopInfo Stop = runSelected(Before);
+    if (Stop.Kind != StopKind::InsnLimit || Insns != ArmedAt - 1)
+      return Stop; // Stopped first; the fault stays armed.
+  }
+  FaultHook *Installed = Fault;
+  Fault = ArmedFault;
+  ArmedFault = nullptr;
+  StopInfo Stop = runLoop<true>(1);
+  Fault = Installed;
+  uint64_t Done = Insns - Start;
+  if (Stop.Kind != StopKind::InsnLimit || Done >= MaxInsns)
+    return Stop;
+  return runSelected(MaxInsns - Done);
+}
+
+StopInfo Interpreter::runSelected(uint64_t MaxInsns) {
   // The three per-instruction hooks select the hooked instantiation; the
   // hook-free one skips their tests and fuses runs of check code. Hooks that
   // act only inside their own opcode handlers (DbtHooks, BlockProfile,
@@ -369,8 +393,13 @@ template <bool Hooked> StopInfo Interpreter::runLoop(uint64_t MaxInsns) {
     Flags BranchFlags;
     if (Hooked) {
       BranchFlags = F;
-      if (Fault && hasBranchOffset(I.Op))
+      if (Fault && hasBranchOffset(I.Op)) {
         Fault->apply(PC, I, BranchFlags, State);
+        if (StopRequested) {
+          StopRequested = false;
+          Budget = 0;
+        }
+      }
     }
 
 #if CFED_COMPUTED_GOTO

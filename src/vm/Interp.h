@@ -172,6 +172,12 @@ public:
 class Interpreter {
 public:
   explicit Interpreter(Memory &Mem) : Mem(Mem) {}
+  /// Continues \p Parent's execution on \p Mem (a fork of its memory):
+  /// CPU state, progress counters and output carry over; hooks do not.
+  Interpreter(Memory &Mem, const Interpreter &Parent)
+      : Mem(Mem), State(Parent.State), Insns(Parent.Insns),
+        Cycles(Parent.Cycles), FusedInsns(Parent.FusedInsns),
+        OutputBuffer(Parent.OutputBuffer) {}
 
   CpuState &state() { return State; }
   const CpuState &state() const { return State; }
@@ -179,6 +185,23 @@ public:
 
   /// Installs / clears the fault-injection hook.
   void setFaultHook(FaultHook *Hook) { Fault = Hook; }
+  /// Arms \p Hook for one instruction: the one that retires as number
+  /// \p AtInsn (so instructionCount() == AtInsn right after it). A run()
+  /// whose budget reaches it executes the instructions before it on the
+  /// loop the installed hooks select, then that one instruction on the
+  /// hooked loop with \p Hook as the fault hook, then the rest of its
+  /// budget; the hook is disarmed once offered the instruction. Budget
+  /// and stops are exactly those of one uninterrupted run().
+  void armFault(FaultHook *Hook, uint64_t AtInsn) {
+    ArmedFault = Hook;
+    ArmedAt = AtInsn;
+  }
+
+  /// Ends the current run() after the instruction being executed, with an
+  /// InsnLimit stop. Only a fault hook may call it (it is checked where
+  /// the hooked loop calls one).
+  void requestStop() { StopRequested = true; }
+
   /// Installs / clears the per-instruction hook.
   void setPreInsnHook(PreInsnHook *Hook) { PreInsn = Hook; }
   /// Currently installed per-instruction hook (so wrappers like the
@@ -237,6 +260,10 @@ private:
   /// The run loop, instantiated with and without the per-instruction
   /// hooks (PreInsnHook, FaultHook, BranchObserver); run() picks one.
   template <bool Hooked> StopInfo runLoop(uint64_t MaxInsns);
+  /// run() without an armed fault in reach: picks the loop.
+  StopInfo runSelected(uint64_t MaxInsns);
+  /// run() whose budget reaches the armed fault's instruction.
+  StopInfo runArmed(uint64_t MaxInsns);
 
   Memory &Mem;
   CpuState State;
@@ -244,6 +271,9 @@ private:
   PreInsnHook *PreInsn = nullptr;
   BranchObserver *Profiler = nullptr;
   DbtHooks *Dbt = nullptr;
+  FaultHook *ArmedFault = nullptr;
+  uint64_t ArmedAt = 0;
+  bool StopRequested = false;
   telemetry::BlockProfile *BlockProf = nullptr;
   telemetry::DigestRecorder *DigestRec = nullptr;
   uint64_t Insns = 0;

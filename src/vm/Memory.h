@@ -24,10 +24,18 @@
 /// (everything below CacheBase + CacheMaxSize); addresses at or above it
 /// are unmapped. The interpreter's hot accessors (fetchDecoded and
 /// peekDecoded, read64, write64, read8, write8) are inline: an access
-/// inside one page whose permission bit is set — and, for writes, with
-/// no observer report due and no predecoded side array to drop — is one
-/// table index and one copy. Every other access takes the byte-granular
-/// access() loop.
+/// inside one page whose permission bit is set — and, for writes, whose
+/// write epoch is current and which has no predecoded side array to
+/// drop — is one table index and one copy. Every other access takes the
+/// byte-granular access() loop.
+///
+/// Memories fork copy-on-write (DESIGN.md §12): freeze() turns every page
+/// into an immutable shared page, an image lists them, and a Memory
+/// forked from the image shares them. The first write, permission change
+/// or predecode of a shared page privatises it — a copy in the writer's
+/// table only. Shared pages never carry the current write epoch, so
+/// privatisation rides the write-epoch slow path the observer report
+/// already takes; no read, write or fetch fast path tests anything new.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,7 +95,30 @@ public:
   static constexpr uint64_t AddrLimit = CacheBase + CacheMaxSize;
   static constexpr uint64_t NumTablePages = AddrLimit / PageSize;
 
-  Memory() : Table(NumTablePages) {}
+  Memory();
+  ~Memory();
+  Memory(const Memory &) = delete;
+  Memory &operator=(const Memory &) = delete;
+
+  /// Makes every page shared and immutable so an image can be taken.
+  /// The Memory stays usable: its own next write to a page privatises
+  /// it. Frozen pages are owned by a store that every Memory sharing
+  /// them keeps alive, so they are freed with the last of those, on the
+  /// thread that drops it.
+  void freeze();
+
+  enum ImageTag { Image };
+  /// An image of \p Live, which must be frozen: the list of its pages,
+  /// without a page table. An image is never accessed, only forked, so
+  /// it costs its list and not a table.
+  Memory(const Memory &Live, ImageTag);
+
+  enum ForkTag { Fork };
+  /// A copy-on-write fork of \p Image: shares every page, with a table
+  /// of its own. Any number of threads may fork one image at once. The
+  /// fork's predecode counters and write epoch start afresh and it has
+  /// no write observer.
+  Memory(const Memory &Image, ForkTag);
 
   /// Maps [Base, Base+Size) with \p Perms, zero-filled. Rounds outward to
   /// page boundaries. Remapping an existing page just updates permissions.
@@ -141,7 +172,7 @@ public:
   const Instruction *peekDecoded(uint64_t Addr) const {
     if (Addr % InsnSize != 0 || Addr >= AddrLimit)
       return nullptr;
-    const Page *P = Table[Addr / PageSize].get();
+    const Page *P = Table[Addr / PageSize];
     if (!P || !(P->Perms & PermX) || !P->Decoded)
       return nullptr;
     uint64_t Slot = (Addr % PageSize) / InsnSize;
@@ -211,31 +242,46 @@ private:
 
   struct Page {
     std::unique_ptr<DecodedPage> Decoded;
-    /// Write epoch in which the observer last saw this page dirtied.
+    /// Write epoch in which this page last took the write slow path:
+    /// plain writes go fast only while it equals the Memory's WriteEpoch
+    /// (and, for a tracked page, the observer has then seen it). Shared
+    /// pages keep 0, which no epoch ever is.
     uint64_t DirtyEpoch = 0;
     uint8_t Perms = PermNone;
-    alignas(8) uint8_t Bytes[PageSize] = {};
+    /// Frozen into a PageStore: immutable, possibly in several tables.
+    bool Shared = false;
+    /// Zero-filled by value-initialisation (new Page()), left
+    /// uninitialised by privatise(), which copies over it.
+    alignas(8) uint8_t Bytes[PageSize];
+  };
+
+  /// Owner of the pages one freeze() made shared. A Memory's store
+  /// covers every shared page in its table: through Parent, those of its
+  /// earlier freezes and of the Memory it was forked from.
+  struct PageStore {
+    std::shared_ptr<const PageStore> Parent;
+    std::vector<std::unique_ptr<Page>> Pages;
   };
 
   enum class AccessKind { Read, Write, Fetch, Raw };
 
   /// The page containing \p Addr, or nullptr if unmapped.
   Page *pageAt(uint64_t Addr) const {
-    return Addr < AddrLimit ? Table[Addr / PageSize].get() : nullptr;
+    return Addr < AddrLimit ? Table[Addr / PageSize] : nullptr;
   }
   /// The page that holds all of [Addr, Addr+Size) when it is mapped with
   /// \p Perm; nullptr sends the access down the access() path.
   Page *fastPage(uint64_t Addr, uint64_t Size, uint8_t Perm) const {
     if (Addr >= AddrLimit || Addr % PageSize > PageSize - Size)
       return nullptr;
-    Page *P = Table[Addr / PageSize].get();
+    Page *P = Table[Addr / PageSize];
     return P && (P->Perms & Perm) ? P : nullptr;
   }
-  /// True when a write to \p P (whose base is \p PageBase) must first
-  /// hand the page's pre-image to the observer.
-  bool writeReportDue(const Page *P, uint64_t PageBase) const {
-    return WriteObserver && P->DirtyEpoch != WriteEpoch &&
-           PageBase < WriteObserverLimit;
+  /// True when a write to \p P must take the slow path first: to
+  /// privatise a shared page or hand a tracked page's pre-image to the
+  /// observer (prepareWrite()).
+  bool writeSlowDue(const Page *P) const {
+    return P->DirtyEpoch != WriteEpoch;
   }
 
   template <typename T> T readScalar(uint64_t Addr, MemResult &Result) const {
@@ -250,7 +296,7 @@ private:
   }
   template <typename T> MemResult writeScalar(uint64_t Addr, T Value) {
     Page *P = fastPage(Addr, sizeof(T), PermW);
-    if (!P || P->Decoded || writeReportDue(P, Addr - Addr % PageSize))
+    if (!P || P->Decoded || writeSlowDue(P))
       return write(Addr, &Value, sizeof(T));
     std::memcpy(P->Bytes + Addr % PageSize, &Value, sizeof(T));
     return MemResult::Ok;
@@ -259,10 +305,24 @@ private:
   const Instruction *fetchDecodedSlow(uint64_t Addr, MemResult &Result);
   MemResult access(uint64_t Addr, void *Out, const void *In, uint64_t Size,
                    AccessKind Kind) const;
+  /// The write slow path for the page at \p PageBase: privatises it when
+  /// shared, reports its pre-image when tracked and not yet reported in
+  /// this epoch, and marks the epoch current. Returns the page to write.
+  Page *prepareWrite(uint64_t PageBase) const;
+  /// Replaces the shared page at table index \p Index by a private copy
+  /// of its bytes and permissions (and its decoded side array when
+  /// \p KeepDecoded). Returns the copy.
+  Page *privatise(uint64_t Index, bool KeepDecoded) const;
 
-  /// Page table indexed by Addr / PageSize; pages are immovable once
-  /// allocated, so a Page pointer stays valid for the Memory's lifetime.
-  std::vector<std::unique_ptr<Page>> Table;
+  /// Page table indexed by Addr / PageSize (NumTablePages entries; null
+  /// in an image). A private page is owned by this Memory; a shared one
+  /// by Store. An entry changes only when privatise() replaces it.
+  std::unique_ptr<Page *[]> Table;
+  /// Table indices of the mapped pages, in mapping order.
+  std::vector<uint32_t> Mapped;
+  /// An image's pages, parallel to Mapped.
+  std::vector<Page *> ImagePages;
+  std::shared_ptr<const PageStore> Store;
   PageWriteObserver *WriteObserver = nullptr;
   uint64_t WriteObserverLimit = 0;
   /// Current write epoch; a tracked page whose DirtyEpoch differs has not

@@ -1,12 +1,16 @@
 //===- MemoryTest.cpp - Unit tests for paged memory and the loader -------------===//
 
 #include "asm/Assembler.h"
+#include "vm/Interp.h"
 #include "vm/Layout.h"
 #include "vm/Loader.h"
 #include "vm/Memory.h"
 
 #include <cstring>
 #include <gtest/gtest.h>
+#include <string>
+#include <thread>
+#include <vector>
 
 using namespace cfed;
 
@@ -385,6 +389,214 @@ TEST(MemoryTest, WriteObserverEpochsUnderFastPathStores) {
   ASSERT_EQ(Mem.write8(0x1000, 0x99), MemResult::Ok);
   ASSERT_EQ(Observer.Events.size(), 5u);
   EXPECT_EQ(Observer.Events[4].FirstOldByte, 0x88);
+}
+
+//===----------------------------------------------------------------------===//
+// Copy-on-write forks
+//===----------------------------------------------------------------------===//
+
+TEST(MemoryTest, ForkWritesStayIsolatedBothWays) {
+  Memory Parent;
+  Parent.mapRegion(0x1000, 2 * PageSize, PermRW);
+  ASSERT_EQ(Parent.write64(0x1000, 11), MemResult::Ok);
+  Parent.freeze();
+  Memory Image(Parent, Memory::Image);
+  Memory Fork(Image, Memory::Fork);
+  MemResult R = MemResult::Ok;
+  EXPECT_EQ(Fork.read64(0x1000, R), 11u);
+
+  // Fork to parent: the fork's write privatises its page only.
+  ASSERT_EQ(Fork.write64(0x1000, 22), MemResult::Ok);
+  EXPECT_EQ(Parent.read64(0x1000, R), 11u);
+  EXPECT_EQ(Fork.read64(0x1000, R), 22u);
+  // Parent to fork, on the page the fork has not touched, through the
+  // slow path (a byte-granular straddling write) and the inline one.
+  ASSERT_EQ(Parent.write64(0x1000 + PageSize - 4, ~0ull), MemResult::Ok);
+  ASSERT_EQ(Parent.write64(0x1000 + PageSize + 8, 33), MemResult::Ok);
+  EXPECT_EQ(Fork.read64(0x1000 + PageSize - 4, R), 0u);
+  EXPECT_EQ(Fork.read64(0x1000 + PageSize + 8, R), 0u);
+  EXPECT_EQ(Parent.read64(0x1000 + PageSize + 8, R), 33u);
+
+  // A later freeze shares the parent's new contents with new forks only.
+  Parent.freeze();
+  Memory LaterImage(Parent, Memory::Image);
+  Memory Later(LaterImage, Memory::Fork);
+  EXPECT_EQ(Later.read64(0x1000 + PageSize + 8, R), 33u);
+  EXPECT_EQ(Fork.read64(0x1000 + PageSize + 8, R), 0u);
+}
+
+TEST(MemoryTest, ForkPermissionChangesStayIsolatedBothWays) {
+  Memory Parent;
+  Parent.mapRegion(0x1000, 2 * PageSize, PermRW);
+  Parent.freeze();
+  Memory Image(Parent, Memory::Image);
+  Memory Fork(Image, Memory::Fork);
+
+  Fork.setPerms(0x1000, PageSize, PermR);
+  EXPECT_EQ(Fork.write8(0x1000, 1), MemResult::NoWrite);
+  EXPECT_EQ(Parent.write8(0x1000, 1), MemResult::Ok);
+  EXPECT_EQ(Parent.getPerms(0x1000), PermRW);
+
+  Parent.mapRegion(0x1000 + PageSize, PageSize, PermR); // A remap.
+  EXPECT_EQ(Parent.write8(0x1000 + PageSize, 1), MemResult::NoWrite);
+  EXPECT_EQ(Fork.getPerms(0x1000 + PageSize), PermRW);
+  EXPECT_EQ(Fork.write8(0x1000 + PageSize, 2), MemResult::Ok);
+  MemResult R = MemResult::Ok;
+  EXPECT_EQ(Parent.read8(0x1000 + PageSize, R), 0u);
+}
+
+TEST(MemoryTest, ForkPredecodeStaysIsolatedBothWays) {
+  Memory Parent;
+  Parent.mapRegion(0x1000, 2 * PageSize, PermRX);
+  pokeInsn(Parent, 0x1000, insn::rri(Opcode::AddI, 1, 1, 5));
+  pokeInsn(Parent, 0x1000 + PageSize, insn::rri(Opcode::AddI, 2, 2, 6));
+  Parent.freeze();
+  Memory Image(Parent, Memory::Image);
+  Memory Fork(Image, Memory::Fork);
+  MemResult R = MemResult::Ok;
+
+  // The parent decodes its copy; the fork still decodes its own.
+  ASSERT_NE(Parent.fetchDecoded(0x1000, R), nullptr);
+  EXPECT_EQ(Parent.predecodeMissCount(), 1u);
+  const Instruction *I = Fork.fetchDecoded(0x1000, R);
+  ASSERT_NE(I, nullptr);
+  EXPECT_EQ(I->Imm, 5);
+  EXPECT_EQ(Fork.predecodeMissCount(), 1u);
+
+  // And the reverse, on the other page.
+  ASSERT_NE(Fork.fetchDecoded(0x1000 + PageSize, R), nullptr);
+  EXPECT_EQ(Fork.predecodeMissCount(), 2u);
+  ASSERT_NE(Parent.fetchDecoded(0x1000 + PageSize, R), nullptr);
+  EXPECT_EQ(Parent.predecodeMissCount(), 2u);
+}
+
+TEST(MemoryTest, WriteToSharedCodePageInvalidatesOnlyTheWriter) {
+  Memory Parent;
+  Parent.mapRegion(0x1000, PageSize, PermRX);
+  pokeInsn(Parent, 0x1000, insn::rri(Opcode::AddI, 1, 1, 5));
+  MemResult R = MemResult::Ok;
+  ASSERT_NE(Parent.fetchDecoded(0x1000, R), nullptr); // Decoded, shared.
+  Parent.freeze();
+  Memory Image(Parent, Memory::Image);
+  Memory Writer(Image, Memory::Fork), Reader(Image, Memory::Fork);
+
+  // Both forks start on the parent's decoded page: pure hits.
+  ASSERT_NE(Writer.fetchDecoded(0x1000, R), nullptr);
+  ASSERT_NE(Reader.fetchDecoded(0x1000, R), nullptr);
+  EXPECT_EQ(Writer.predecodeMissCount(), 0u);
+  EXPECT_EQ(Reader.predecodeMissCount(), 0u);
+
+  pokeInsn(Writer, 0x1000, insn::rri(Opcode::AddI, 1, 1, 9));
+  const Instruction *New = Writer.fetchDecoded(0x1000, R);
+  ASSERT_NE(New, nullptr);
+  EXPECT_EQ(New->Imm, 9);
+  EXPECT_EQ(Writer.predecodeMissCount(), 1u);
+
+  // The reader and the parent keep the shared decoded page.
+  const Instruction *Old = Reader.fetchDecoded(0x1000, R);
+  ASSERT_NE(Old, nullptr);
+  EXPECT_EQ(Old->Imm, 5);
+  EXPECT_EQ(Reader.predecodeMissCount(), 0u);
+  EXPECT_EQ(Parent.fetchDecoded(0x1000, R), Old);
+}
+
+namespace {
+
+/// Keeps each reported pre-image whole.
+class PageImageObserver : public PageWriteObserver {
+public:
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> Images;
+  void onPageDirtied(uint64_t PageBase, const uint8_t *OldBytes) override {
+    Images.emplace_back(PageBase,
+                        std::vector<uint8_t>(OldBytes, OldBytes + PageSize));
+  }
+};
+
+} // namespace
+
+TEST(MemoryTest, ForkObserverReceivesSharedPreImage) {
+  Memory Parent;
+  Parent.mapRegion(0x1000, PageSize, PermRW);
+  for (uint64_t Off = 0; Off < PageSize; Off += 8)
+    ASSERT_EQ(Parent.write64(0x1000 + Off, Off * 3 + 1), MemResult::Ok);
+  std::vector<uint8_t> Before(PageSize);
+  Parent.readRaw(0x1000, Before.data(), PageSize);
+  Parent.freeze();
+  Memory Image(Parent, Memory::Image);
+
+  Memory Fork(Image, Memory::Fork);
+  PageImageObserver Observer;
+  Fork.setWriteObserver(&Observer, CacheBase);
+  ASSERT_EQ(Fork.write64(0x1008, 7), MemResult::Ok);
+  ASSERT_EQ(Fork.write64(0x1010, 8), MemResult::Ok);
+  ASSERT_EQ(Observer.Images.size(), 1u);
+  EXPECT_EQ(Observer.Images[0].first, 0x1000u);
+  EXPECT_EQ(Observer.Images[0].second, Before);
+
+  // The rollback path writes the pre-image back; the parent never moved.
+  Fork.writeRaw(0x1000, Observer.Images[0].second.data(), PageSize);
+  std::vector<uint8_t> Parents(PageSize), Forks(PageSize);
+  Parent.readRaw(0x1000, Parents.data(), PageSize);
+  Fork.readRaw(0x1000, Forks.data(), PageSize);
+  EXPECT_EQ(Parents, Before);
+  EXPECT_EQ(Forks, Before);
+}
+
+TEST(MemoryTest, ImageOutlivesTheMemoryItWasTakenFrom) {
+  auto Parent = std::make_unique<Memory>();
+  Parent->mapRegion(0x1000, PageSize, PermRW);
+  ASSERT_EQ(Parent->write64(0x1000, 44), MemResult::Ok);
+  Parent->freeze();
+  Memory Image(*Parent, Memory::Image);
+  ASSERT_EQ(Parent->write64(0x1000, 55), MemResult::Ok); // Privatises.
+  Parent.reset();
+  Memory Fork(Image, Memory::Fork);
+  MemResult R = MemResult::Ok;
+  EXPECT_EQ(Fork.read64(0x1000, R), 44u);
+  EXPECT_EQ(Fork.getPerms(0x1000), PermRW);
+}
+
+TEST(MemoryTest, ConcurrentForksWriteAndExecuteIndependently) {
+  // Sums 64 stores of r5 + i: each fork starts with its own r5.
+  AsmResult Asm = assembleProgram(
+      ".data\nbuf: .space 512\n.code\n"
+      "movi r1, buf\nmovi r2, 0\nmovi r3, 0\n"
+      "loop:\nadd r4, r5, r2\nst [r1], r4\nld r6, [r1]\nadd r3, r3, r6\n"
+      "addi r1, r1, 8\naddi r2, r2, 1\ncmpi r2, 64\njcc ne, loop\n"
+      "out r3\nhalt\n");
+  ASSERT_TRUE(Asm.succeeded()) << Asm.errorText();
+  Memory Parent;
+  CpuState Entry;
+  loadProgram(Asm.Program, LoadMode::Native, Parent, Entry);
+  MemResult R = MemResult::Ok;
+  ASSERT_NE(Parent.fetchDecoded(Entry.PC, R), nullptr); // A shared decode.
+  Parent.freeze();
+  Memory Image(Parent, Memory::Image);
+
+  constexpr unsigned NumThreads = 4;
+  std::string Outputs[NumThreads];
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      for (unsigned Round = 0; Round < 8; ++Round) {
+        Memory Fork(Image, Memory::Fork);
+        // The translator remaps cache pages with unchanged permissions on
+        // every translation; that must leave a shared page untouched.
+        Fork.mapRegion(Entry.PC, PageSize, PermRX);
+        Interpreter Interp(Fork);
+        Interp.state() = Entry;
+        Interp.state().Regs[5] = 1000 * T;
+        if (Interp.run(100000).Kind == StopKind::Halted)
+          Outputs[T] = Interp.output();
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  for (unsigned T = 0; T < NumThreads; ++T)
+    EXPECT_EQ(Outputs[T], std::to_string(64 * 1000 * T + 63 * 64 / 2) + "\n");
+  // The frozen parent still holds the image it was frozen with.
+  uint64_t DataAddr = Asm.Program.Symbols.at("buf");
+  EXPECT_EQ(Parent.read64(DataAddr, R), 0u);
 }
 
 TEST(LoaderTest, NativeLayout) {
