@@ -276,16 +276,18 @@ bool pickGadget(const Dbt &Translator, uint64_t SiteGuestBlock,
   return true;
 }
 
-/// Planning hook: walks all three families' event streams in one run
-/// and fills each pre-drawn attack at its chosen instance.
+/// Planning hook: walks all three families' event streams in one run,
+/// fills each pre-drawn attack at its chosen instance and offers the
+/// actionable ones to the snapshot set.
 class AttackPlanningHook : public PreInsnHook {
 public:
-  AttackPlanningHook(const Dbt &Translator, const Memory &Mem,
+  AttackPlanningHook(GuestRun &Planner,
                      std::array<std::vector<PlannedAttack>,
                                 NumAttackFamilies> &Plans,
                      const std::array<std::vector<uint64_t>,
-                                      NumAttackFamilies> &Salts)
-      : Translator(Translator), Mem(Mem), Plans(Plans), Salts(Salts) {}
+                                      NumAttackFamilies> &Salts,
+                     SnapshotSet &Snaps)
+      : Planner(Planner), Plans(Plans), Salts(Salts), Snaps(Snaps) {}
 
   void onInsn(uint64_t InsnAddr, const Instruction &I,
               CpuState &State) override {
@@ -296,47 +298,45 @@ public:
     ++Counter[Idx];
     std::vector<PlannedAttack> &Plan = Plans[Idx];
     size_t &Cursor = Next[Idx];
+    const Dbt &Translator = Planner.Translator;
     while (Cursor < Plan.size() && Plan[Cursor].Instance == Counter[Idx]) {
       PlannedAttack &Attack = Plan[Cursor];
       Attack.SiteAddr = InsnAddr;
       Attack.RealTarget =
-          eventRealTarget(Translator, Mem, InsnAddr, I, State, F);
+          eventRealTarget(Translator, Planner.Mem, InsnAddr, I, State, F);
+      Attack.InsnIndex = Planner.Interp.instructionCount();
       uint64_t Forged = 0;
       bool Valid = false;
       if (pickGadget(Translator, Translator.guestPCFor(InsnAddr),
                      Attack.RealTarget, Salts[Idx][Cursor], Forged, Valid)) {
         Attack.ForgedTarget = Forged;
         Attack.GadgetValid = Valid;
+        Snaps.offer(Planner, I.Op);
       }
       ++Cursor;
     }
   }
 
 private:
-  const Dbt &Translator;
-  const Memory &Mem;
+  GuestRun &Planner;
   std::array<std::vector<PlannedAttack>, NumAttackFamilies> &Plans;
   const std::array<std::vector<uint64_t>, NumAttackFamilies> &Salts;
+  SnapshotSet &Snaps;
   std::array<uint64_t, NumAttackFamilies> Counter{};
   std::array<size_t, NumAttackFamilies> Next{};
 };
 
-/// Injection hook: applies the attack at the chosen instance.
-class AttackInjectionHook : public PreInsnHook {
+/// Applies one planned attack to the event instruction it is armed for
+/// (Interpreter::armFault at the event's retired-instruction index).
+class AttackApplier : public FaultHook {
 public:
-  AttackInjectionHook(const PlannedAttack &Attack, Dbt &Translator,
-                      Memory &Mem, const Interpreter &Interp)
-      : Attack(Attack), Translator(Translator), Mem(Mem), Interp(Interp) {}
+  AttackApplier(const PlannedAttack &Attack, Dbt &Translator, Memory &Mem)
+      : Attack(Attack), Translator(Translator), Mem(Mem) {}
 
   bool Fired = false;
 
-  void onInsn(uint64_t InsnAddr, const Instruction &I,
-              CpuState &State) override {
-    AttackFamily F;
-    if (Fired || !classifyEvent(InsnAddr, I, F) || F != Attack.Family)
-      return;
-    if (++Counter != Attack.Instance)
-      return;
+  bool apply(uint64_t InsnAddr, Instruction &I, Flags &,
+             CpuState &State) override {
     Fired = true;
     switch (Attack.Family) {
     case AttackFamily::Return:
@@ -355,21 +355,19 @@ public:
       // at this site's next execution (this instruction is already
       // fetched).
       Translator.attackPatchDirectExit(InsnAddr, Attack.ForgedTarget);
-      return;
+      return true;
     }
     if (telemetry::EventTracer *T = Translator.tracer())
-      T->record(Interp.instructionCount(),
-                telemetry::TraceEventKind::AttackApplied,
+      T->record(Attack.InsnIndex, telemetry::TraceEventKind::AttackApplied,
                 getAttackFamilyName(Attack.Family), InsnAddr,
                 Attack.ForgedTarget);
+    return true;
   }
 
 private:
   const PlannedAttack &Attack;
   Dbt &Translator;
   Memory &Mem;
-  const Interpreter &Interp;
-  uint64_t Counter = 0;
 };
 
 /// Annotates and writes one attack bundle. Evasions get their own
@@ -400,7 +398,11 @@ AttackCampaign::AttackCampaign(const AsmProgram &Program, DbtConfig Config)
     : Program(Program), Config(Config) {}
 
 bool AttackCampaign::prepare(uint64_t MaxInsns) {
+  Prepared = false;
   GuestRun Ref(Program, Config);
+  if (!Ref.Loaded)
+    return false;
+  Snaps.reset(Ref);
   EventCountingHook Hook;
   Ref.Interp.setPreInsnHook(&Hook);
   if (!Ref.golden(MaxInsns, Reference))
@@ -411,8 +413,10 @@ bool AttackCampaign::prepare(uint64_t MaxInsns) {
 }
 
 std::vector<PlannedAttack> AttackCampaign::plan(uint64_t NumCandidates,
-                                                uint64_t Seed) {
+                                                uint64_t Seed,
+                                                bool TakeSnapshots) {
   assert(Prepared && "call prepare() first");
+  Snaps.beginPlan(Reference.Insns, TakeSnapshots);
 
   // Even split over the families with a non-empty stream; per-family
   // Prngs run on derived seeds so each family's draw sequence is
@@ -446,8 +450,8 @@ std::vector<PlannedAttack> AttackCampaign::plan(uint64_t NumCandidates,
     }
   }
 
-  GuestRun Planner(Program, Config);
-  AttackPlanningHook Hook(Planner.Translator, Planner.Mem, Plans, Salts);
+  GuestRun Planner(Snaps.start());
+  AttackPlanningHook Hook(Planner, Plans, Salts, Snaps);
   Planner.Interp.setPreInsnHook(&Hook);
   Planner.finish(Reference);
 
@@ -465,15 +469,16 @@ std::vector<PlannedAttack> AttackCampaign::plan(uint64_t NumCandidates,
 }
 
 AttackCampaign::AttackReport
-AttackCampaign::attackRun(const PlannedAttack &Attack,
-                          const RecoveryConfig *Recovery,
-                          telemetry::FlightRecorder *Recorder) const {
+AttackCampaign::injectAttack(const PlannedAttack &Attack,
+                             const RecoveryConfig *Recovery,
+                             telemetry::FlightRecorder *Recorder) const {
   assert(Prepared && "call prepare() first");
-  GuestRun Run(Program, Config);
-  // Under recovery the manager saves and forwards to the installed hook,
-  // so the attack still fires at its planned event.
-  AttackInjectionHook Hook(Attack, Run.Translator, Run.Mem, Run.Interp);
-  Run.Interp.setPreInsnHook(&Hook);
+  // Recovery runs and bundle replays start at instant 0: the checkpoint
+  // ring and the event ring see the whole run.
+  GuestRun Run(Recovery || Recorder ? Snaps.start()
+                                    : Snaps.before(Attack.InsnIndex));
+  AttackApplier Hook(Attack, Run.Translator, Run.Mem);
+  Run.Interp.armFault(&Hook, Attack.InsnIndex);
   std::unique_ptr<telemetry::EventTracer> Tracer;
   if (Recorder) {
     Tracer = std::make_unique<telemetry::EventTracer>(Recorder->maxEvents());
@@ -484,23 +489,12 @@ AttackCampaign::attackRun(const PlannedAttack &Attack,
   AttackReport Report;
   Report.Result = classifyRun(AttackDetectors, End);
   Report.Fired = Hook.Fired;
+  if (Hook.Fired)
+    Report.LatencyInsns = Run.Interp.instructionCount() - Attack.InsnIndex;
   if (Recorder)
     writeAttackBundle(*Recorder, Run.Translator, Run.Interp, End.Stop, Attack,
                       Hook.Fired, Report.Result);
   return Report;
-}
-
-AttackCampaign::AttackReport
-AttackCampaign::injectAttack(const PlannedAttack &Attack,
-                             telemetry::FlightRecorder *Recorder) const {
-  return attackRun(Attack, nullptr, Recorder);
-}
-
-AttackCampaign::AttackReport
-AttackCampaign::injectWithRecovery(const PlannedAttack &Attack,
-                                   const RecoveryConfig &Recovery,
-                                   telemetry::FlightRecorder *Recorder) const {
-  return attackRun(Attack, &Recovery, Recorder);
 }
 
 AttackResult AttackCampaign::runOneBatch(uint64_t NumAttacks, uint64_t Seed,

@@ -32,7 +32,8 @@
 ///
 /// The campaign runs like a fault campaign: prepare() golden run,
 /// deterministic plan() over per-family dynamic event streams, then the
-/// campaign batch loop (fault/BatchLoop.h). Outcomes are finer-grained
+/// campaign batch loop (fault/BatchLoop.h), every attack forked from a
+/// snapshot and armed at its event's retired-instruction index. Outcomes are finer-grained
 /// than fault outcomes: detection is attributed to the signature scheme
 /// (0xCFE/0x5EC), the shadow return stack (0x5AC), the self-integrity
 /// layer, or hardware — the per-technique precision matrix of DESIGN.md
@@ -120,6 +121,10 @@ struct PlannedAttack {
   /// The checker's acceptsForgedReturn() oracle accepted the forged
   /// edge — the signature check provably cannot fire on it.
   bool GadgetValid = false;
+  /// Retired-instruction index of the event in the fault-free run
+  /// (instructionCount() right after it): where an injection arms the
+  /// attack. 0 when planning never reached it (it then never fires).
+  uint64_t InsnIndex = 0;
 };
 
 /// Per-family outcome tallies.
@@ -209,31 +214,36 @@ public:
   /// \p Seed: per-family draws use derived seeds, so the plan is
   /// identical for any job count and shard split. Gadgets are drawn from
   /// the blocks live at the event instant, preferring targets the
-  /// checker's acceptsForgedReturn() oracle accepts.
-  std::vector<PlannedAttack> plan(uint64_t NumCandidates, uint64_t Seed);
+  /// checker's acceptsForgedReturn() oracle accepts. The planning run
+  /// snapshots itself before actionable attacks like
+  /// FaultCampaign::plan(); pass \p TakeSnapshots false when every
+  /// injection starts at instant 0 (recovery runs).
+  std::vector<PlannedAttack> plan(uint64_t NumCandidates, uint64_t Seed,
+                                  bool TakeSnapshots = true);
 
   /// Full record of one attacked run.
   struct AttackReport {
     AttackOutcome Result = AttackOutcome::Masked;
     /// The attack actually fired.
     bool Fired = false;
+    /// Instructions retired after the attacked one until the run ended;
+    /// 0 unless the attack fired.
+    uint64_t LatencyInsns = 0;
   };
 
-  /// Executes one planned attack and classifies the outcome. Thread-safe
-  /// after prepare(): every run uses a fresh Memory/Dbt/Interp instance.
-  /// With a \p Recorder one post-mortem bundle is written — reason
+  /// Executes one planned attack, plain or under checkpoint/rollback
+  /// \p Recovery, and classifies the outcome. Thread-safe after
+  /// prepare(): every run forks the latest snapshot before the attack's
+  /// instant (instant 0 under recovery and with a recorder, so rollbacks
+  /// and bundles see the whole run) and only reads campaign state. With a
+  /// \p Recorder one post-mortem bundle is written — reason
   /// "attack-evasion" for Evaded/Timeout outcomes (the proof artifact
   /// the precision matrix cites), "attack-injection" otherwise.
   /// Recorder use is serial-only.
   AttackReport
   injectAttack(const PlannedAttack &Attack,
+               const RecoveryConfig *Recovery = nullptr,
                telemetry::FlightRecorder *Recorder = nullptr) const;
-
-  /// Executes one planned attack under checkpoint/rollback recovery.
-  AttackReport
-  injectWithRecovery(const PlannedAttack &Attack,
-                     const RecoveryConfig &Recovery,
-                     telemetry::FlightRecorder *Recorder = nullptr) const;
 
   /// Runs a full campaign: plan, drop unactionable candidates, inject —
   /// the AttackEngine's batch loop as one checkpoint-free batch, so the
@@ -252,6 +262,8 @@ public:
 
   uint64_t goldenInsns() const { return Reference.Insns; }
   uint64_t goldenHash() const { return Reference.Hash; }
+  /// Snapshots the current plan took.
+  size_t numSnapshots() const { return Snaps.numPlanSnapshots(); }
   /// Dynamic events of \p F in the golden run (the plan population).
   uint64_t eventExecutions(AttackFamily F) const {
     return EventCounts[static_cast<unsigned>(F)];
@@ -262,11 +274,6 @@ public:
   const telemetry::MetricsRegistry &metrics() const { return Metrics; }
 
 private:
-  /// One attacked run, plain or under \p Recovery.
-  AttackReport attackRun(const PlannedAttack &Attack,
-                         const RecoveryConfig *Recovery,
-                         telemetry::FlightRecorder *Recorder) const;
-
   /// run()/runWithRecovery(): one checkpoint-free batch through the
   /// campaign batch loop, folded into Metrics.
   AttackResult runOneBatch(uint64_t NumAttacks, uint64_t Seed, unsigned Jobs,
@@ -280,6 +287,8 @@ private:
   GoldenRun Reference;
   std::array<uint64_t, NumAttackFamilies> EventCounts{};
   bool Prepared = false;
+  /// Every injection forks one of these.
+  SnapshotSet Snaps;
 };
 
 } // namespace cfed

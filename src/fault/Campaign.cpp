@@ -233,34 +233,31 @@ BranchErrorCategory categorize(const Dbt &Translator, uint64_t InsnAddr,
 class CountingHook : public FaultHook {
 public:
   std::unordered_map<uint64_t, uint64_t> PerSite;
-  void apply(uint64_t InsnAddr, Instruction &, Flags &,
-             const CpuState &) override {
+  bool apply(uint64_t InsnAddr, Instruction &, Flags &, CpuState &) override {
     ++PerSite[InsnAddr];
+    return true;
   }
 };
 
 /// Planning hook: indexes dynamic branch executions within the site
 /// class and, at each candidate's instance, records the analytic category
-/// and retired-instruction index for the pre-drawn fault. It snapshots
-/// the run just before a deviating candidate that stands at least
-/// \p Spacing instructions past the previous snapshot (instant 0 for the
-/// first), none when \p Spacing is 0, and ends the run at the last
+/// and retired-instruction index for the pre-drawn fault. It offers
+/// deviating candidates to the snapshot set and ends the run at the last
 /// candidate.
 class PlanningHook : public FaultHook {
 public:
   PlanningHook(SiteClass Sites, const std::unordered_set<uint64_t> &InstrSites,
                GuestRun &Planner, std::vector<PlannedFault> &Faults,
-               uint64_t Spacing,
-               std::vector<std::unique_ptr<GuestRun>> &Snapshots)
+               SnapshotSet &Snaps)
       : Sites(Sites), InstrSites(InstrSites), Planner(Planner),
-        Faults(Faults), Spacing(Spacing), Snapshots(Snapshots) {}
+        Faults(Faults), Snaps(Snaps) {}
 
-  void apply(uint64_t InsnAddr, Instruction &I, Flags &F,
-             const CpuState &State) override {
+  bool apply(uint64_t InsnAddr, Instruction &I, Flags &F,
+             CpuState &State) override {
     bool Instr = InstrSites.count(InsnAddr) != 0;
     if (Sites != SiteClass::Any &&
         (Sites == SiteClass::InstrumentationOnly) != Instr)
-      return;
+      return true;
     ++Counter;
     while (Next < Faults.size() && Faults[Next].Instance == Counter) {
       PlannedFault &Fault = Faults[Next++];
@@ -269,38 +266,22 @@ public:
       Fault.InstrSite = Instr;
       Fault.SiteAddr = InsnAddr;
       Fault.InsnIndex = Planner.Interp.instructionCount();
-      if (Fault.Category != BranchErrorCategory::NoError && Spacing &&
-          Fault.InsnIndex >= LastSnapshot + Spacing)
-        snapshotBefore(I.Op);
+      if (Fault.Category != BranchErrorCategory::NoError)
+        Snaps.offer(Planner, I.Op);
     }
     if (Next == Faults.size())
       Planner.Interp.requestStop();
+    return true;
   }
 
 private:
-  /// The hook runs after this branch was charged but before it executes;
-  /// the snapshot stands just before it, its counts adjusted the way
-  /// RecoveryManager adjusts a checkpoint's.
-  void snapshotBefore(Opcode Op) {
-    const Interpreter &Live = Planner.Interp;
-    LastSnapshot = Live.instructionCount();
-    std::unique_ptr<GuestRun> Snap = Planner.snapshot();
-    Snap->Interp.restoreProgress(Live.instructionCount() - 1,
-                                 Live.cycleCount() - getOpcodeCost(Op),
-                                 Live.output().size());
-    Snapshots.push_back(std::move(Snap));
-  }
-
   SiteClass Sites;
   const std::unordered_set<uint64_t> &InstrSites;
   GuestRun &Planner;
   std::vector<PlannedFault> &Faults; // Sorted by Instance.
-  uint64_t Spacing;
-  std::vector<std::unique_ptr<GuestRun>> &Snapshots;
+  SnapshotSet &Snaps;
   uint64_t Counter = 0;
   size_t Next = 0;
-  /// Instant of the latest snapshot's candidate (0: the load-time one).
-  uint64_t LastSnapshot = 0;
 };
 
 /// Applies one planned fault to the branch it is armed for
@@ -311,13 +292,14 @@ public:
 
   bool Fired = false;
 
-  void apply(uint64_t, Instruction &I, Flags &F, const CpuState &) override {
+  bool apply(uint64_t, Instruction &I, Flags &F, CpuState &) override {
     Fired = true;
     if (Fault.Kind == FaultKind::AddrBit)
       I.Imm = static_cast<int32_t>(static_cast<uint32_t>(I.Imm) ^
                                    static_cast<uint32_t>(Fault.Mask));
     else
       F = F.withMaskFlipped(static_cast<uint8_t>(Fault.Mask));
+    return true;
   }
 
 private:
@@ -331,13 +313,12 @@ FaultCampaign::FaultCampaign(const AsmProgram &Program, DbtConfig Config)
 
 bool FaultCampaign::prepare(uint64_t MaxInsns) {
   Prepared = false;
-  Snapshots.clear();
   GuestRun Ref(Program, Config, PropEnabled);
   if (!Ref.Loaded)
     return false;
   // The load-time snapshot, instant 0: every later run forks from it or
   // from a plan-time snapshot, never loads again.
-  Start = Ref.snapshot();
+  Snaps.reset(Ref);
   CountingHook Hook;
   Ref.Interp.setFaultHook(&Hook);
   if (!Ref.golden(MaxInsns, Reference))
@@ -376,7 +357,7 @@ std::vector<PlannedFault> FaultCampaign::plan(uint64_t NumCandidates,
                                               FaultModel Model,
                                               bool TakeSnapshots) {
   assert(Prepared && "call prepare() first");
-  Snapshots.clear();
+  Snaps.beginPlan(Reference.Insns, TakeSnapshots);
   uint64_t Population = branchExecutions(Class);
   if (Population == 0)
     return {};
@@ -413,16 +394,9 @@ std::vector<PlannedFault> FaultCampaign::plan(uint64_t NumCandidates,
 
   // The planning run forks the load-time snapshot, so a prop-enabled
   // campaign's Digest markers (and with them the cache layout and the
-  // site addresses recorded in prepare()) reproduce. Its snapshots stand
-  // at least golden/MaxPlanSnapshots instructions apart; the planning run
-  // never passes the golden run's end, so there are at most
-  // MaxPlanSnapshots of them however many candidates there are.
-  GuestRun Planner(*Start);
-  uint64_t Spacing =
-      TakeSnapshots ? (Reference.Insns + MaxPlanSnapshots - 1) /
-                          MaxPlanSnapshots
-                    : 0;
-  PlanningHook Hook(Class, InstrSites, Planner, Faults, Spacing, Snapshots);
+  // site addresses recorded in prepare()) reproduce.
+  GuestRun Planner(Snaps.start());
+  PlanningHook Hook(Class, InstrSites, Planner, Faults, Snaps);
   Planner.Interp.setFaultHook(&Hook);
   Planner.Translator.run(Planner.Interp, Reference.budget());
   return Faults;
@@ -479,21 +453,13 @@ FaultCampaign::injectFrom(const PlannedFault &Fault, RunFrom From,
                           telemetry::RegistrySnapshot *Final) const {
   assert(Prepared && "call prepare() first");
   std::optional<GuestRun> Run;
-  if (From == RunFrom::Load) {
+  if (From == RunFrom::Load)
     Run.emplace(Program, Config, PropEnabled);
-  } else if (From == RunFrom::Start) {
-    Run.emplace(*Start);
-  } else {
-    // The latest snapshot standing at or before the fault's instant.
-    auto After = std::partition_point(
-        Snapshots.begin(), Snapshots.end(), [&](const auto &Snap) {
-          return Snap->Interp.instructionCount() < Fault.InsnIndex;
-        });
-    Run.emplace(After == Snapshots.begin() ? *Start : **std::prev(After));
-  }
+  else
+    Run.emplace(From == RunFrom::Start ? Snaps.start()
+                                       : Snaps.before(Fault.InsnIndex));
   FaultApplier Hook(Fault);
-  if (Fault.InsnIndex)
-    Run->Interp.armFault(&Hook, Fault.InsnIndex);
+  Run->Interp.armFault(&Hook, Fault.InsnIndex);
   std::unique_ptr<telemetry::EventTracer> Tracer;
   if (Recorder) {
     Tracer = std::make_unique<telemetry::EventTracer>(Recorder->maxEvents());

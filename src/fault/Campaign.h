@@ -87,7 +87,8 @@ struct PlannedFault {
   uint64_t SiteAddr = 0;
   /// Retired-instruction index of the faulted branch execution in the
   /// fault-free run (instructionCount() right after it): where an
-  /// injection applies the fault. 0 when planning never reached it.
+  /// injection arms the fault. 0 when planning never reached it (the
+  /// fault then never fires).
   uint64_t InsnIndex = 0;
 };
 
@@ -224,24 +225,19 @@ public:
   /// Candidates whose fault provably does not deviate control flow are
   /// returned with Category == NoError; callers typically filter them.
   /// \p Model selects the mask shape (the default reproduces the
-  /// Section 2 single-bit model draw-for-draw). With \p TakeSnapshots
-  /// the planning run snapshots itself just before deviating candidates
-  /// spaced at least goldenInsns() / MaxPlanSnapshots instructions apart,
-  /// replacing the previous plan's snapshots; pass false when no
-  /// injection of the plan forks one (recovery runs start at instant 0).
-  /// The candidates are the same either way. Not thread-safe with
-  /// injections.
+  /// Section 2 single-bit model draw-for-draw). The planning run
+  /// snapshots itself before deviating candidates (SnapshotSet),
+  /// replacing the previous plan's snapshots; pass \p TakeSnapshots
+  /// false when no injection of the plan forks one (recovery runs start
+  /// at instant 0). The candidates are the same either way. Not
+  /// thread-safe with injections.
   std::vector<PlannedFault> plan(uint64_t NumCandidates, uint64_t Seed,
                                  SiteClass Sites,
                                  FaultModel Model = FaultModel::SingleBit,
                                  bool TakeSnapshots = true);
 
-  /// The most snapshots one plan takes, whatever its size: they are
-  /// spaced over the golden run, so an injection replays at most
-  /// goldenInsns() / MaxPlanSnapshots instructions before its fault.
-  static constexpr uint64_t MaxPlanSnapshots = 64;
   /// Snapshots the current plan took.
-  size_t numSnapshots() const { return Snapshots.size(); }
+  size_t numSnapshots() const { return Snaps.numPlanSnapshots(); }
 
   /// Executes one planned fault and classifies the outcome. Thread-safe
   /// after prepare(): every injection runs in its own fork of a snapshot
@@ -335,13 +331,8 @@ private:
   bool Prepared = false;
   bool PropEnabled = false;
   telemetry::GoldenTrace Golden;
-  /// The load-time snapshot (instant 0) and the current plan's
-  /// snapshots in instant order. Every injection forks one; they
-  /// outlive those forks (plan() and prepare() replace them only
-  /// between injections), so frozen pages are freed on the thread that
-  /// planned.
-  std::unique_ptr<GuestRun> Start;
-  std::vector<std::unique_ptr<GuestRun>> Snapshots;
+  /// Every injection forks one of these.
+  SnapshotSet Snaps;
 };
 
 } // namespace cfed

@@ -1003,11 +1003,7 @@ struct AttackSlots : SlotAttachments<PlannedAttack> {
 
   SlotResult inject(const Slot &Attack,
                     telemetry::FlightRecorder *Recorder = nullptr) const {
-    return (Engine.Recovery
-                ? Campaign.injectWithRecovery(Attack, *Engine.Recovery,
-                                              Recorder)
-                : Campaign.injectAttack(Attack, Recorder))
-        .Result;
+    return Campaign.injectAttack(Attack, Engine.Recovery, Recorder).Result;
   }
   void tally(telemetry::MetricsRegistry &Cumulative, const Slot &Attack,
              SlotResult Result) {
@@ -1026,9 +1022,10 @@ struct AttackSlots : SlotAttachments<PlannedAttack> {
 LoopResult cfed::runAttackPlan(AttackCampaign &Campaign,
                                const EngineConfig &Engine) {
   // Deterministic plan; over-plan 2x so gadget-search misses on tiny
-  // programs do not starve the primary schedule.
-  std::vector<PlannedAttack> Candidates =
-      Campaign.plan(Engine.NumInjections * 2, Engine.Seed);
+  // programs do not starve the primary schedule. Recovery injections all
+  // start at instant 0 and need no snapshots.
+  std::vector<PlannedAttack> Candidates = Campaign.plan(
+      Engine.NumInjections * 2, Engine.Seed, /*TakeSnapshots=*/!Engine.Recovery);
   SlotPlan Plan;
   for (uint64_t C = 0; C < Candidates.size() &&
                        Plan.Primary.size() < Engine.NumInjections;

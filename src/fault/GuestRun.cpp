@@ -6,6 +6,7 @@
 #include "fault/Campaign.h"
 #include "support/Diagnostics.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace cfed;
@@ -36,6 +37,38 @@ GuestRun::GuestRun(const GuestRun &Snapshot)
 std::unique_ptr<GuestRun> GuestRun::snapshot() {
   Mem.freeze();
   return std::unique_ptr<GuestRun>(new GuestRun(*this, Memory::Image));
+}
+
+void SnapshotSet::reset(GuestRun &Loaded) {
+  Plan.clear();
+  Start = Loaded.snapshot();
+}
+
+void SnapshotSet::beginPlan(uint64_t GoldenInsns, bool Take) {
+  Plan.clear();
+  Spacing = Take ? (GoldenInsns + MaxPlanSnapshots - 1) / MaxPlanSnapshots
+                 : 0;
+  Last = 0;
+}
+
+void SnapshotSet::offer(GuestRun &Planner, Opcode Op) {
+  const Interpreter &Live = Planner.Interp;
+  if (!Spacing || Live.instructionCount() < Last + Spacing)
+    return;
+  Last = Live.instructionCount();
+  std::unique_ptr<GuestRun> Snap = Planner.snapshot();
+  Snap->Interp.restoreProgress(Live.instructionCount() - 1,
+                               Live.cycleCount() - getOpcodeCost(Op),
+                               Live.output().size());
+  Plan.push_back(std::move(Snap));
+}
+
+const GuestRun &SnapshotSet::before(uint64_t InsnIndex) const {
+  auto After = std::partition_point(
+      Plan.begin(), Plan.end(), [&](const auto &Snap) {
+        return Snap->Interp.instructionCount() < InsnIndex;
+      });
+  return After == Plan.begin() ? *Start : **std::prev(After);
 }
 
 bool GuestRun::golden(uint64_t MaxInsns, GoldenRun &Out) {

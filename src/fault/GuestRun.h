@@ -101,6 +101,39 @@ private:
   template <typename MemoryTag> GuestRun(const GuestRun &From, MemoryTag Tag);
 };
 
+/// The snapshots a campaign forks its injections from (DESIGN.md §12):
+/// the load-time one (instant 0) and the current plan's, in instant
+/// order, at most MaxPlanSnapshots spaced over the golden run. The owner
+/// replaces them only between injections, so they outlive every fork and
+/// frozen pages are freed on the planning thread.
+class SnapshotSet {
+public:
+  static constexpr uint64_t MaxPlanSnapshots = 64;
+
+  /// Takes \p Loaded's load-time snapshot, dropping every other one.
+  void reset(GuestRun &Loaded);
+  /// Drops the plan snapshots; the next plan over a golden run of
+  /// \p GoldenInsns instructions takes its own only when \p Take.
+  void beginPlan(uint64_t GoldenInsns, bool Take);
+  /// A planning hook offers the planned instruction \p Planner has
+  /// charged (opcode \p Op) but not executed. It is snapshotted just
+  /// before, counts adjusted like a recovery checkpoint's, when it stands
+  /// 1/MaxPlanSnapshots of the golden run past the previous snapshot.
+  void offer(GuestRun &Planner, Opcode Op);
+
+  const GuestRun &start() const { return *Start; }
+  /// The latest snapshot before the instruction that retires as number
+  /// \p InsnIndex: what an injection armed there forks.
+  const GuestRun &before(uint64_t InsnIndex) const;
+  size_t numPlanSnapshots() const { return Plan.size(); }
+
+private:
+  std::unique_ptr<GuestRun> Start;
+  std::vector<std::unique_ptr<GuestRun>> Plan;
+  uint64_t Spacing = 0; ///< 0: the plan takes none.
+  uint64_t Last = 0;    ///< Instant of the latest snapshot.
+};
+
 /// Which detectors a campaign kind credits beyond the signature check's
 /// 0xCFE, which every kind counts (DESIGN.md §13 tabulates the four).
 struct DetectorTable {

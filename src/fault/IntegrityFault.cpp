@@ -35,27 +35,20 @@ OutcomeCounts IntegrityCampaignResult::totals() const {
   return Totals;
 }
 
-void IntegrityFaultInjector::onInsn(uint64_t InsnAddr, const Instruction &,
-                                    CpuState &State) {
-  if (Fired)
-    return;
-  if (++Counter < Instance)
-    return;
-  // Armed: fire at the first instruction with an eligible victim.
+bool IntegrityFaultInjector::apply(uint64_t InsnAddr, Instruction &, Flags &,
+                                   CpuState &State) {
   switch (Target) {
   case IntegrityTarget::CodeByte:
-    fireCodeByte(InsnAddr);
-    return;
+    return Fired = fireCodeByte(InsnAddr);
   case IntegrityTarget::TableEntry:
-    fireTableEntry();
-    return;
+    return Fired = fireTableEntry();
   case IntegrityTarget::SigState:
-    fireSigState(State);
-    return;
+    return Fired = fireSigState(State);
   }
+  cfed_unreachable("covered switch");
 }
 
-void IntegrityFaultInjector::fireCodeByte(uint64_t InsnAddr) {
+bool IntegrityFaultInjector::fireCodeByte(uint64_t InsnAddr) {
   // Exclude the translation unit currently executing: dispatch
   // verification happens at unit boundaries, so corruption inside the
   // running unit could execute before any check sees it.
@@ -66,7 +59,7 @@ void IntegrityFaultInjector::fireCodeByte(uint64_t InsnAddr) {
     if (TB.CacheAddr + TB.CacheSize != CurrentUnit)
       Eligible.push_back(&TB);
   if (Eligible.empty())
-    return;
+    return false;
   const TranslatedBlock *Victim = Eligible[Pick % Eligible.size()];
   uint64_t Addr = Victim->CacheAddr + (Pick >> 8) % Victim->CacheSize;
   uint8_t Byte;
@@ -74,29 +67,25 @@ void IntegrityFaultInjector::fireCodeByte(uint64_t InsnAddr) {
   Byte ^= static_cast<uint8_t>(1u << (Bit % 8));
   Mem.writeRaw(Addr, &Byte, 1);
   Mem.invalidatePredecode(Addr, 1);
-  Fired = true;
+  return true;
 }
 
-void IntegrityFaultInjector::fireTableEntry() {
+bool IntegrityFaultInjector::fireTableEntry() {
   size_t Index = static_cast<size_t>(Pick >> 1);
   unsigned Word = static_cast<unsigned>(Pick >> 33);
-  if ((Pick & 1) != 0) {
-    if (Translator.faultFlipIbtcBit(Index, Bit) ||
-        Translator.faultFlipBlockMetaBit(Index, Word, Bit))
-      Fired = true;
-    return;
-  }
-  if (Translator.faultFlipBlockMetaBit(Index, Word, Bit) ||
-      Translator.faultFlipIbtcBit(Index, Bit))
-    Fired = true;
+  if ((Pick & 1) != 0)
+    return Translator.faultFlipIbtcBit(Index, Bit) ||
+           Translator.faultFlipBlockMetaBit(Index, Word, Bit);
+  return Translator.faultFlipBlockMetaBit(Index, Word, Bit) ||
+         Translator.faultFlipIbtcBit(Index, Bit);
 }
 
-void IntegrityFaultInjector::fireSigState(CpuState &State) {
+bool IntegrityFaultInjector::fireSigState(CpuState &State) {
   static constexpr uint8_t Candidates[4] = {RegPCP, RegRTS, RegPCPShadow,
                                             RegRTSShadow};
   unsigned NumCandidates = Translator.config().ShadowSignature ? 4 : 2;
   State.Regs[Candidates[Pick % NumCandidates]] ^= 1ull << (Bit % 64);
-  Fired = true;
+  return true;
 }
 
 namespace {
@@ -115,18 +104,18 @@ struct IntegritySlots {
   using Slot = IntegrityCoords;
   using SlotResult = Outcome;
 
-  const AsmProgram &Program;
-  const DbtConfig &Config;
+  /// The load-time snapshot every injection forks.
+  const GuestRun &Start;
   const GoldenRun &Golden;
   const RecoveryConfig *Recovery;
   IntegrityCampaignResult &Result;
   telemetry::MetricsRegistry *Metrics;
 
   SlotResult inject(const Slot &C) const {
-    GuestRun Run(Program, Config);
-    IntegrityFaultInjector Hook(Run.Mem, Run.Translator, C.Target, C.Instance,
-                                C.Pick, C.Bit);
-    Run.Interp.setPreInsnHook(&Hook);
+    GuestRun Run(Start);
+    IntegrityFaultInjector Hook(Run.Mem, Run.Translator, C.Target, C.Pick,
+                                C.Bit);
+    Run.Interp.armFault(&Hook, C.Instance);
     return toOutcome(
         classifyRun(IntegrityDetectors, Run.finish(Golden, Recovery)));
   }
@@ -143,8 +132,10 @@ IntegrityCampaignResult cfed::runIntegrityCampaign(
     const AsmProgram &Program, const DbtConfig &Config, uint64_t PerTarget,
     uint64_t Seed, uint64_t MaxInsns, unsigned Jobs,
     const RecoveryConfig *Recovery, telemetry::MetricsRegistry *Metrics) {
+  // The golden run and every injection fork the load-time snapshot.
+  std::unique_ptr<GuestRun> Start = GuestRun(Program, Config).snapshot();
   GoldenRun Golden;
-  if (!GuestRun(Program, Config).golden(MaxInsns, Golden))
+  if (!GuestRun(*Start).golden(MaxInsns, Golden))
     reportFatalError("integrity campaign: golden run failed (program does "
                      "not load or halt within the instruction budget)");
 
@@ -165,7 +156,7 @@ IntegrityCampaignResult cfed::runIntegrityCampaign(
     }
 
   IntegrityCampaignResult Result;
-  IntegritySlots Slots{Program, Config, Golden, Recovery, Result, Metrics};
+  IntegritySlots Slots{*Start, Golden, Recovery, Result, Metrics};
   runBatchLoop(oneBatch(Coords.size(), Jobs), Slots, Coords, Plan);
   Result.Injections = Coords.size();
   if (Metrics)

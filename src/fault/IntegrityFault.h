@@ -58,40 +58,40 @@ const char *getIntegrityTargetName(IntegrityTarget T);
 /// "fault.int_<target>.<outcome>".
 std::string getIntegrityOutcomeCounterName(IntegrityTarget T, Outcome O);
 
-/// Flips one bit of checker state immediately before the \p Instance-th
-/// executed instruction. CodeByte picks a victim block outside the
-/// translation unit currently executing (corruption inside the running
-/// unit cannot be caught before it executes — dispatch verification
-/// happens at unit boundaries); TableEntry alternates between BlockTable
-/// metadata and IBTC entries. When no victim exists yet at the firing
-/// instant (nothing translated, IBTC empty), the injector stays armed
-/// and fires at the next opportunity.
-class IntegrityFaultInjector : public PreInsnHook {
+/// Flips one bit of checker state immediately before the instruction it
+/// is armed for (Interpreter::armFault at the fault's instant). CodeByte
+/// picks a victim block outside the translation unit currently executing
+/// (corruption inside the running unit cannot be caught before it
+/// executes — dispatch verification happens at unit boundaries);
+/// TableEntry alternates between BlockTable metadata and IBTC entries.
+/// When no victim exists yet at the firing instant (nothing translated,
+/// IBTC empty), the injector stays armed and fires at the next
+/// opportunity.
+class IntegrityFaultInjector : public FaultHook {
 public:
   /// \p Pick selects the victim (block index, table word, register) and
   /// \p Bit the bit; both are reduced modulo the victim's ranges.
   IntegrityFaultInjector(Memory &Mem, Dbt &Translator, IntegrityTarget Target,
-                         uint64_t Instance, uint64_t Pick, unsigned Bit)
-      : Mem(Mem), Translator(Translator), Target(Target), Instance(Instance),
-        Pick(Pick), Bit(Bit) {}
+                         uint64_t Pick, unsigned Bit)
+      : Mem(Mem), Translator(Translator), Target(Target), Pick(Pick),
+        Bit(Bit) {}
 
   bool fired() const { return Fired; }
 
-  void onInsn(uint64_t InsnAddr, const Instruction &I,
-              CpuState &State) override;
+  bool apply(uint64_t InsnAddr, Instruction &I, Flags &F,
+             CpuState &State) override;
 
 private:
-  void fireCodeByte(uint64_t InsnAddr);
-  void fireTableEntry();
-  void fireSigState(CpuState &State);
+  /// Each strikes its target and returns true, or finds no victim.
+  bool fireCodeByte(uint64_t InsnAddr);
+  bool fireTableEntry();
+  bool fireSigState(CpuState &State);
 
   Memory &Mem;
   Dbt &Translator;
   IntegrityTarget Target;
-  uint64_t Instance;
   uint64_t Pick;
   unsigned Bit;
-  uint64_t Counter = 0;
   bool Fired = false;
 };
 

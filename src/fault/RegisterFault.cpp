@@ -31,8 +31,8 @@ uint64_t RegisterCampaignReport::latencyMax() const {
 
 namespace {
 
-/// One register fault: XOR Mask into Reg before the Instance-th
-/// executed instruction.
+/// One register fault: XOR Mask into Reg before the instruction that
+/// retires as number Instance.
 struct RegisterCoords {
   uint64_t Instance;
   uint8_t Reg;
@@ -48,21 +48,20 @@ struct RegisterSlots {
     std::optional<uint64_t> Latency;
   };
 
-  const AsmProgram &Program;
-  const DbtConfig &Config;
+  /// The load-time snapshot every injection forks.
+  const GuestRun &Start;
   const GoldenRun &Golden;
   RegisterCampaignReport &Report;
 
   SlotResult inject(const Slot &C) const {
-    GuestRun Run(Program, Config);
-    RegisterFaultInjector Hook =
-        RegisterFaultInjector::fromMask(C.Instance, C.Reg, C.Mask);
-    Run.Interp.setPreInsnHook(&Hook);
+    GuestRun Run(Start);
+    RegisterFaultInjector Hook(C.Reg, C.Mask);
+    Run.Interp.armFault(&Hook, C.Instance);
     RunEnd End = Run.finish(Golden);
     SlotResult R;
     R.Result = toOutcome(classifyRun(RegisterDetectors, End));
-    // The hook fires before executing its Instance-th instruction, so
-    // Instance-1 instructions had retired at fire time.
+    // Unlike a branch fault's, this latency counts the faulted
+    // instruction: Instance-1 instructions had retired at fire time.
     if (End.Stop.Kind == StopKind::Trapped && Hook.fired())
       R.Latency = Run.Interp.instructionCount() - (C.Instance - 1);
     return R;
@@ -81,8 +80,10 @@ RegisterCampaignReport cfed::runRegisterFaultCampaignDetailed(
     const AsmProgram &Program, const DbtConfig &Config,
     uint64_t NumInjections, uint64_t Seed, uint64_t MaxInsns,
     FaultModel Model, unsigned Jobs) {
+  // The golden run and every injection fork the load-time snapshot.
+  std::unique_ptr<GuestRun> Start = GuestRun(Program, Config).snapshot();
   GoldenRun Golden;
-  if (!GuestRun(Program, Config).golden(MaxInsns, Golden))
+  if (!GuestRun(*Start).golden(MaxInsns, Golden))
     reportFatalError("register-fault campaign: golden run failed (program "
                      "does not load or halt within the instruction budget)");
 
@@ -103,7 +104,7 @@ RegisterCampaignReport cfed::runRegisterFaultCampaignDetailed(
   }
 
   RegisterCampaignReport Report;
-  RegisterSlots Slots{Program, Config, Golden, Report};
+  RegisterSlots Slots{*Start, Golden, Report};
   runBatchLoop(oneBatch(NumInjections, Jobs), Slots, Coords, Plan);
   return Report;
 }

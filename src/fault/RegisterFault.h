@@ -22,37 +22,25 @@
 
 namespace cfed {
 
-/// XORs a mask into guest register \p Reg immediately before the
-/// \p Instance-th executed instruction. The bit constructor is the
-/// single-bit model; fromMask() carries the multi-bit/burst variants.
-class RegisterFaultInjector : public PreInsnHook {
+/// XORs a non-zero \p Mask (one bit under the single-bit model, see
+/// drawFaultMask) into guest register \p Reg immediately before the
+/// instruction it is armed for (Interpreter::armFault at the fault's
+/// instant, counted in retired instructions from program start).
+class RegisterFaultInjector : public FaultHook {
 public:
-  RegisterFaultInjector(uint64_t Instance, uint8_t Reg, unsigned Bit)
-      : Instance(Instance), Reg(Reg), Mask(uint64_t(1) << Bit) {}
-
-  /// Builds an injector XORing an arbitrary non-zero 64-bit \p Mask
-  /// (from drawFaultMask) instead of a single bit.
-  static RegisterFaultInjector fromMask(uint64_t Instance, uint8_t Reg,
-                                        uint64_t Mask) {
-    RegisterFaultInjector Injector(Instance, Reg, 0);
-    Injector.Mask = Mask;
-    return Injector;
-  }
+  RegisterFaultInjector(uint8_t Reg, uint64_t Mask) : Reg(Reg), Mask(Mask) {}
 
   bool fired() const { return Fired; }
 
-  void onInsn(uint64_t, const Instruction &, CpuState &State) override {
-    if (Fired || ++Counter != Instance)
-      return;
+  bool apply(uint64_t, Instruction &, Flags &, CpuState &State) override {
     Fired = true;
     State.Regs[Reg] ^= Mask;
+    return true;
   }
 
 private:
-  uint64_t Instance;
   uint8_t Reg;
   uint64_t Mask;
-  uint64_t Counter = 0;
   bool Fired = false;
 };
 

@@ -40,28 +40,25 @@ void RecoveryManager::onPageDirtied(uint64_t PageBase,
 }
 
 void RecoveryManager::onInsn(uint64_t InsnAddr, const Instruction &I,
-                             CpuState &State) {
-  if (!Fallback) {
-    const auto &Points = Translator.safePoints();
-    auto It = Points.find(InsnAddr);
-    if (It != Points.end()) {
-      const SafePointInfo &SP = It->second;
-      // The hook runs after the counters were charged for this
-      // instruction but before it executes; the checkpointed counts must
-      // not include it (it re-executes after a rollback).
-      uint64_t InsnsNow = Interp.instructionCount() - 1;
-      uint64_t CyclesNow = Interp.cycleCount() - getOpcodeCost(I.Op);
-      if (SP.Checked)
-        LastCheck = InsnsNow;
-      bool IntervalDue =
-          InsnsNow - CheckpointInsns >= Config.CheckpointInterval;
-      bool BudgetDue = totalUndoBytes() > Config.MemoryBudget;
-      if (Checkpoints.empty() || IntervalDue || BudgetDue)
-        takeCheckpoint(SP.GuestAddr, InsnsNow, CyclesNow);
-    }
-  }
-  if (SavedHook)
-    SavedHook->onInsn(InsnAddr, I, State);
+                             CpuState &) {
+  if (Fallback)
+    return;
+  const auto &Points = Translator.safePoints();
+  auto It = Points.find(InsnAddr);
+  if (It == Points.end())
+    return;
+  const SafePointInfo &SP = It->second;
+  // The hook runs after the counters were charged for this instruction
+  // but before it executes; the checkpointed counts must not include it
+  // (it re-executes after a rollback).
+  uint64_t InsnsNow = Interp.instructionCount() - 1;
+  uint64_t CyclesNow = Interp.cycleCount() - getOpcodeCost(I.Op);
+  if (SP.Checked)
+    LastCheck = InsnsNow;
+  bool IntervalDue = InsnsNow - CheckpointInsns >= Config.CheckpointInterval;
+  bool BudgetDue = totalUndoBytes() > Config.MemoryBudget;
+  if (Checkpoints.empty() || IntervalDue || BudgetDue)
+    takeCheckpoint(SP.GuestAddr, InsnsNow, CyclesNow);
 }
 
 uint64_t RecoveryManager::totalUndoBytes() const {
@@ -206,9 +203,6 @@ RecoveryReport RecoveryManager::run(uint64_t MaxInsns) {
   Fallback = false;
 
   Memory &Mem = Interp.memory();
-  // Splice in front of any existing per-instruction hook (a fault
-  // injector, typically) and forward to it from onInsn.
-  SavedHook = Interp.preInsnHook();
   Interp.setPreInsnHook(this);
   Interp.setDbtHooks(&Translator);
   Mem.setWriteObserver(this, CacheBase);
@@ -300,8 +294,7 @@ RecoveryReport RecoveryManager::run(uint64_t MaxInsns) {
   Report.GuestStopPC = Translator.guestPCFor(Stop.PC);
 
   Mem.setWriteObserver(nullptr, 0);
-  Interp.setPreInsnHook(SavedHook);
-  SavedHook = nullptr;
+  Interp.setPreInsnHook(nullptr);
   Checkpoints.clear();
   return Report;
 }

@@ -101,9 +101,9 @@ struct RecoveryReport {
 
 /// Drives an Interpreter + Dbt pair with checkpointing, watchdog
 /// supervision and rollback recovery. Use after Dbt::load in place of
-/// Dbt::run. Installs itself as the interpreter's PreInsnHook (forwarding
-/// to any previously installed hook, so fault injectors compose) and as
-/// the Memory's page-write observer for the duration of run().
+/// Dbt::run. Installs itself as the interpreter's PreInsnHook and as the
+/// Memory's page-write observer for the duration of run(); a fault
+/// injector composes by arming at its instant (Interpreter::armFault).
 class RecoveryManager : public PreInsnHook, public PageWriteObserver {
 public:
   RecoveryManager(Interpreter &Interp, Dbt &Translator,
@@ -184,7 +184,6 @@ private:
   uint64_t LastCheck = 0;
   bool Fallback = false;
   bool InRestore = false;
-  PreInsnHook *SavedHook = nullptr;
   telemetry::FlightRecorder *Recorder = nullptr;
 };
 

@@ -246,27 +246,24 @@ condBranchTaken(const Instruction &I, const uint64_t *Regs, const Flags &F) {
 #define OP_BREAK goto next_insn
 
 StopInfo Interpreter::run(uint64_t MaxInsns) {
-  if (ArmedFault && ArmedAt > Insns && ArmedAt - Insns <= MaxInsns)
-    return runArmed(MaxInsns);
-  return runSelected(MaxInsns);
-}
-
-StopInfo Interpreter::runArmed(uint64_t MaxInsns) {
-  uint64_t Start = Insns;
-  if (uint64_t Before = ArmedAt - 1 - Insns) {
-    StopInfo Stop = runSelected(Before);
-    if (Stop.Kind != StopKind::InsnLimit || Insns != ArmedAt - 1)
-      return Stop; // Stopped first; the fault stays armed.
+  // Each pass runs up to the armed instruction, then it alone on the
+  // hooked loop; a hook with nothing to strike re-arms for the next one.
+  const uint64_t Start = Insns;
+  while (ArmedFault && ArmedAt > Insns && ArmedAt - Start <= MaxInsns) {
+    if (uint64_t Before = ArmedAt - 1 - Insns) {
+      StopInfo Stop = runSelected(Before);
+      if (Stop.Kind != StopKind::InsnLimit || Insns != ArmedAt - 1)
+        return Stop; // Stopped first; the fault stays armed.
+    }
+    FaultHook *Installed = Fault;
+    Fault = ArmedFault;
+    ArmedFault = nullptr;
+    StopInfo Stop = runLoop<true, true>(1);
+    Fault = Installed;
+    if (Stop.Kind != StopKind::InsnLimit || Insns - Start >= MaxInsns)
+      return Stop;
   }
-  FaultHook *Installed = Fault;
-  Fault = ArmedFault;
-  ArmedFault = nullptr;
-  StopInfo Stop = runLoop<true>(1);
-  Fault = Installed;
-  uint64_t Done = Insns - Start;
-  if (Stop.Kind != StopKind::InsnLimit || Done >= MaxInsns)
-    return Stop;
-  return runSelected(MaxInsns - Done);
+  return runSelected(MaxInsns - (Insns - Start));
 }
 
 StopInfo Interpreter::runSelected(uint64_t MaxInsns) {
@@ -279,7 +276,8 @@ StopInfo Interpreter::runSelected(uint64_t MaxInsns) {
   return runLoop<false>(MaxInsns);
 }
 
-template <bool Hooked> StopInfo Interpreter::runLoop(uint64_t MaxInsns) {
+template <bool Hooked, bool Armed>
+StopInfo Interpreter::runLoop(uint64_t MaxInsns) {
   StopInfo Stop;
   uint64_t Budget = MaxInsns;
 
@@ -375,9 +373,9 @@ template <bool Hooked> StopInfo Interpreter::runLoop(uint64_t MaxInsns) {
     ++NInsns;
     NCycles += getOpcodeCost(I.Op);
 
-    // Digest markers are invisible to hooks: register-fault injectors
-    // count executed instructions to pick their injection instant, and
-    // that instant must not shift when digest capture is enabled.
+    // Digest markers are invisible to hooks: they retire no instruction,
+    // so no hook may take one for the instant it plans, checkpoints or
+    // faults at (the armed step below skips them too).
     if (Hooked && PreInsn && I.Op != Opcode::Digest)
       PreInsn->onInsn(PC, I, State);
 
@@ -386,15 +384,16 @@ template <bool Hooked> StopInfo Interpreter::runLoop(uint64_t MaxInsns) {
     Flags &F = State.F;
     uint64_t NextPC = PC + InsnSize;
 
-    // Fault injection observes the branch at the moment it executes: the
-    // hook may flip offset bits (I.Imm) or the flag bits this branch sees
-    // (BranchFlags). The architectural FLAGS register is not modified —
-    // the model is a transient upset at the branch (Section 2).
+    // Fault injection observes the instruction at the moment it executes.
+    // Flipping the flags a branch sees (BranchFlags) leaves the FLAGS
+    // register alone: the model is a transient upset at the branch
+    // (Section 2). An installed hook sees offset branches only.
     Flags BranchFlags;
     if (Hooked) {
       BranchFlags = F;
-      if (Fault && hasBranchOffset(I.Op)) {
-        Fault->apply(PC, I, BranchFlags, State);
+      if (Fault && (Armed ? I.Op != Opcode::Digest : hasBranchOffset(I.Op))) {
+        if (!Fault->apply(PC, I, BranchFlags, State) && Armed)
+          armFault(Fault, NInsns + 1); // Nothing to strike yet.
         if (StopRequested) {
           StopRequested = false;
           Budget = 0;

@@ -6,12 +6,14 @@
 ///
 /// \file
 /// The VISA interpreter: executes encoded instructions from guest memory
-/// with cycle accounting, and exposes the three hooks everything else in
-/// the repository is built on:
+/// with cycle accounting, and exposes the hooks everything else in the
+/// repository is built on:
 ///
-///  * FaultHook     — mutates a branch's offset / the flags it observes at
-///                    one dynamic instance (the paper's single-bit error
-///                    model, Section 2).
+///  * FaultHook     — mutates one dynamic instruction: every campaign
+///                    kind's fault, armed at a retired-instruction index
+///                    (armFault), or installed to see every offset branch.
+///  * PreInsnHook   — observes every executed instruction (campaign
+///                    planners, the recovery manager's safe points).
 ///  * BranchObserver— passive profiling of every executed offset branch
 ///                    (drives the Figure 2/3 analytic error model).
 ///  * DbtHooks      — services code-cache exits (Tramp/TrampR) and
@@ -121,21 +123,20 @@ struct StopInfo {
   uint64_t PC = 0;
 };
 
-/// Mutates one dynamic branch execution: flip offset bits via \p I.Imm or
-/// flag bits via \p F before the branch decides its direction and target.
-/// Called only for offset branches (Jmp/Jcc/Jzr/Jnzr/Call).
+/// Mutates one dynamic instruction before it executes: offset bits via
+/// \p I.Imm, the flags a branch observes via \p F (a transient copy), or
+/// the architectural \p State. An installed hook is called for offset
+/// branches (Jmp/Jcc/Jzr/Jnzr/Call) only.
 class FaultHook {
 public:
   virtual ~FaultHook();
-  /// \p State is the architectural state before the branch executes
-  /// (read-only: useful to predict register-zero branch directions).
-  virtual void apply(uint64_t InsnAddr, Instruction &I, Flags &F,
-                     const CpuState &State) = 0;
+  /// Returns false when there is nothing to strike yet: an armed hook
+  /// then stays armed for the next instruction.
+  virtual bool apply(uint64_t InsnAddr, Instruction &I, Flags &F,
+                     CpuState &State) = 0;
 };
 
-/// Observes (and may perturb) every executed instruction before it runs.
-/// Used by the data-flow fault injector to flip register bits at a
-/// chosen dynamic instruction — the datapath analogue of FaultHook.
+/// Observes every executed instruction before it runs.
 class PreInsnHook {
 public:
   virtual ~PreInsnHook();
@@ -188,10 +189,11 @@ public:
   /// Arms \p Hook for one instruction: the one that retires as number
   /// \p AtInsn (so instructionCount() == AtInsn right after it). A run()
   /// whose budget reaches it executes the instructions before it on the
-  /// loop the installed hooks select, then that one instruction on the
-  /// hooked loop with \p Hook as the fault hook, then the rest of its
-  /// budget; the hook is disarmed once offered the instruction. Budget
-  /// and stops are exactly those of one uninterrupted run().
+  /// loop the installed hooks select, then that one instruction, whatever
+  /// its opcode, on the hooked loop with \p Hook as the fault hook, then
+  /// the rest of its budget. The hook is disarmed once offered the
+  /// instruction unless it returns false. Budget and stops are exactly
+  /// those of one uninterrupted run().
   void armFault(FaultHook *Hook, uint64_t AtInsn) {
     ArmedFault = Hook;
     ArmedAt = AtInsn;
@@ -204,9 +206,6 @@ public:
 
   /// Installs / clears the per-instruction hook.
   void setPreInsnHook(PreInsnHook *Hook) { PreInsn = Hook; }
-  /// Currently installed per-instruction hook (so wrappers like the
-  /// recovery manager can splice themselves in front and forward).
-  PreInsnHook *preInsnHook() const { return PreInsn; }
   /// Installs / clears the branch profiler.
   void setBranchObserver(BranchObserver *Observer) { Profiler = Observer; }
   /// Installs / clears the DBT service hooks.
@@ -259,11 +258,12 @@ public:
 private:
   /// The run loop, instantiated with and without the per-instruction
   /// hooks (PreInsnHook, FaultHook, BranchObserver); run() picks one.
-  template <bool Hooked> StopInfo runLoop(uint64_t MaxInsns);
+  /// With \p Armed (hooked only) Fault is the armed hook, offered the
+  /// instruction whatever its opcode.
+  template <bool Hooked, bool Armed = false>
+  StopInfo runLoop(uint64_t MaxInsns);
   /// run() without an armed fault in reach: picks the loop.
   StopInfo runSelected(uint64_t MaxInsns);
-  /// run() whose budget reaches the armed fault's instruction.
-  StopInfo runArmed(uint64_t MaxInsns);
 
   Memory &Mem;
   CpuState State;

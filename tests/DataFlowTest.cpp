@@ -182,8 +182,8 @@ main:
   ASSERT_TRUE(Translator.load(R.Program, Interp.state()));
   // Instruction stream under the DBT starts with the EdgCF prologue;
   // flip r1 just before the store's checks by firing on the nop.
-  RegisterFaultInjector Hook(/*Instance=*/7, /*Reg=*/1, /*Bit=*/5);
-  Interp.setPreInsnHook(&Hook);
+  RegisterFaultInjector Hook(/*Reg=*/1, /*Mask=*/uint64_t(1) << 5);
+  Interp.armFault(&Hook, /*AtInsn=*/7);
   StopInfo Stop = Translator.run(Interp, 100000);
   ASSERT_TRUE(Hook.fired());
   ASSERT_EQ(Stop.Kind, StopKind::Trapped);

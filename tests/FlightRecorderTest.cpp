@@ -57,11 +57,11 @@ bool parseBundle(const std::string &Path, JsonValue &Out) {
 class StuckAtCacheBranchFault : public FaultHook {
 public:
   explicit StuckAtCacheBranchFault(unsigned Bit) : Bit(Bit) {}
-  void apply(uint64_t InsnAddr, Instruction &I, Flags &,
-             const CpuState &) override {
-    if (!isCacheAddr(InsnAddr))
-      return;
-    I.Imm = static_cast<int32_t>(static_cast<uint32_t>(I.Imm) ^ (1u << Bit));
+  bool apply(uint64_t InsnAddr, Instruction &I, Flags &,
+             CpuState &) override {
+    if (isCacheAddr(InsnAddr))
+      I.Imm = static_cast<int32_t>(static_cast<uint32_t>(I.Imm) ^ (1u << Bit));
+    return true;
   }
 
 private:

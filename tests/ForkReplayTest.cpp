@@ -12,14 +12,25 @@
 // load that counts dynamic branch executions to find the fault's
 // instance, so the index-armed fault fires where the counting one did.
 //
+// Attack, register and integrity faults take the same path, and each is
+// held to a fresh-load replay under the instance-counting injector its
+// kind used before arming: outcome, Fired and latency, plain and under
+// recovery, and the campaign's tallies to the replays' fold.
+//
 //===----------------------------------------------------------------------===//
 
+#include "fault/Attack.h"
 #include "fault/Campaign.h"
+#include "fault/IntegrityFault.h"
+#include "fault/RegisterFault.h"
+#include "support/Prng.h"
+#include "vm/Layout.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 
 using namespace cfed;
 
@@ -117,9 +128,9 @@ public:
   bool Fired = false;
   uint64_t InsnsAtFire = 0;
 
-  void apply(uint64_t, Instruction &I, Flags &F, const CpuState &) override {
+  bool apply(uint64_t, Instruction &I, Flags &F, CpuState &) override {
     if (Fired || ++Counter != Fault.Instance)
-      return;
+      return true;
     Fired = true;
     InsnsAtFire = Interp.instructionCount();
     if (Fault.Kind == FaultKind::AddrBit)
@@ -127,6 +138,7 @@ public:
                                    static_cast<uint32_t>(Fault.Mask));
     else
       F = F.withMaskFlipped(static_cast<uint8_t>(Fault.Mask));
+    return true;
   }
 
 private:
@@ -294,11 +306,12 @@ public:
 
   std::vector<std::pair<uint64_t, uint64_t>> Seen; // (site, insn index)
 
-  void apply(uint64_t InsnAddr, Instruction &, Flags &,
-             const CpuState &) override {
+  bool apply(uint64_t InsnAddr, Instruction &, Flags &,
+             CpuState &) override {
     ++Counter;
     if (Seen.size() < Wanted.size() && Wanted[Seen.size()] == Counter)
       Seen.emplace_back(InsnAddr, Interp.instructionCount());
+    return true;
   }
 
 private:
@@ -374,12 +387,392 @@ TEST(FaultPlanTest, SnapshotsAreBoundedWhateverThePlanSize) {
   ASSERT_TRUE(Campaign.prepare(GoldenBudget));
   std::vector<PlannedFault> Plan = Campaign.plan(8000, 7, SiteClass::Any);
   ASSERT_EQ(Plan.size(), 8000u);
-  EXPECT_GT(Campaign.numSnapshots(), FaultCampaign::MaxPlanSnapshots / 2);
-  EXPECT_LE(Campaign.numSnapshots(), FaultCampaign::MaxPlanSnapshots);
+  EXPECT_GT(Campaign.numSnapshots(), SnapshotSet::MaxPlanSnapshots / 2);
+  EXPECT_LE(Campaign.numSnapshots(), SnapshotSet::MaxPlanSnapshots);
   for (size_t I = 0; I < Plan.size(); I += 500)
     expectSameRun(Campaign, Plan[I], RunFrom::Snapshot, RunFrom::Start,
                   nullptr, "164.gzip, 8000-candidate plan");
   Campaign.plan(8000, 7, SiteClass::Any, FaultModel::SingleBit,
                 /*TakeSnapshots=*/false);
   EXPECT_EQ(Campaign.numSnapshots(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Attack, register and integrity faults
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// How a counting replay ended, in the fields every kind reports.
+struct Replay {
+  AttackOutcome Result = AttackOutcome::Masked;
+  bool Fired = false;
+  /// Retired instructions when the injector struck, and at the end.
+  uint64_t InsnsAtFire = 0;
+  uint64_t InsnsAtEnd = 0;
+};
+
+/// A recovery manager that forwards every instruction to \p Next after
+/// its own safe-point bookkeeping: how injectors composed with recovery
+/// before faults were armed at an index.
+class ForwardingRecovery : public RecoveryManager {
+public:
+  ForwardingRecovery(GuestRun &Run, const RecoveryConfig &Config,
+                     PreInsnHook &Next)
+      : RecoveryManager(Run.Interp, Run.Translator, Config), Next(Next) {}
+
+  void onInsn(uint64_t InsnAddr, const Instruction &I,
+              CpuState &State) override {
+    RecoveryManager::onInsn(InsnAddr, I, State);
+    Next.onInsn(InsnAddr, I, State);
+  }
+
+private:
+  PreInsnHook &Next;
+};
+
+/// Runs \p Run (a fresh load) to its end under the counting \p Hook,
+/// plain or under \p Recovery, and classifies it under \p Kind.
+template <typename Hook>
+Replay finishCounting(GuestRun &Run, Hook &Injector, const GoldenRun &Golden,
+                      const DetectorTable &Kind,
+                      const RecoveryConfig *Recovery) {
+  RunEnd End;
+  if (Recovery) {
+    ForwardingRecovery Manager(Run, *Recovery, Injector);
+    End.UnderRecovery = true;
+    End.Recovery = Manager.run(Golden.budget());
+    End.Stop = End.Recovery.FinalStop;
+    End.GoldenOutput = End.Stop.Kind == StopKind::Halted &&
+                       hashOutput(Run.Interp.output()) == Golden.Hash;
+    End.Healed = Run.Translator.integrityMismatchCount() > 0;
+  } else {
+    Run.Interp.setPreInsnHook(&Injector);
+    End = Run.finish(Golden);
+  }
+  Replay R;
+  R.Result = classifyRun(Kind, End);
+  R.Fired = Injector.Fired;
+  R.InsnsAtFire = Injector.InsnsAtFire;
+  R.InsnsAtEnd = Run.Interp.instructionCount();
+  return R;
+}
+
+/// The attack event streams (as the campaign classifies them).
+bool attackEvent(uint64_t InsnAddr, const Instruction &I, AttackFamily &F) {
+  if (InsnAddr < CacheBase)
+    return false;
+  if (I.Op == Opcode::Pop && I.A == RegAUX2)
+    F = AttackFamily::Return;
+  else if (I.Op == Opcode::TrampR && I.A < FirstReservedReg)
+    F = AttackFamily::Indirect;
+  else if (I.Op == Opcode::Tramp || I.Op == Opcode::Jmp)
+    F = AttackFamily::CodePatch;
+  else
+    return false;
+  return true;
+}
+
+/// Applies one planned attack the way injections did before they were
+/// armed at an instruction index: counts its family's dynamic events
+/// over the whole run and strikes the planned instance.
+class CountingAttackInjector : public PreInsnHook {
+public:
+  CountingAttackInjector(const PlannedAttack &Attack, GuestRun &Run)
+      : Attack(Attack), Run(Run) {}
+
+  bool Fired = false;
+  uint64_t InsnsAtFire = 0;
+
+  void onInsn(uint64_t InsnAddr, const Instruction &I,
+              CpuState &State) override {
+    AttackFamily F;
+    if (Fired || !attackEvent(InsnAddr, I, F) || F != Attack.Family ||
+        ++Counter != Attack.Instance)
+      return;
+    Fired = true;
+    InsnsAtFire = Run.Interp.instructionCount();
+    switch (Attack.Family) {
+    case AttackFamily::Return:
+      Run.Mem.writeRaw(State.Regs[RegSP], &Attack.ForgedTarget, 8);
+      break;
+    case AttackFamily::Indirect:
+      Run.Translator.attackSwapIbtcEntry(State.Regs[I.A],
+                                         Attack.ForgedTarget);
+      break;
+    case AttackFamily::CodePatch:
+      Run.Translator.attackPatchDirectExit(InsnAddr, Attack.ForgedTarget);
+      break;
+    }
+  }
+
+private:
+  const PlannedAttack &Attack;
+  GuestRun &Run;
+  uint64_t Counter = 0;
+};
+
+/// XORs a mask into a register before the Instance-th executed
+/// instruction, counting every one.
+class CountingRegisterInjector : public PreInsnHook {
+public:
+  CountingRegisterInjector(uint64_t Instance, uint8_t Reg, uint64_t Mask,
+                           const Interpreter &Interp)
+      : Instance(Instance), Reg(Reg), Mask(Mask), Interp(Interp) {}
+
+  bool Fired = false;
+  uint64_t InsnsAtFire = 0;
+
+  void onInsn(uint64_t, const Instruction &, CpuState &State) override {
+    if (Fired || ++Counter != Instance)
+      return;
+    Fired = true;
+    InsnsAtFire = Interp.instructionCount();
+    State.Regs[Reg] ^= Mask;
+  }
+
+private:
+  uint64_t Instance;
+  uint8_t Reg;
+  uint64_t Mask;
+  const Interpreter &Interp;
+  uint64_t Counter = 0;
+};
+
+/// Counts executed instructions and, from the Instance-th on, offers
+/// each to an (unarmed) production integrity injector until it strikes.
+class CountingIntegrityInjector : public PreInsnHook {
+public:
+  CountingIntegrityInjector(uint64_t Instance, IntegrityTarget Target,
+                            uint64_t Pick, unsigned Bit, GuestRun &Run)
+      : Instance(Instance), Strike(Run.Mem, Run.Translator, Target, Pick, Bit),
+        Interp(Run.Interp) {}
+
+  bool Fired = false;
+  uint64_t InsnsAtFire = 0;
+
+  void onInsn(uint64_t InsnAddr, const Instruction &I,
+              CpuState &State) override {
+    if (Fired || ++Counter < Instance)
+      return;
+    Instruction Copy = I;
+    Flags F = State.F;
+    Fired = Strike.apply(InsnAddr, Copy, F, State);
+    InsnsAtFire = Interp.instructionCount();
+  }
+
+private:
+  uint64_t Instance;
+  IntegrityFaultInjector Strike;
+  const Interpreter &Interp;
+  uint64_t Counter = 0;
+};
+
+/// Records the retired-instruction count at which an armed injector
+/// strikes.
+template <typename Injector> class Stamped : public Injector {
+public:
+  template <typename... Args>
+  Stamped(const Interpreter &Interp, Args &&...A)
+      : Injector(std::forward<Args>(A)...), Interp(Interp) {}
+
+  uint64_t InsnsAtFire = 0;
+
+  bool apply(uint64_t InsnAddr, Instruction &I, Flags &F,
+             CpuState &State) override {
+    bool Struck = Injector::apply(InsnAddr, I, F, State);
+    if (Struck)
+      InsnsAtFire = Interp.instructionCount();
+    return Struck;
+  }
+
+private:
+  const Interpreter &Interp;
+};
+
+std::string describeAttack(const PlannedAttack &A) {
+  return std::string(getAttackFamilyName(A.Family)) + " instance " +
+         std::to_string(A.Instance) + " (insn " +
+         std::to_string(A.InsnIndex) + ")";
+}
+
+} // namespace
+
+/// Calls through a function-pointer table, so its indirect dispatches
+/// are attackable too (the suite's workloads offer returns and direct
+/// exits).
+constexpr const char *IndirectCalls = ".entry main\n"
+                                      ".data\n"
+                                      "ops: .word op_a, op_b\n"
+                                      ".code\n"
+                                      "op_a:\n  add r1, r1, r2\n  ret\n"
+                                      "op_b:\n  mul r1, r1, r2\n  ret\n"
+                                      "main:\n"
+                                      "  movi r1, 5\n  movi r2, 3\n"
+                                      "  movi r5, 0\n"
+                                      "loop:\n"
+                                      "  andi r6, r5, 1\n"
+                                      "  shli r6, r6, 3\n"
+                                      "  movi r4, ops\n"
+                                      "  add r4, r4, r6\n"
+                                      "  ld r7, [r4]\n"
+                                      "  callr r7\n"
+                                      "  out r1\n"
+                                      "  addi r5, r5, 1\n"
+                                      "  cmpi r5, 8\n"
+                                      "  jcc lt, loop\n"
+                                      "  halt\n";
+
+TEST(ForkReplaySubsetTest, AttacksMatchCountingReplays) {
+  RecoveryConfig Recovery;
+  bool Families[NumAttackFamilies] = {};
+  for (const char *Workload : {"186.crafty", "252.eon", "indirect-calls"})
+    for (bool Shadow : {false, true}) {
+      AsmProgram Program;
+      if (Workload == std::string("indirect-calls")) {
+        AsmResult Assembled = assembleProgram(IndirectCalls);
+        ASSERT_TRUE(Assembled.succeeded()) << Assembled.errorText();
+        Program = Assembled.Program;
+      } else {
+        Program = assembleWorkload(Workload);
+      }
+      DbtConfig Config = techConfig(Technique::EdgCf);
+      Config.ShadowStack = Shadow;
+      AttackCampaign Campaign(Program, Config);
+      ASSERT_TRUE(Campaign.prepare(GoldenBudget)) << Workload;
+      std::vector<PlannedAttack> Plan = Campaign.plan(24, 7);
+      EXPECT_GT(Campaign.numSnapshots(), 0u) << Workload;
+      GoldenRun Golden{Campaign.goldenInsns(), Campaign.goldenHash()};
+      for (size_t I = 0; I < Plan.size(); ++I) {
+        const PlannedAttack &A = Plan[I];
+        if (!A.ForgedTarget)
+          continue;
+        Families[static_cast<unsigned>(A.Family)] = true;
+        for (const RecoveryConfig *Rec : {static_cast<RecoveryConfig *>(nullptr),
+                                          &Recovery}) {
+          // Under recovery every injection forks instant 0; a sample
+          // keeps the subset fast.
+          if (Rec && I % 3)
+            continue;
+          std::string What = std::string(Workload) +
+                             (Shadow ? " shadow-stack" : "") +
+                             (Rec ? " recovery, " : ", ") + describeAttack(A);
+          AttackCampaign::AttackReport Fork = Campaign.injectAttack(A, Rec);
+          GuestRun Run(Program, Config);
+          CountingAttackInjector Hook(A, Run);
+          Replay Ref =
+              finishCounting(Run, Hook, Golden, AttackDetectors, Rec);
+          ASSERT_TRUE(Ref.Fired) << What;
+          EXPECT_EQ(Ref.InsnsAtFire, A.InsnIndex) << What;
+          EXPECT_EQ(Fork.Result, Ref.Result) << What;
+          EXPECT_EQ(Fork.Fired, Ref.Fired) << What;
+          EXPECT_EQ(Fork.LatencyInsns, Ref.InsnsAtEnd - Ref.InsnsAtFire)
+              << What;
+        }
+      }
+    }
+  EXPECT_TRUE(Families[0] && Families[1] && Families[2])
+      << "the subset does not cover every attack family";
+}
+
+TEST(ForkReplaySubsetTest, RegisterFaultsMatchCountingReplays) {
+  constexpr uint64_t Injections = 24, Seed = 5;
+  for (const char *Workload : {"164.gzip", "186.crafty", "181.mcf"}) {
+    AsmProgram Program = assembleWorkload(Workload);
+    DbtConfig Config = techConfig(Technique::EdgCf);
+    Config.DataFlowCheck = true;
+    std::unique_ptr<GuestRun> Start = GuestRun(Program, Config).snapshot();
+    GoldenRun Golden;
+    ASSERT_TRUE(GuestRun(*Start).golden(GoldenBudget, Golden)) << Workload;
+    // The campaign's draws, in its order.
+    Prng Rng(Seed);
+    RegisterCampaignReport Expected;
+    for (uint64_t I = 0; I < Injections; ++I) {
+      uint64_t Instance = 1 + Rng.nextBelow(Golden.Insns);
+      uint8_t Reg = static_cast<uint8_t>(Rng.nextBelow(15));
+      uint64_t Mask = drawFaultMask(Rng, FaultModel::SingleBit, 64);
+      std::string What = std::string(Workload) + ", instant " +
+                         std::to_string(Instance) + " r" +
+                         std::to_string(Reg);
+
+      GuestRun Fork(*Start);
+      Stamped<RegisterFaultInjector> Armed(Fork.Interp, Reg, Mask);
+      Fork.Interp.armFault(&Armed, Instance);
+      AttackOutcome ForkResult =
+          classifyRun(RegisterDetectors, Fork.finish(Golden));
+
+      GuestRun Run(Program, Config);
+      CountingRegisterInjector Hook(Instance, Reg, Mask, Run.Interp);
+      Replay Ref =
+          finishCounting(Run, Hook, Golden, RegisterDetectors, nullptr);
+      ASSERT_TRUE(Ref.Fired) << What;
+      EXPECT_EQ(Ref.InsnsAtFire, Instance) << What;
+      EXPECT_EQ(ForkResult, Ref.Result) << What;
+      EXPECT_TRUE(Armed.fired()) << What;
+      EXPECT_EQ(Armed.InsnsAtFire, Instance) << What;
+      EXPECT_EQ(Fork.Interp.instructionCount(), Ref.InsnsAtEnd) << What;
+
+      Outcome O = toOutcome(Ref.Result);
+      Expected.Counts.add(O);
+      if (O == Outcome::DetectedSignature || O == Outcome::DetectedHardware)
+        Expected.DetectionLatencies.push_back(Ref.InsnsAtEnd -
+                                              (Instance - 1));
+    }
+    RegisterCampaignReport Campaign = runRegisterFaultCampaignDetailed(
+        Program, Config, Injections, Seed, GoldenBudget);
+    EXPECT_TRUE(Campaign.Counts == Expected.Counts) << Workload;
+    EXPECT_EQ(Campaign.DetectionLatencies, Expected.DetectionLatencies)
+        << Workload;
+  }
+}
+
+TEST(ForkReplaySubsetTest, IntegrityFaultsMatchCountingReplays) {
+  constexpr uint64_t PerTarget = 6, Seed = 3;
+  DbtConfig Config = assuredConfig();
+  Config.ChainDirectExits = false;
+  RecoveryConfig Recovery;
+  for (const char *Workload : {"186.crafty", "181.mcf"})
+    for (const RecoveryConfig *Rec :
+         {static_cast<RecoveryConfig *>(nullptr), &Recovery}) {
+      AsmProgram Program = assembleWorkload(Workload);
+      std::unique_ptr<GuestRun> Start = GuestRun(Program, Config).snapshot();
+      GoldenRun Golden;
+      ASSERT_TRUE(GuestRun(*Start).golden(GoldenBudget, Golden))
+          << Workload;
+      Prng Rng(Seed);
+      IntegrityCampaignResult Expected;
+      for (IntegrityTarget Target : AllIntegrityTargets)
+        for (uint64_t I = 0; I < PerTarget; ++I) {
+          uint64_t Instance = 1 + Rng.nextBelow(Golden.Insns);
+          uint64_t Pick = Rng.next();
+          unsigned Bit = static_cast<unsigned>(Rng.nextBelow(64));
+          std::string What = std::string(Workload) +
+                             (Rec ? " recovery, " : ", ") +
+                             getIntegrityTargetName(Target) + " instant " +
+                             std::to_string(Instance);
+
+          GuestRun Fork(*Start);
+          Stamped<IntegrityFaultInjector> Armed(
+              Fork.Interp, Fork.Mem, Fork.Translator, Target, Pick, Bit);
+          Fork.Interp.armFault(&Armed, Instance);
+          AttackOutcome ForkResult =
+              classifyRun(IntegrityDetectors, Fork.finish(Golden, Rec));
+
+          GuestRun Run(Program, Config);
+          CountingIntegrityInjector Hook(Instance, Target, Pick, Bit, Run);
+          Replay Ref =
+              finishCounting(Run, Hook, Golden, IntegrityDetectors, Rec);
+          EXPECT_EQ(ForkResult, Ref.Result) << What;
+          EXPECT_EQ(Armed.fired(), Ref.Fired) << What;
+          EXPECT_EQ(Armed.InsnsAtFire, Ref.InsnsAtFire) << What;
+          EXPECT_EQ(Fork.Interp.instructionCount(), Ref.InsnsAtEnd) << What;
+          Expected.of(Target).add(toOutcome(Ref.Result));
+        }
+      IntegrityCampaignResult Campaign = runIntegrityCampaign(
+          Program, Config, PerTarget, Seed, GoldenBudget, 1, Rec);
+      for (IntegrityTarget Target : AllIntegrityTargets)
+        EXPECT_TRUE(Campaign.of(Target) == Expected.of(Target))
+            << Workload << (Rec ? " recovery " : " ")
+            << getIntegrityTargetName(Target);
+    }
 }

@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace cfed;
 
 namespace {
@@ -121,15 +123,78 @@ TEST(IntegrityTest, MidRunCodeCorruptionSelfHealsToGoldenOutput) {
   Dbt Translator(Mem, Config);
   ASSERT_TRUE(Translator.load(Program, Interp.state()));
   IntegrityFaultInjector Hook(Mem, Translator, IntegrityTarget::CodeByte,
-                              /*Instance=*/2500, /*Pick=*/0x9e3779b9,
-                              /*Bit=*/3);
-  Interp.setPreInsnHook(&Hook);
+                              /*Pick=*/0x9e3779b9, /*Bit=*/3);
+  Interp.armFault(&Hook, /*AtInsn=*/2500);
   StopInfo Stop = Translator.run(Interp, 40000000ULL);
   ASSERT_EQ(Stop.Kind, StopKind::Halted) << getTrapKindName(Stop.Trap);
   EXPECT_TRUE(Hook.fired());
   EXPECT_EQ(Interp.output(), Golden);
   EXPECT_GT(Translator.integrityMismatchCount(), 0u);
   EXPECT_GT(Translator.integrityRetranslationCount(), 0u);
+}
+
+namespace {
+
+/// The number of distinct translation units \p Translator holds.
+size_t countUnits(const Dbt &Translator) {
+  std::set<uint64_t> Ends;
+  for (const TranslatedBlock &TB : Translator.blocks())
+    Ends.insert(TB.CacheAddr + TB.CacheSize);
+  return Ends.size();
+}
+
+/// An integrity injector that records the instant and the translated
+/// units of every instruction it is offered.
+class WatchedInjector : public IntegrityFaultInjector {
+public:
+  WatchedInjector(Memory &Mem, Dbt &Translator, const Interpreter &Interp)
+      : IntegrityFaultInjector(Mem, Translator, IntegrityTarget::CodeByte,
+                               /*Pick=*/0x9e3779b9, /*Bit=*/3),
+        Translator(Translator), Interp(Interp) {}
+
+  std::vector<std::pair<uint64_t, size_t>> Offers; // (instant, units)
+
+  bool apply(uint64_t InsnAddr, Instruction &I, Flags &F,
+             CpuState &State) override {
+    Offers.emplace_back(Interp.instructionCount(), countUnits(Translator));
+    return IntegrityFaultInjector::apply(InsnAddr, I, F, State);
+  }
+
+private:
+  const Dbt &Translator;
+  const Interpreter &Interp;
+};
+
+} // namespace
+
+TEST(IntegrityTest, CodeByteFaultStaysArmedUntilASecondUnitExists) {
+  // Armed at the first instruction, while the only translated unit is
+  // the one executing, a code-byte fault has no victim: it stays armed,
+  // is offered each following instruction, and strikes at the first one
+  // with another unit to corrupt.
+  AsmProgram Program = assembleRandom(7);
+  DbtConfig Config = assuranceConfig();
+  std::string Golden = goldenOutput(Program, Config);
+
+  Memory Mem;
+  Interpreter Interp(Mem);
+  Dbt Translator(Mem, Config);
+  ASSERT_TRUE(Translator.load(Program, Interp.state()));
+  ASSERT_LE(countUnits(Translator), 1u);
+  WatchedInjector Hook(Mem, Translator, Interp);
+  Interp.armFault(&Hook, /*AtInsn=*/1);
+  StopInfo Stop = Translator.run(Interp, 40000000ULL);
+  ASSERT_TRUE(Hook.fired());
+  ASSERT_GT(Hook.Offers.size(), 1u);
+  for (size_t I = 0; I < Hook.Offers.size(); ++I) {
+    EXPECT_EQ(Hook.Offers[I].first, 1 + I);
+    if (I + 1 < Hook.Offers.size()) {
+      EXPECT_LE(Hook.Offers[I].second, 1u) << "offer " << I;
+    }
+  }
+  EXPECT_GE(Hook.Offers.back().second, 2u);
+  ASSERT_EQ(Stop.Kind, StopKind::Halted) << getTrapKindName(Stop.Trap);
+  EXPECT_EQ(Interp.output(), Golden);
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <gtest/gtest.h>
+#include <optional>
 
 using namespace cfed;
 
@@ -265,12 +266,13 @@ struct OffsetFlipHook : FaultHook {
   bool Fired = false;
   OffsetFlipHook(uint64_t TriggerCount, unsigned Bit)
       : TriggerCount(TriggerCount), Bit(Bit) {}
-  void apply(uint64_t, Instruction &I, Flags &, const CpuState &) override {
+  bool apply(uint64_t, Instruction &I, Flags &, CpuState &) override {
     if (++Seen == TriggerCount) {
       I.Imm = static_cast<int32_t>(static_cast<uint32_t>(I.Imm) ^
                                    (1u << Bit));
       Fired = true;
     }
+    return true;
   }
 };
 
@@ -281,9 +283,10 @@ struct FlagFlipHook : FaultHook {
   uint64_t Seen = 0;
   FlagFlipHook(uint64_t TriggerCount, unsigned Bit)
       : TriggerCount(TriggerCount), Bit(Bit) {}
-  void apply(uint64_t, Instruction &, Flags &F, const CpuState &) override {
+  bool apply(uint64_t, Instruction &, Flags &F, CpuState &) override {
     if (++Seen == TriggerCount)
       F = F.withBitFlipped(Bit);
+    return true;
   }
 };
 
@@ -438,4 +441,143 @@ TEST(InterpTest, CheckedLoadRejectsOversizedData) {
                                   Interp.state(), Error));
   EXPECT_FALSE(Error.empty());
   EXPECT_FALSE(Mem.isMapped(DataBase));
+}
+
+//===----------------------------------------------------------------------===//
+// Faults armed at a retired-instruction index
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A countdown loop whose body carries the translator's check idiom: the
+/// movi starts a fused run (mov, then the jcc that ends it) on the
+/// hook-free loop, while the addi is always dispatched alone.
+constexpr const char *FusedLoop = "movi r1, 40\n"
+                                  "loop:\n"
+                                  "addi r1, r1, -1\n"
+                                  "movi r2, 5\n"
+                                  "mov r3, r2\n"
+                                  "jcc ne, loop\n"
+                                  "out r1\n"
+                                  "halt\n";
+
+/// Records every instruction it is offered; strikes (flips \p Mask into
+/// r1) on the first one with opcode \p StrikeOn, or on the first offer
+/// when \p StrikeOn is unset.
+struct RecordingArmedHook : FaultHook {
+  const Interpreter &Interp;
+  std::optional<Opcode> StrikeOn;
+  uint64_t Mask;
+  std::vector<std::pair<uint64_t, Opcode>> Offered; // (count, opcode)
+  uint64_t FusedAtStrike = 0;
+
+  explicit RecordingArmedHook(const Interpreter &Interp,
+                              std::optional<Opcode> StrikeOn = std::nullopt,
+                              uint64_t Mask = 0)
+      : Interp(Interp), StrikeOn(StrikeOn), Mask(Mask) {}
+
+  bool apply(uint64_t, Instruction &I, Flags &, CpuState &State) override {
+    Offered.emplace_back(Interp.instructionCount(), I.Op);
+    if (StrikeOn && I.Op != *StrikeOn)
+      return false;
+    FusedAtStrike = Interp.fusedInsnCount();
+    State.Regs[1] ^= Mask;
+    return true;
+  }
+};
+
+struct NativeRun {
+  Memory Mem;
+  Interpreter Interp{Mem};
+
+  explicit NativeRun(const char *Source) {
+    AsmResult Result = assembleProgram(Source);
+    EXPECT_TRUE(Result.succeeded()) << Result.errorText();
+    loadProgram(Result.Program, LoadMode::Native, Mem, Interp.state());
+  }
+};
+
+} // namespace
+
+TEST(InterpTest, ArmedFaultFiresOnANonBranchAtItsIndex) {
+  NativeRun Plain(FusedLoop);
+  StopInfo PlainStop = Plain.Interp.run(100000);
+  ASSERT_EQ(PlainStop.Kind, StopKind::Halted);
+  ASSERT_GT(Plain.Interp.fusedInsnCount(), 0u);
+
+  // Instruction 42 is the addi of the 11th iteration (1 + 4 * 10 + 1).
+  NativeRun Armed(FusedLoop);
+  RecordingArmedHook Hook(Armed.Interp);
+  Armed.Interp.armFault(&Hook, 42);
+  StopInfo Stop = Armed.Interp.run(100000);
+  ASSERT_EQ(Hook.Offered.size(), 1u);
+  EXPECT_EQ(Hook.Offered[0].first, 42u);
+  EXPECT_EQ(Hook.Offered[0].second, Opcode::AddI);
+  // A hook that changes nothing leaves the run as it was.
+  EXPECT_EQ(Stop.Kind, PlainStop.Kind);
+  EXPECT_EQ(Stop.PC, PlainStop.PC);
+  EXPECT_EQ(Armed.Interp.instructionCount(), Plain.Interp.instructionCount());
+  EXPECT_EQ(Armed.Interp.cycleCount(), Plain.Interp.cycleCount());
+  EXPECT_EQ(Armed.Interp.output(), Plain.Interp.output());
+  // Only the hook-free loop fuses: the runs before and after the armed
+  // addi (which no fused run covers) both fused, and together as much as
+  // the unarmed run.
+  EXPECT_GT(Hook.FusedAtStrike, 0u);
+  EXPECT_GT(Armed.Interp.fusedInsnCount(), Hook.FusedAtStrike);
+  EXPECT_EQ(Armed.Interp.fusedInsnCount(), Plain.Interp.fusedInsnCount());
+}
+
+TEST(InterpTest, ArmedFaultMutatesArchitecturalState) {
+  // Flipping r1 bit 0 before the out at instruction 2 prints 4, not 5.
+  NativeRun Run("movi r1, 5\nout r1\nhalt\n");
+  RecordingArmedHook Hook(Run.Interp, Opcode::Out, /*Mask=*/1);
+  Run.Interp.armFault(&Hook, 2);
+  EXPECT_EQ(Run.Interp.run(100).Kind, StopKind::Halted);
+  EXPECT_EQ(Run.Interp.output(), "4\n");
+}
+
+TEST(InterpTest, ArmedFaultKeepsBudgetStopsAndCounts) {
+  // Budgets that end before, at and after the armed instruction stop
+  // exactly where an unarmed run's do.
+  for (uint64_t Chunk : {1, 3, 5, 41, 42, 1000}) {
+    NativeRun Plain(FusedLoop), Armed(FusedLoop);
+    RecordingArmedHook Hook(Armed.Interp);
+    Armed.Interp.armFault(&Hook, 42);
+    for (;;) {
+      StopInfo A = Plain.Interp.run(Chunk), B = Armed.Interp.run(Chunk);
+      ASSERT_EQ(A.Kind, B.Kind) << "chunk " << Chunk;
+      ASSERT_EQ(A.PC, B.PC) << "chunk " << Chunk;
+      ASSERT_EQ(Plain.Interp.instructionCount(),
+                Armed.Interp.instructionCount())
+          << "chunk " << Chunk;
+      ASSERT_EQ(Plain.Interp.cycleCount(), Armed.Interp.cycleCount())
+          << "chunk " << Chunk;
+      if (A.Kind != StopKind::InsnLimit)
+        break;
+    }
+    ASSERT_EQ(Hook.Offered.size(), 1u) << "chunk " << Chunk;
+    EXPECT_EQ(Hook.Offered[0].first, 42u) << "chunk " << Chunk;
+  }
+}
+
+TEST(InterpTest, ArmedHookWithNothingToStrikeStaysArmed) {
+  // Armed at instruction 3, the hook waits for the out: it is offered
+  // every instruction up to it, one by one, and nothing after it.
+  NativeRun Run(FusedLoop);
+  RecordingArmedHook Hook(Run.Interp, Opcode::Out, /*Mask=*/0);
+  Run.Interp.armFault(&Hook, 3);
+  EXPECT_EQ(Run.Interp.run(100000).Kind, StopKind::Halted);
+  ASSERT_FALSE(Hook.Offered.empty());
+  for (size_t I = 0; I < Hook.Offered.size(); ++I)
+    EXPECT_EQ(Hook.Offered[I].first, 3 + I);
+  EXPECT_EQ(Hook.Offered.back().second, Opcode::Out);
+  EXPECT_EQ(Hook.Offered.back().first, Run.Interp.instructionCount() - 1);
+  // A run that ends before the hook strikes leaves it armed.
+  NativeRun Short(FusedLoop);
+  RecordingArmedHook Waiting(Short.Interp, Opcode::Out, /*Mask=*/0);
+  Short.Interp.armFault(&Waiting, 3);
+  EXPECT_EQ(Short.Interp.run(20).Kind, StopKind::InsnLimit);
+  EXPECT_EQ(Waiting.Offered.size(), 18u);
+  EXPECT_EQ(Short.Interp.run(100000).Kind, StopKind::Halted);
+  EXPECT_EQ(Waiting.Offered.size(), Hook.Offered.size());
 }
