@@ -593,7 +593,7 @@ uint64_t Dbt::translate(uint64_t EntryGuest) {
                                     Base + EndIdx * InsnSize);
     // The prologue start of a registered sub-block is a guest-consistent
     // re-entry point: record it for the recovery subsystem.
-    SafePoints[TB.CacheAddr] = SafePointInfo{Sub.Guest, Sub.Checked};
+    SafePoints.add(SafePointInfo{TB.CacheAddr, Sub.Guest, Sub.Checked});
     NumCheckSites += Sub.Checked;
     if (integrityEnabled())
       TB.IntegrityWord = computeIntegrityWord(TB);
@@ -1087,16 +1087,10 @@ uint64_t Dbt::evictUnit(uint64_t UnitEnd) {
   uint64_t RangeBegin = std::max(UnitStart, CacheBase);
   uint64_t RangeEnd = std::min(UnitEnd, CacheAlloc);
 
-  // Safe points (and the check-site census) of the evicted range.
+  // Safe points (and the check-site census) of the evicted range; the
+  // predecode invalidation below drops their tags.
   if (RangeBegin < RangeEnd)
-    for (auto It = SafePoints.begin(); It != SafePoints.end();) {
-      if (It->first >= RangeBegin && It->first < RangeEnd) {
-        NumCheckSites -= It->second.Checked;
-        It = SafePoints.erase(It);
-      } else {
-        ++It;
-      }
-    }
+    NumCheckSites -= SafePoints.erase(RangeBegin, RangeEnd);
 
   // IBTC entries keyed by an evicted guest or pointing into the unit.
   for (IbtcEntry &Entry : Ibtc) {
@@ -1151,7 +1145,8 @@ uint64_t Dbt::evictUnit(uint64_t UnitEnd) {
     Retired.push_back(std::move(RR));
   }
 
-  // Evict the unit's blocks and any stale decode of its bytes.
+  // Evict the unit's blocks and any stale decode of its bytes, which
+  // would carry the tags of the erased safe points.
   BlockMap.eraseIf([UnitEnd](const TranslatedBlock &TB) {
     return TB.CacheAddr + TB.CacheSize == UnitEnd;
   });

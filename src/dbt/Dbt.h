@@ -56,6 +56,7 @@
 #include "telemetry/Trace.h"
 #include "vm/Interp.h"
 #include "vm/Memory.h"
+#include "vm/SafePoints.h"
 
 #include <array>
 #include <memory>
@@ -179,20 +180,6 @@ struct TranslatedBlock {
   }
 };
 
-/// A guest-consistent re-entry point in the code cache: the first
-/// instruction of a registered sub-block's prologue. At these cache
-/// addresses all architectural state is guest state (no partially
-/// executed block), so the recovery subsystem may checkpoint there and
-/// resume from the corresponding guest address after a rollback.
-struct SafePointInfo {
-  /// Guest address of the sub-block entered here.
-  uint64_t GuestAddr = 0;
-  /// True when the checker emitted a signature *check* (not just an
-  /// update) in this prologue — the anchors the errant-flow watchdog
-  /// counts instructions between.
-  bool Checked = false;
-};
-
 /// A branch fault site discovered in translated code.
 struct BranchSiteInfo {
   uint64_t CacheAddr = 0;
@@ -248,11 +235,10 @@ public:
   /// nullptr (stale translations from before a flush are not included).
   const TranslatedBlock *cacheBlockContaining(uint64_t Addr) const;
 
-  /// Safe points of all live translations, keyed by cache address.
-  /// Cleared on flush; repopulated as blocks retranslate.
-  const std::unordered_map<uint64_t, SafePointInfo> &safePoints() const {
-    return SafePoints;
-  }
+  /// Safe points of all live translations, by cache address. Cleared on
+  /// flush; repopulated as blocks retranslate. Every removal comes with
+  /// a predecode invalidation of the range, which drops its tags.
+  const SafePointTable &safePoints() const { return SafePoints; }
 
   /// True when at least one live safe point carries a signature check —
   /// the precondition for the errant-flow watchdog to be meaningful.
@@ -537,7 +523,7 @@ private:
   std::unique_ptr<ControlFlowChecker> Checker;
   ShadowStackChecker ShadowStack;
   BlockTable<TranslatedBlock> BlockMap;
-  std::unordered_map<uint64_t, SafePointInfo> SafePoints;
+  SafePointTable SafePoints;
   /// Cache ranges whose translations were evicted (trace promotion,
   /// quarantine) but whose bytes stay allocated. Branch-site
   /// enumeration still reports them: a fault campaign's golden run

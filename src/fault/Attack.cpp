@@ -277,8 +277,9 @@ bool pickGadget(const Dbt &Translator, uint64_t SiteGuestBlock,
 }
 
 /// Planning hook: walks all three families' event streams in one run,
-/// fills each pre-drawn attack at its chosen instance and offers the
-/// actionable ones to the snapshot set.
+/// fills each pre-drawn attack at its chosen instance, offers the
+/// actionable ones to the snapshot set and ends the run at the last
+/// attack.
 class AttackPlanningHook : public PreInsnHook {
 public:
   AttackPlanningHook(GuestRun &Planner,
@@ -287,7 +288,10 @@ public:
                      const std::array<std::vector<uint64_t>,
                                       NumAttackFamilies> &Salts,
                      SnapshotSet &Snaps)
-      : Planner(Planner), Plans(Plans), Salts(Salts), Snaps(Snaps) {}
+      : Planner(Planner), Plans(Plans), Salts(Salts), Snaps(Snaps) {
+    for (const auto &Plan : Plans)
+      Unfilled += Plan.size();
+  }
 
   void onInsn(uint64_t InsnAddr, const Instruction &I,
               CpuState &State) override {
@@ -314,6 +318,8 @@ public:
         Snaps.offer(Planner, I.Op);
       }
       ++Cursor;
+      if (--Unfilled == 0)
+        Planner.Interp.requestStop();
     }
   }
 
@@ -324,6 +330,7 @@ private:
   SnapshotSet &Snaps;
   std::array<uint64_t, NumAttackFamilies> Counter{};
   std::array<size_t, NumAttackFamilies> Next{};
+  size_t Unfilled = 0;
 };
 
 /// Applies one planned attack to the event instruction it is armed for

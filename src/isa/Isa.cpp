@@ -27,8 +27,9 @@ const OpcodeInfo OpcodeTable[] = {
 
 constexpr unsigned NumOpcodesValue =
     sizeof(OpcodeTable) / sizeof(OpcodeTable[0]);
-static_assert(sizeof(detail::OpcodeCosts) == NumOpcodesValue &&
-              sizeof(detail::OpcodeHasOffset) == NumOpcodesValue);
+static_assert(static_cast<unsigned>(SafePointTag) == NumOpcodesValue &&
+              sizeof(detail::OpcodeCosts) == NumOpcodesValue + 1 &&
+              sizeof(detail::OpcodeHasOffset) == NumOpcodesValue + 1);
 
 const OpcodeInfo &getInfo(Opcode Op) {
   unsigned Index = static_cast<unsigned>(Op);

@@ -105,20 +105,33 @@ enum class Opcode : uint8_t {
 /// Number of defined opcodes.
 unsigned getNumOpcodes();
 
+/// The predecode tag of a safe point (DESIGN.md §7). Not a guest opcode:
+/// its value is the first past Opcodes.def, so its byte decodes as
+/// illegal and neither the assembler nor the translator can emit it.
+/// Only Memory writes it, into the predecoded slot of a registered safe
+/// point, and only the interpreter's run loop reads it.
+inline constexpr Opcode SafePointTag = static_cast<Opcode>(
+    0
+#define HANDLE_OPCODE(...) +1
+#include "isa/Opcodes.def"
+);
+
 /// Per-opcode tables the interpreter consults on every instruction,
 /// generated from Opcodes.def so they fold into the dispatch loop instead
 /// of costing an out-of-line call.
 namespace detail {
+/// Both end with SafePointTag's entry: it costs nothing (the instruction
+/// it stands for is charged when the tag is resolved) and has no offset.
 inline constexpr uint8_t OpcodeCosts[] = {
 #define HANDLE_OPCODE(ENUM, MNEMONIC, SPEC, COST, WRITES_FLAGS, KIND) COST,
 #include "isa/Opcodes.def"
-};
+    0};
 inline constexpr bool OpcodeHasOffset[] = {
 #define HANDLE_OPCODE(ENUM, MNEMONIC, SPEC, COST, WRITES_FLAGS, KIND)          \
   KIND == OpKind::Jump || KIND == OpKind::CondJump ||                          \
       KIND == OpKind::RegZeroJump || KIND == OpKind::Call,
 #include "isa/Opcodes.def"
-};
+    false};
 } // namespace detail
 
 /// Returns the assembly mnemonic for \p Op.

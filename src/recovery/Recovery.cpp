@@ -37,35 +37,24 @@ void RecoveryManager::onPageDirtied(uint64_t PageBase,
     return; // Already have this page's pre-image for this checkpoint.
   It->second.assign(OldBytes, OldBytes + PageSize);
   CP.UndoBytes += PageSize;
+  RingUndoBytes += PageSize;
 }
 
-void RecoveryManager::onInsn(uint64_t InsnAddr, const Instruction &I,
-                             CpuState &) {
+void RecoveryManager::onSafePoint(uint64_t CacheAddr, bool Checked,
+                                  uint64_t Insns, uint64_t Cycles) {
   if (Fallback)
     return;
-  const auto &Points = Translator.safePoints();
-  auto It = Points.find(InsnAddr);
-  if (It == Points.end())
+  // The counts exclude the safe point's instruction: it re-executes after
+  // a rollback to the checkpoint taken here.
+  if (Checked)
+    LastCheck = Insns;
+  assert(!Checkpoints.empty() && "run() seeds the ring");
+  if (Insns - CheckpointInsns < Config.CheckpointInterval &&
+      RingUndoBytes <= Config.MemoryBudget)
     return;
-  const SafePointInfo &SP = It->second;
-  // The hook runs after the counters were charged for this instruction
-  // but before it executes; the checkpointed counts must not include it
-  // (it re-executes after a rollback).
-  uint64_t InsnsNow = Interp.instructionCount() - 1;
-  uint64_t CyclesNow = Interp.cycleCount() - getOpcodeCost(I.Op);
-  if (SP.Checked)
-    LastCheck = InsnsNow;
-  bool IntervalDue = InsnsNow - CheckpointInsns >= Config.CheckpointInterval;
-  bool BudgetDue = totalUndoBytes() > Config.MemoryBudget;
-  if (Checkpoints.empty() || IntervalDue || BudgetDue)
-    takeCheckpoint(SP.GuestAddr, InsnsNow, CyclesNow);
-}
-
-uint64_t RecoveryManager::totalUndoBytes() const {
-  uint64_t Total = 0;
-  for (const Checkpoint &CP : Checkpoints)
-    Total += CP.UndoBytes;
-  return Total;
+  const SafePointInfo *Point = Translator.safePoints().find(CacheAddr);
+  assert(Point && "a tag outlived its safe point");
+  takeCheckpoint(Point->GuestAddr, Insns, Cycles);
 }
 
 void RecoveryManager::takeCheckpoint(uint64_t GuestPC, uint64_t InsnsNow,
@@ -77,8 +66,10 @@ void RecoveryManager::takeCheckpoint(uint64_t GuestPC, uint64_t InsnsNow,
   CP.Insns = InsnsNow;
   CP.Cycles = CyclesNow;
   CP.OutputLen = Interp.output().size();
-  while (Checkpoints.size() > Config.MaxCheckpoints)
+  while (Checkpoints.size() > Config.MaxCheckpoints) {
+    RingUndoBytes -= Checkpoints.front().UndoBytes;
     Checkpoints.pop_front();
+  }
   // New epoch: the next write to any tracked page lands in this
   // checkpoint's undo log.
   Interp.memory().resetWriteEpoch();
@@ -104,6 +95,8 @@ uint64_t RecoveryManager::rollbackTo(size_t Depth) {
       Mem.writeRaw(PageBase, Bytes.data(), PageSize);
   InRestore = false;
 
+  for (size_t Index = Target; Index < Checkpoints.size(); ++Index)
+    RingUndoBytes -= Checkpoints[Index].UndoBytes;
   Checkpoints.resize(Target + 1);
   Checkpoint &CP = Checkpoints.back();
   CP.UndoLog.clear();
@@ -197,13 +190,14 @@ void RecoveryManager::recover(uint64_t SiteKey, const StopInfo &Stop) {
 RecoveryReport RecoveryManager::run(uint64_t MaxInsns) {
   Report = RecoveryReport();
   Checkpoints.clear();
+  RingUndoBytes = 0;
   SiteRollbacks.clear();
   QuarantinedSites.clear();
   TotalRollbacks = 0;
   Fallback = false;
 
   Memory &Mem = Interp.memory();
-  Interp.setPreInsnHook(this);
+  Interp.setSafePointHook(this, &Translator.safePoints());
   Interp.setDbtHooks(&Translator);
   Mem.setWriteObserver(this, CacheBase);
 
@@ -294,7 +288,8 @@ RecoveryReport RecoveryManager::run(uint64_t MaxInsns) {
   Report.GuestStopPC = Translator.guestPCFor(Stop.PC);
 
   Mem.setWriteObserver(nullptr, 0);
-  Interp.setPreInsnHook(nullptr);
+  Interp.setSafePointHook(nullptr, nullptr);
   Checkpoints.clear();
+  RingUndoBytes = 0;
   return Report;
 }

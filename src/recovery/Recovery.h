@@ -101,10 +101,12 @@ struct RecoveryReport {
 
 /// Drives an Interpreter + Dbt pair with checkpointing, watchdog
 /// supervision and rollback recovery. Use after Dbt::load in place of
-/// Dbt::run. Installs itself as the interpreter's PreInsnHook and as the
-/// Memory's page-write observer for the duration of run(); a fault
-/// injector composes by arming at its instant (Interpreter::armFault).
-class RecoveryManager : public PreInsnHook, public PageWriteObserver {
+/// Dbt::run. Installs itself as the interpreter's SafePointHook (over the
+/// translator's safe points) and as the Memory's page-write observer for
+/// the duration of run(), so an unhooked run stays on the hook-free loop;
+/// a fault injector composes by arming at its instant
+/// (Interpreter::armFault).
+class RecoveryManager : public SafePointHook, public PageWriteObserver {
 public:
   RecoveryManager(Interpreter &Interp, Dbt &Translator,
                   RecoveryConfig Config);
@@ -125,9 +127,9 @@ public:
     Translator.setFlightRecorder(FR);
   }
 
-  // PreInsnHook: safe-point bookkeeping (checkpoints, watchdog anchors).
-  void onInsn(uint64_t InsnAddr, const Instruction &I,
-              CpuState &State) override;
+  // SafePointHook: checkpoints and watchdog anchors.
+  void onSafePoint(uint64_t CacheAddr, bool Checked, uint64_t Insns,
+                   uint64_t Cycles) override;
 
   // PageWriteObserver: undo-log pre-image capture.
   void onPageDirtied(uint64_t PageBase, const uint8_t *OldBytes) override;
@@ -156,7 +158,6 @@ private:
   void enterInterpreterFallback(const StopInfo &Stop);
   /// Writes a post-mortem bundle when a recorder is attached.
   void dumpPostMortem(const char *Reason, const StopInfo &Stop);
-  uint64_t totalUndoBytes() const;
 
   Interpreter &Interp;
   Dbt &Translator;
@@ -180,6 +181,9 @@ private:
   unsigned TotalRollbacks = 0;
   /// Instruction count at the newest checkpoint.
   uint64_t CheckpointInsns = 0;
+  /// Undo-log bytes across the ring: the sum of every checkpoint's
+  /// UndoBytes, kept as they change.
+  uint64_t RingUndoBytes = 0;
   /// Instruction count when a signature check site last executed.
   uint64_t LastCheck = 0;
   bool Fallback = false;

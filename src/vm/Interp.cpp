@@ -15,6 +15,7 @@ using namespace cfed;
 
 FaultHook::~FaultHook() = default;
 PreInsnHook::~PreInsnHook() = default;
+SafePointHook::~SafePointHook() = default;
 BranchObserver::~BranchObserver() = default;
 DbtHooks::~DbtHooks() = default;
 
@@ -270,7 +271,8 @@ StopInfo Interpreter::runSelected(uint64_t MaxInsns) {
   // The three per-instruction hooks select the hooked instantiation; the
   // hook-free one skips their tests and fuses runs of check code. Hooks that
   // act only inside their own opcode handlers (DbtHooks, BlockProfile,
-  // DigestRecorder) stay runtime checks in both.
+  // DigestRecorder, and SafePointHook behind its tags) stay runtime checks
+  // in both.
   if (PreInsn || Fault || Profiler)
     return runLoop<true>(MaxInsns);
   return runLoop<false>(MaxInsns);
@@ -340,6 +342,30 @@ StopInfo Interpreter::runLoop(uint64_t MaxInsns) {
     }                                                                          \
   }
 
+  // A safe-point tag (DESIGN.md §7) becomes the instruction it stands for,
+  // after the hook saw the safe point with the counts before that
+  // instruction: the tag itself was charged nothing. Resolving before the
+  // hook call keeps it valid should the hook touch the page.
+#define RESOLVE_SAFE_POINT()                                                   \
+  do {                                                                         \
+    const Instruction Tag = I;                                                 \
+    I = Mem.taggedInsn(PC, Tag);                                               \
+    if (SafePoint)                                                             \
+      SafePoint->onSafePoint(PC, Tag.A != 0, NInsns - 1, NCycles);             \
+    NCycles += getOpcodeCost(I.Op);                                            \
+  } while (0)
+
+#if CFED_COMPUTED_GOTO
+  // One entry per opcode, in Opcodes.def order — identical to the Opcode
+  // enumerator values — and SafePointTag's last. Decode has already
+  // validated the opcode byte, so the indexed goto cannot escape the table.
+  static const void *const OpLabels[] = {
+#define HANDLE_OPCODE(ENUM, MNEMONIC, SPEC, COST, WRITES_FLAGS, KIND)          \
+  &&lbl_##ENUM,
+#include "isa/Opcodes.def"
+      &&lbl_SafePointTag};
+#endif
+
   uint64_t PC = State.PC;
   while (Budget-- > 0) {
     // Fast path: the predecode cache hands back a decoded record for
@@ -373,11 +399,21 @@ StopInfo Interpreter::runLoop(uint64_t MaxInsns) {
     ++NInsns;
     NCycles += getOpcodeCost(I.Op);
 
+    // Every hook below sees the tagged instruction, never the tag; the
+    // hook-free loop leaves the test to its dispatch table.
+    if (Hooked && I.Op == SafePointTag)
+      RESOLVE_SAFE_POINT();
+
     // Digest markers are invisible to hooks: they retire no instruction,
     // so no hook may take one for the instant it plans, checkpoints or
     // faults at (the armed step below skips them too).
-    if (Hooked && PreInsn && I.Op != Opcode::Digest)
+    if (Hooked && PreInsn && I.Op != Opcode::Digest) {
       PreInsn->onInsn(PC, I, State);
+      if (StopRequested) {
+        StopRequested = false;
+        Budget = 0;
+      }
+    }
 
     uint64_t *Regs = State.Regs;
     double *Fp = State.FpRegs;
@@ -401,15 +437,8 @@ StopInfo Interpreter::runLoop(uint64_t MaxInsns) {
       }
     }
 
+  dispatch:
 #if CFED_COMPUTED_GOTO
-    // One entry per opcode, in Opcodes.def order — identical to the
-    // Opcode enumerator values. Decode has already validated the opcode
-    // byte, so the indexed goto cannot escape the table.
-    static const void *const OpLabels[] = {
-#define HANDLE_OPCODE(ENUM, MNEMONIC, SPEC, COST, WRITES_FLAGS, KIND)          \
-  &&lbl_##ENUM,
-#include "isa/Opcodes.def"
-    };
     goto *OpLabels[static_cast<size_t>(I.Op)];
 #else
     switch (I.Op) {
@@ -915,6 +944,16 @@ StopInfo Interpreter::runLoop(uint64_t MaxInsns) {
       // dispatch per block than the same run without digests.
       goto run_on;
     }
+#if CFED_COMPUTED_GOTO
+    lbl_SafePointTag:
+#else
+    default: // SafePointTag, the one value outside the enumeration.
+#endif
+      // Only the hook-free loop gets here: the hooked one resolved the tag
+      // above. A fused run never retires a tagged slot, so every safe
+      // point is dispatched.
+      RESOLVE_SAFE_POINT();
+      goto dispatch;
 #if !CFED_COMPUTED_GOTO
     }
 #endif
@@ -936,3 +975,4 @@ stopped:
 #undef SYNC_COUNTERS
 #undef TRAP
 #undef RETRY_IF_DBT_HANDLED
+#undef RESOLVE_SAFE_POINT

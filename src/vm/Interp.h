@@ -13,7 +13,12 @@
 ///                    kind's fault, armed at a retired-instruction index
 ///                    (armFault), or installed to see every offset branch.
 ///  * PreInsnHook   — observes every executed instruction (campaign
-///                    planners, the recovery manager's safe points).
+///                    planners, counting reference injectors in tests).
+///  * SafePointHook — called at each translator-registered safe point,
+///                    which guest memory tags in its predecoded slots
+///                    (the recovery manager's checkpoints and watchdog
+///                    anchors). Unlike the three hooks above it keeps
+///                    the hook-free loop (DESIGN.md §6, §7).
 ///  * BranchObserver— passive profiling of every executed offset branch
 ///                    (drives the Figure 2/3 analytic error model).
 ///  * DbtHooks      — services code-cache exits (Tramp/TrampR) and
@@ -144,6 +149,21 @@ public:
                       CpuState &State) = 0;
 };
 
+/// Called before the instruction at a safe point executes (DESIGN.md §7).
+/// Memory tags the safe points of the table passed to
+/// Interpreter::setSafePointHook, and both run loops hand a tagged slot
+/// here before anything else sees its instruction.
+class SafePointHook {
+public:
+  virtual ~SafePointHook();
+  /// \p CacheAddr is the safe point; \p Checked is its checked bit.
+  /// \p Insns and \p Cycles are the counts before its instruction: in
+  /// the hook-free loop the interpreter's own counters lag behind them.
+  /// The hook must not write guest memory.
+  virtual void onSafePoint(uint64_t CacheAddr, bool Checked, uint64_t Insns,
+                           uint64_t Cycles) = 0;
+};
+
 /// Observes every executed offset branch after its direction was decided.
 class BranchObserver {
 public:
@@ -200,12 +220,19 @@ public:
   }
 
   /// Ends the current run() after the instruction being executed, with an
-  /// InsnLimit stop. Only a fault hook may call it (it is checked where
-  /// the hooked loop calls one).
+  /// InsnLimit stop. Only a fault hook or a pre-instruction hook may call
+  /// it (it is checked where the hooked loop calls them).
   void requestStop() { StopRequested = true; }
 
   /// Installs / clears the per-instruction hook.
   void setPreInsnHook(PreInsnHook *Hook) { PreInsn = Hook; }
+  /// Installs \p Hook for the safe points of \p Points, which memory
+  /// tags while it is installed, or clears it (nullptr). Either way
+  /// memory drops every predecoded page (Memory::setSafePointTags).
+  void setSafePointHook(SafePointHook *Hook, const SafePointTable *Points) {
+    SafePoint = Hook;
+    Mem.setSafePointTags(Hook ? Points : nullptr);
+  }
   /// Installs / clears the branch profiler.
   void setBranchObserver(BranchObserver *Observer) { Profiler = Observer; }
   /// Installs / clears the DBT service hooks.
@@ -258,6 +285,7 @@ public:
 private:
   /// The run loop, instantiated with and without the per-instruction
   /// hooks (PreInsnHook, FaultHook, BranchObserver); run() picks one.
+  /// Both hand safe-point tags to the SafePointHook.
   /// With \p Armed (hooked only) Fault is the armed hook, offered the
   /// instruction whatever its opcode.
   template <bool Hooked, bool Armed = false>
@@ -269,6 +297,7 @@ private:
   CpuState State;
   FaultHook *Fault = nullptr;
   PreInsnHook *PreInsn = nullptr;
+  SafePointHook *SafePoint = nullptr;
   BranchObserver *Profiler = nullptr;
   DbtHooks *Dbt = nullptr;
   FaultHook *ArmedFault = nullptr;

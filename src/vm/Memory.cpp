@@ -214,6 +214,8 @@ const Instruction *Memory::fetchDecodedSlow(uint64_t Addr,
       else
         Decoded->Illegal[Slot / 64] |= 1ULL << (Slot % 64);
     }
+    if (SafePoints)
+      tagSafePoints(*Decoded, Addr - Addr % PageSize);
     P->Decoded = std::move(Decoded);
   }
   Result = MemResult::Ok;
@@ -233,6 +235,37 @@ void Memory::invalidatePredecode(uint64_t Base, uint64_t Size) {
   for (uint64_t Index = First; Index < Last; ++Index) {
     Page *P = Table[Index];
     if (!P || !P->Decoded)
+      continue;
+    if (P->Shared)
+      privatise(Index, /*KeepDecoded=*/false);
+    else
+      P->Decoded.reset();
+  }
+}
+
+void Memory::tagSafePoints(DecodedPage &Page, uint64_t PageBase) const {
+  std::span<const SafePointInfo> Points =
+      SafePoints->in(PageBase, PageBase + PageSize);
+  Page.Tagged.reserve(Points.size());
+  for (const SafePointInfo &Point : Points) {
+    assert(Point.CacheAddr % InsnSize == 0 && "misaligned safe point");
+    uint64_t Slot = (Point.CacheAddr - PageBase) / InsnSize;
+    // An illegal slot traps before any hook could see it, and a digest
+    // marker retires nothing, so neither is ever a checkpoint instant.
+    if (Page.isIllegal(Slot) || Page.Insns[Slot].Op == Opcode::Digest)
+      continue;
+    Page.Tagged.push_back(Page.Insns[Slot]);
+    Page.Insns[Slot] =
+        Instruction(SafePointTag, Point.Checked, 0, 0,
+                    static_cast<int32_t>(Page.Tagged.size() - 1));
+  }
+}
+
+void Memory::setSafePointTags(const SafePointTable *Points) {
+  SafePoints = Points;
+  for (uint32_t Index : Mapped) {
+    Page *P = Table[Index];
+    if (!P->Decoded)
       continue;
     if (P->Shared)
       privatise(Index, /*KeepDecoded=*/false);

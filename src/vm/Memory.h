@@ -20,6 +20,13 @@
 /// translations, flush unchaining — drops that page's side array, which
 /// preserves self-modifying-code semantics.
 ///
+/// While safe-point tags are on (setSafePointTags), a page decode puts a
+/// SafePointTag record in the slot of every safe point on the page and
+/// keeps the slot's real instruction beside the slot array, where the
+/// interpreter resolves it (taggedInsn). Turning tags on or off drops
+/// every side array, so a page decoded under one setting never serves
+/// the other (DESIGN.md §7).
+///
 /// Pages live in one flat table covering the fixed layout of Layout.h
 /// (everything below CacheBase + CacheMaxSize); addresses at or above it
 /// are unmapped. The interpreter's hot accessors (fetchDecoded and
@@ -44,6 +51,7 @@
 
 #include "isa/Isa.h"
 #include "vm/Layout.h"
+#include "vm/SafePoints.h"
 
 #include <cstdint>
 #include <cstring>
@@ -153,8 +161,9 @@ public:
   ///
   /// The returned record is an element of the page's slot array: while
   /// nothing writes the page, the record k slots further on the same page
-  /// holds the predecoded instruction at Addr + k * InsnSize, or a Nop
-  /// record for an illegal slot.
+  /// holds the predecoded instruction at Addr + k * InsnSize, a Nop
+  /// record for an illegal slot, or a SafePointTag record for a tagged
+  /// one.
   const Instruction *fetchDecoded(uint64_t Addr, MemResult &Result) {
     if (const Instruction *I = peekDecoded(Addr)) {
       ++PredecodeHits;
@@ -179,6 +188,20 @@ public:
     return P->Decoded->isIllegal(Slot) ? nullptr : &P->Decoded->Insns[Slot];
   }
   void notePredecodeHits(uint64_t Count) { PredecodeHits += Count; }
+
+  /// Turns safe-point tags on, with \p Points as their source, or off
+  /// (nullptr). Either way every predecoded side array is dropped, so no
+  /// page decoded under the other setting survives. The translator keeps
+  /// \p Points current: a safe point is registered only after its bytes
+  /// were written and dropped only with a predecode invalidation of its
+  /// range, so a tag never outlives its safe point.
+  void setSafePointTags(const SafePointTable *Points);
+
+  /// The instruction a SafePointTag record \p Tag, fetched at \p Addr,
+  /// stands for. Valid while nothing writes the page.
+  const Instruction &taggedInsn(uint64_t Addr, const Instruction &Tag) const {
+    return Table[Addr / PageSize]->Decoded->Tagged[Tag.Imm];
+  }
 
   /// Drops predecoded side arrays for all pages overlapping
   /// [Base, Base+Size). Writes invalidate automatically; this is for
@@ -229,11 +252,14 @@ public:
 private:
   /// Predecoded view of one executable page: Insns[Slot] caches
   /// Instruction::decode of the 8 bytes at Slot * InsnSize; Illegal marks
-  /// slots whose bytes do not decode.
+  /// slots whose bytes do not decode. A tagged slot holds a SafePointTag
+  /// record whose A is the safe point's checked bit and whose Imm indexes
+  /// its real instruction in Tagged.
   struct DecodedPage {
     static constexpr uint64_t NumSlots = PageSize / InsnSize;
     Instruction Insns[NumSlots];
     uint64_t Illegal[NumSlots / 64] = {};
+    std::vector<Instruction> Tagged;
 
     bool isIllegal(uint64_t Slot) const {
       return (Illegal[Slot / 64] >> (Slot % 64)) & 1;
@@ -303,6 +329,8 @@ private:
   }
 
   const Instruction *fetchDecodedSlow(uint64_t Addr, MemResult &Result);
+  /// Tags the safe points on the page at \p PageBase in its fresh decode.
+  void tagSafePoints(DecodedPage &Page, uint64_t PageBase) const;
   MemResult access(uint64_t Addr, void *Out, const void *In, uint64_t Size,
                    AccessKind Kind) const;
   /// The write slow path for the page at \p PageBase: privatises it when
@@ -325,6 +353,8 @@ private:
   std::shared_ptr<const PageStore> Store;
   PageWriteObserver *WriteObserver = nullptr;
   uint64_t WriteObserverLimit = 0;
+  /// Source of safe-point tags; null while tags are off.
+  const SafePointTable *SafePoints = nullptr;
   /// Current write epoch; a tracked page whose DirtyEpoch differs has not
   /// been reported in it yet.
   uint64_t WriteEpoch = 1;

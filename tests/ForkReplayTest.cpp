@@ -29,6 +29,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <tuple>
 #include <utility>
 
@@ -412,34 +414,18 @@ struct Replay {
   uint64_t InsnsAtEnd = 0;
 };
 
-/// A recovery manager that forwards every instruction to \p Next after
-/// its own safe-point bookkeeping: how injectors composed with recovery
-/// before faults were armed at an index.
-class ForwardingRecovery : public RecoveryManager {
-public:
-  ForwardingRecovery(GuestRun &Run, const RecoveryConfig &Config,
-                     PreInsnHook &Next)
-      : RecoveryManager(Run.Interp, Run.Translator, Config), Next(Next) {}
-
-  void onInsn(uint64_t InsnAddr, const Instruction &I,
-              CpuState &State) override {
-    RecoveryManager::onInsn(InsnAddr, I, State);
-    Next.onInsn(InsnAddr, I, State);
-  }
-
-private:
-  PreInsnHook &Next;
-};
-
 /// Runs \p Run (a fresh load) to its end under the counting \p Hook,
-/// plain or under \p Recovery, and classifies it under \p Kind.
+/// plain or under \p Recovery, and classifies it under \p Kind. The hook
+/// is the interpreter's own pre-instruction hook; under recovery it runs
+/// beside the manager, after the manager's safe-point bookkeeping.
 template <typename Hook>
 Replay finishCounting(GuestRun &Run, Hook &Injector, const GoldenRun &Golden,
                       const DetectorTable &Kind,
                       const RecoveryConfig *Recovery) {
   RunEnd End;
+  Run.Interp.setPreInsnHook(&Injector);
   if (Recovery) {
-    ForwardingRecovery Manager(Run, *Recovery, Injector);
+    RecoveryManager Manager(Run.Interp, Run.Translator, *Recovery);
     End.UnderRecovery = true;
     End.Recovery = Manager.run(Golden.budget());
     End.Stop = End.Recovery.FinalStop;
@@ -447,7 +433,6 @@ Replay finishCounting(GuestRun &Run, Hook &Injector, const GoldenRun &Golden,
                        hashOutput(Run.Interp.output()) == Golden.Hash;
     End.Healed = Run.Translator.integrityMismatchCount() > 0;
   } else {
-    Run.Interp.setPreInsnHook(&Injector);
     End = Run.finish(Golden);
   }
   Replay R;
@@ -673,6 +658,99 @@ TEST(ForkReplaySubsetTest, AttacksMatchCountingReplays) {
     }
   EXPECT_TRUE(Families[0] && Families[1] && Families[2])
       << "the subset does not cover every attack family";
+}
+
+namespace {
+
+uint64_t foldAttackPlan(const std::vector<PlannedAttack> &Plan) {
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+  for (const PlannedAttack &A : Plan)
+    for (uint64_t V : {A.Instance, uint64_t(A.Family), A.SiteAddr,
+                       A.RealTarget, A.ForgedTarget, uint64_t(A.GadgetValid),
+                       A.InsnIndex})
+      for (unsigned Byte = 0; Byte < 8; ++Byte) {
+        Hash ^= (V >> (8 * Byte)) & 0xff;
+        Hash *= 0x100000001b3ULL;
+      }
+  return Hash;
+}
+
+/// Records the site and retired-instruction index of chosen instances of
+/// each attack family's event stream over a whole run.
+class AttackInstanceProbe : public PreInsnHook {
+public:
+  AttackInstanceProbe(const Interpreter &Interp,
+                      const std::vector<PlannedAttack> &Plan)
+      : Interp(Interp) {
+    for (const PlannedAttack &A : Plan)
+      Seen[{A.Family, A.Instance}];
+  }
+
+  /// (family, instance) -> (site, insn index); (0, 0) until reached.
+  std::map<std::pair<AttackFamily, uint64_t>, std::pair<uint64_t, uint64_t>>
+      Seen;
+
+  void onInsn(uint64_t InsnAddr, const Instruction &I, CpuState &) override {
+    AttackFamily F;
+    if (!attackEvent(InsnAddr, I, F))
+      return;
+    auto It = Seen.find({F, ++Counter[static_cast<unsigned>(F)]});
+    if (It != Seen.end())
+      It->second = {InsnAddr, Interp.instructionCount()};
+  }
+
+private:
+  const Interpreter &Interp;
+  std::array<uint64_t, NumAttackFamilies> Counter{};
+};
+
+} // namespace
+
+TEST(FaultPlanTest, AttackPlanningStopAtTheLastAttackMovesNoAttack) {
+  // Fingerprints of (instance, family, site, real and forged target,
+  // gadget verdict, instant) over plan(64, seed 7), as the attack planner
+  // that ran every planning run to halt produced them.
+  struct Pin {
+    const char *Workload;
+    Technique Tech;
+    bool ShadowStack;
+    uint64_t Fingerprint;
+  };
+  const Pin Pins[] = {
+      {"164.gzip", Technique::EdgCf, false, 0xaef5c2a0034ccfbaULL},
+      {"186.crafty", Technique::Ecf, false, 0x5602c0a5e746a550ULL},
+      {"186.crafty", Technique::Rcf, true, 0xe97fd0a180ca3fa2ULL},
+      {"252.eon", Technique::EdgCf, false, 0xeadcb7aa4f263048ULL},
+      {"181.mcf", Technique::Rcf, false, 0x290860552f9a4fceULL},
+  };
+  for (const Pin &P : Pins) {
+    std::string Where = std::string(P.Workload) + " " +
+                        getTechniqueName(P.Tech) +
+                        (P.ShadowStack ? " shadow-stack" : "");
+    AsmProgram Program = assembleWorkload(P.Workload);
+    DbtConfig Config = techConfig(P.Tech);
+    Config.ShadowStack = P.ShadowStack;
+    AttackCampaign Campaign(Program, Config);
+    ASSERT_TRUE(Campaign.prepare(GoldenBudget)) << Where;
+    std::vector<PlannedAttack> Plan = Campaign.plan(64, 7);
+    ASSERT_EQ(Plan.size(), 64u) << Where;
+    EXPECT_EQ(foldAttackPlan(Plan), P.Fingerprint) << Where;
+    // Snapshots do not move attacks either.
+    EXPECT_EQ(foldAttackPlan(Campaign.plan(64, 7, /*TakeSnapshots=*/false)),
+              P.Fingerprint)
+        << Where;
+    // Every attack's site and instant match a whole run's.
+    GuestRun Run(Program, Config);
+    AttackInstanceProbe Probe(Run.Interp, Plan);
+    Run.Interp.setPreInsnHook(&Probe);
+    GoldenRun Golden;
+    ASSERT_TRUE(Run.golden(GoldenBudget, Golden)) << Where;
+    for (const PlannedAttack &A : Plan) {
+      auto [Site, Insn] = Probe.Seen.at({A.Family, A.Instance});
+      EXPECT_EQ(A.SiteAddr, Site) << Where << ", " << describeAttack(A);
+      EXPECT_EQ(A.InsnIndex, Insn) << Where << ", " << describeAttack(A);
+    }
+  }
 }
 
 TEST(ForkReplaySubsetTest, RegisterFaultsMatchCountingReplays) {

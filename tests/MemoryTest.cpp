@@ -500,6 +500,51 @@ TEST(MemoryTest, WriteToSharedCodePageInvalidatesOnlyTheWriter) {
   EXPECT_EQ(Parent.fetchDecoded(0x1000, R), Old);
 }
 
+TEST(MemoryTest, SafePointTagsComeAndGoWithEveryDecode) {
+  Memory Mem;
+  Mem.mapRegion(0x1000, PageSize, PermRWX);
+  pokeInsn(Mem, 0x1000, insn::rri(Opcode::AddI, 1, 1, 5));
+  pokeInsn(Mem, 0x1008, insn::rri(Opcode::AddI, 2, 2, 6));
+  pokeInsn(Mem, 0x1010, insn::i(Opcode::Digest, 3));
+  SafePointTable Points;
+  Points.add({0x1008, 0x10040, true});
+  Points.add({0x1010, 0x10080, false}); // A marker retires nothing.
+  MemResult R = MemResult::Ok;
+  // Decoded before tags are on: untagged.
+  ASSERT_EQ(Mem.fetchDecoded(0x1008, R)->Op, Opcode::AddI);
+
+  // Turning tags on drops that decode; the next one tags the safe point
+  // and keeps its instruction beside the slots.
+  Mem.setSafePointTags(&Points);
+  const Instruction *Tag = Mem.fetchDecoded(0x1008, R);
+  ASSERT_NE(Tag, nullptr);
+  ASSERT_EQ(Tag->Op, SafePointTag);
+  EXPECT_EQ(Tag->A, 1);
+  EXPECT_EQ(Mem.taggedInsn(0x1008, *Tag).Imm, 6);
+  EXPECT_EQ(Mem.fetchDecoded(0x1000, R)->Op, Opcode::AddI);
+  EXPECT_EQ(Mem.fetchDecoded(0x1010, R)->Op, Opcode::Digest);
+
+  // A fork shares the frozen tagged decode until it turns tags on or off
+  // itself, which drops its own copy only.
+  Mem.freeze();
+  Memory Image(Mem, Memory::Image);
+  Memory Fork(Image, Memory::Fork);
+  EXPECT_EQ(Fork.fetchDecoded(0x1008, R)->Op, SafePointTag);
+  Fork.setSafePointTags(nullptr);
+  EXPECT_EQ(Fork.fetchDecoded(0x1008, R)->Op, Opcode::AddI);
+  EXPECT_EQ(Mem.fetchDecoded(0x1008, R)->Op, SafePointTag);
+
+  // Turning tags off drops every tagged decode.
+  Mem.setSafePointTags(nullptr);
+  EXPECT_EQ(Mem.fetchDecoded(0x1008, R)->Op, Opcode::AddI);
+}
+
+TEST(MemoryTest, SafePointTagDecodesAsIllegal) {
+  uint8_t Raw[InsnSize] = {static_cast<uint8_t>(SafePointTag)};
+  EXPECT_FALSE(Instruction::decode(Raw).has_value());
+  EXPECT_EQ(static_cast<unsigned>(SafePointTag), getNumOpcodes());
+}
+
 namespace {
 
 /// Keeps each reported pre-image whole.

@@ -5,8 +5,12 @@
 #include "vm/Layout.h"
 #include "vm/Loader.h"
 #include "workloads/RandomProgram.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 using namespace cfed;
 
@@ -78,6 +82,9 @@ TEST(RecoveryTest, CleanRunTakesCheckpointsWithoutRollbacks) {
   EXPECT_FALSE(Report.InterpreterFallback);
   EXPECT_TRUE(Report.FirstDetection.empty()) << Report.FirstDetection;
   EXPECT_EQ(hashOutput(Interp.output()), Golden);
+  // Safe points are tags, not a per-instruction hook: the run took the
+  // hook-free loop.
+  EXPECT_GT(Interp.fusedInsnCount(), 0u);
 }
 
 TEST(RecoveryTest, TransientFaultRollsBackToGoldenOutput) {
@@ -297,4 +304,354 @@ TEST(RecoveryTest, TrapDiagnosticFormatsAllFields) {
   Diag = formatTrapDiagnostic(Stop, State, 0x10020);
   EXPECT_NE(Diag.find("exec-violation"), std::string::npos) << Diag;
   EXPECT_NE(Diag.find("fault-addr=0xdead000"), std::string::npos) << Diag;
+}
+
+//===----------------------------------------------------------------------===//
+// Safe-point tags against the per-instruction rule
+//
+// The manager learns of safe points from predecode tags, which keep its
+// runs on the hook-free loop (DESIGN.md §7). SafePointDiffTest holds it,
+// on every workload and configuration, to a reference that applies the
+// rule the manager used before tags: probe the translator's safe points
+// at every instruction on the hooked loop. The trace (checkpoint instants
+// and guest PCs, rollbacks, watchdog fires), the report, the registry,
+// the counts and the output must agree, clean and with faults injected.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A recovery manager driven by the per-instruction rule. It ignores its
+/// tags and, installed as the interpreter's pre-instruction hook (which
+/// selects the hooked loop), probes the translator's safe points at every
+/// instruction.
+class PerInsnRecovery : public RecoveryManager, public PreInsnHook {
+public:
+  PerInsnRecovery(Interpreter &Interp, Dbt &Translator, RecoveryConfig Config)
+      : RecoveryManager(Interp, Translator, Config), Interp(Interp),
+        Translator(Translator) {
+    Interp.setPreInsnHook(this);
+  }
+  ~PerInsnRecovery() override { Interp.setPreInsnHook(nullptr); }
+
+  void onSafePoint(uint64_t, bool, uint64_t, uint64_t) override {}
+
+  void onInsn(uint64_t InsnAddr, const Instruction &I, CpuState &) override {
+    // The counters were charged for this instruction, which has not run.
+    if (const SafePointInfo *SP = Translator.safePoints().find(InsnAddr))
+      RecoveryManager::onSafePoint(InsnAddr, SP->Checked,
+                                   Interp.instructionCount() - 1,
+                                   Interp.cycleCount() - getOpcodeCost(I.Op));
+  }
+
+private:
+  Interpreter &Interp;
+  const Dbt &Translator;
+};
+
+/// XORs \p Mask into a register at the instruction it is armed for.
+class RegisterFlip : public FaultHook {
+public:
+  RegisterFlip(uint8_t Reg, uint64_t Mask) : Reg(Reg), Mask(Mask) {}
+  bool apply(uint64_t, Instruction &, Flags &, CpuState &State) override {
+    State.Regs[Reg] ^= Mask;
+    return true;
+  }
+
+private:
+  uint8_t Reg;
+  uint64_t Mask;
+};
+
+struct DiffConfig {
+  const char *Name;
+  DbtConfig Dbt;
+  RecoveryConfig Recovery;
+};
+
+std::vector<DiffConfig> diffConfigs() {
+  auto Tech = [](Technique T) {
+    DbtConfig Config;
+    Config.Tech = T;
+    return Config;
+  };
+  RecoveryConfig Plain;
+  Plain.CheckpointInterval = 2000;
+  // A budget of a few pages forces checkpoints by undo-log size too.
+  RecoveryConfig Budgeted = Plain;
+  Budgeted.MemoryBudget = 8 * PageSize;
+  DbtConfig Opt = Tech(Technique::EdgCf);
+  Opt.Tier = DbtTier::Opt;
+  DbtConfig Assured = Tech(Technique::EdgCf);
+  Assured.ScrubInterval = 16;
+  Assured.VerifyDispatchInterval = 1;
+  Assured.ShadowSignature = true;
+  Assured.ShadowStack = true;
+  // Checks only at the End: chained superblocks run check-free far past
+  // the watchdog bound, which fires and degrades the translator.
+  DbtConfig Relaxed = Tech(Technique::Rcf);
+  Relaxed.Policy = CheckPolicy::End;
+  Relaxed.SuperblockLimit = 4;
+  Relaxed.ChainDirectExits = true;
+  RecoveryConfig Watchdog = Plain;
+  Watchdog.CheckpointInterval = 500;
+  Watchdog.WatchdogBound = 3000;
+  return {{"ecf", Tech(Technique::Ecf), Plain},
+          {"edgcf", Tech(Technique::EdgCf), Budgeted},
+          {"rcf", Tech(Technique::Rcf), Plain},
+          {"edgcf-opt", Opt, Plain},
+          {"assured", Assured, Plain},
+          {"rcf-end-watchdog", Relaxed, Watchdog}};
+}
+
+/// What one recovered run did, as far as the two rules must agree.
+struct RecoveredRun {
+  RecoveryReport Report;
+  std::vector<telemetry::TraceEvent> Events;
+  telemetry::RegistrySnapshot Registry;
+  uint64_t Insns = 0;
+  uint64_t Cycles = 0;
+  uint64_t OutputHash = 0;
+  uint64_t FusedInsns = 0;
+};
+
+/// Loads \p Program and runs it to the end under recovery, with tags or
+/// (\p PerInsn) the reference rule, and \p Fault armed at \p FaultAt when
+/// given.
+RecoveredRun runRecovered(const AsmProgram &Program, const DiffConfig &C,
+                          bool PerInsn, uint64_t MaxInsns,
+                          FaultHook *Fault = nullptr, uint64_t FaultAt = 0) {
+  RecoveredRun R;
+  Memory Mem;
+  Interpreter Interp(Mem);
+  Dbt Translator(Mem, C.Dbt);
+  telemetry::EventTracer Tracer(1 << 16);
+  Translator.setTracer(&Tracer);
+  EXPECT_TRUE(Translator.load(Program, Interp.state()));
+  if (Fault)
+    Interp.armFault(Fault, FaultAt);
+  if (PerInsn)
+    R.Report = PerInsnRecovery(Interp, Translator, C.Recovery).run(MaxInsns);
+  else
+    R.Report = RecoveryManager(Interp, Translator, C.Recovery).run(MaxInsns);
+  EXPECT_EQ(Tracer.dropped(), 0u);
+  R.Events = Tracer.events();
+  R.Registry = Translator.metrics().snapshot();
+  R.Insns = Interp.instructionCount();
+  R.Cycles = Interp.cycleCount();
+  R.OutputHash = hashOutput(Interp.output());
+  R.FusedInsns = Interp.fusedInsnCount();
+  return R;
+}
+
+/// The (instant, guest PC) of every checkpoint in \p Events.
+std::vector<std::pair<uint64_t, uint64_t>>
+checkpointsOf(const std::vector<telemetry::TraceEvent> &Events) {
+  std::vector<std::pair<uint64_t, uint64_t>> Out;
+  for (const telemetry::TraceEvent &E : Events)
+    if (E.Kind == telemetry::TraceEventKind::CheckpointTaken)
+      Out.emplace_back(E.Ts, E.Addr);
+  return Out;
+}
+
+void expectSameRecovery(const RecoveredRun &Tags, const RecoveredRun &Ref,
+                        const std::string &What) {
+  EXPECT_EQ(checkpointsOf(Tags.Events), checkpointsOf(Ref.Events)) << What;
+  EXPECT_TRUE(Tags.Events == Ref.Events) << What << ": trace events differ";
+  const RecoveryReport &A = Tags.Report, &B = Ref.Report;
+  EXPECT_EQ(A.Completed, B.Completed) << What;
+  EXPECT_EQ(A.FinalStop.Kind, B.FinalStop.Kind) << What;
+  EXPECT_EQ(A.FinalStop.Trap, B.FinalStop.Trap) << What;
+  EXPECT_EQ(A.FinalStop.PC, B.FinalStop.PC) << What;
+  EXPECT_EQ(A.GuestStopPC, B.GuestStopPC) << What;
+  EXPECT_EQ(A.NumCheckpoints, B.NumCheckpoints) << What;
+  EXPECT_EQ(A.NumRollbacks, B.NumRollbacks) << What;
+  EXPECT_EQ(A.NumWatchdogFires, B.NumWatchdogFires) << What;
+  EXPECT_EQ(A.Degraded, B.Degraded) << What;
+  EXPECT_EQ(A.InterpreterFallback, B.InterpreterFallback) << What;
+  EXPECT_EQ(A.FirstDetection, B.FirstDetection) << What;
+  EXPECT_EQ(A.TotalExecuted, B.TotalExecuted) << What;
+  EXPECT_TRUE(Tags.Registry == Ref.Registry) << What << ": registries differ";
+  EXPECT_EQ(Tags.Insns, Ref.Insns) << What;
+  EXPECT_EQ(Tags.Cycles, Ref.Cycles) << What;
+  EXPECT_EQ(Tags.OutputHash, Ref.OutputHash) << What;
+  EXPECT_EQ(Ref.FusedInsns, 0u) << What << ": the reference ran hook-free";
+}
+
+class SafePointDiffTest : public ::testing::TestWithParam<std::string> {};
+
+} // namespace
+
+TEST_P(SafePointDiffTest, TagsMatchThePerInstructionRule) {
+  const std::string &Workload = GetParam();
+  AsmProgram Program = assembleWorkload(Workload);
+  for (const DiffConfig &C : diffConfigs()) {
+    std::string What = Workload + " " + C.Name;
+    RecoveredRun Clean = runRecovered(Program, C, false, 50000000);
+    expectSameRecovery(Clean, runRecovered(Program, C, true, 50000000),
+                       What + ", clean");
+    ASSERT_TRUE(Clean.Report.Completed) << What;
+    EXPECT_GT(Clean.Report.NumCheckpoints, 1u) << What;
+    // An exact check that the run took the hook-free loop.
+    EXPECT_GT(Clean.FusedInsns, 0u) << What;
+    if (C.Recovery.WatchdogBound < RecoveryConfig().WatchdogBound) {
+      EXPECT_GT(Clean.Report.NumWatchdogFires, 0u) << What;
+    } else {
+      EXPECT_EQ(Clean.Report.NumRollbacks, 0u) << What;
+    }
+
+    // A flipped signature register is caught at the next check and rolls
+    // back; a wild stack pointer traps at the next stack access, if any.
+    uint64_t Budget = Clean.Insns * 4 + 100000;
+    RegisterFlip Signature(RegPCP, 1ull << 7), Stack(RegSP, 1ull << 40);
+    for (auto [Fault, At] : {std::pair<FaultHook *, uint64_t>(
+                                 &Signature, Clean.Insns / 3),
+                             {&Stack, Clean.Insns * 2 / 3}}) {
+      std::string Where = What + ", fault at " + std::to_string(At);
+      RecoveredRun Tags = runRecovered(Program, C, false, Budget, Fault, At);
+      expectSameRecovery(Tags,
+                         runRecovered(Program, C, true, Budget, Fault, At),
+                         Where);
+      if (Fault == &Signature) {
+        EXPECT_GT(Tags.Report.NumRollbacks, 0u) << Where;
+      }
+      EXPECT_GT(Tags.FusedInsns, 0u) << Where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, SafePointDiffTest, ::testing::ValuesIn([] {
+      std::vector<std::string> Names;
+      for (const WorkloadInfo &Info : getWorkloadSuite())
+        Names.push_back(Info.Name);
+      return Names;
+    }()),
+    [](const ::testing::TestParamInfo<std::string> &Info) {
+      std::string Name = Info.param;
+      for (char &Ch : Name)
+        if (!isalnum(static_cast<unsigned char>(Ch)))
+          Ch = '_';
+      return Name;
+    });
+
+namespace {
+
+/// Counts the safe points a run reaches.
+struct CountingSafePoints : SafePointHook {
+  uint64_t Calls = 0;
+  void onSafePoint(uint64_t, bool, uint64_t, uint64_t) override { ++Calls; }
+};
+
+} // namespace
+
+TEST(SafePointTagTest, EvictedSafePointsLoseTheirTags) {
+  // Without chaining nothing rewrites a translated page once it is
+  // complete, so only eviction's own predecode invalidation can drop the
+  // tags of the safe points it erases. The program is large enough for
+  // its translations to fill several cache pages.
+  RandomProgramOptions Options;
+  Options.Seed = 21;
+  Options.NumSegments = 40;
+  Options.MaxBodyInsns = 12;
+  Options.NumHelpers = 4;
+  AsmProgram Program = assembleOk(generateRandomProgram(Options));
+  DbtConfig Config;
+  Config.Tech = Technique::EdgCf;
+  Config.ChainDirectExits = false;
+  Memory Mem;
+  Interpreter Interp(Mem);
+  Dbt Translator(Mem, Config);
+  ASSERT_TRUE(Translator.load(Program, Interp.state()));
+  CountingSafePoints Hook;
+  Interp.setSafePointHook(&Hook, &Translator.safePoints());
+  ASSERT_EQ(Translator.run(Interp, 50000000).Kind, StopKind::Halted);
+  EXPECT_GT(Hook.Calls, 0u);
+  EXPECT_GT(Interp.fusedInsnCount(), 0u);
+
+  std::vector<SafePointInfo> Before(Translator.safePoints().begin(),
+                                    Translator.safePoints().end());
+  ASSERT_GT(Before.size(), 2u);
+  MemResult R;
+  for (const SafePointInfo &SP : Before) {
+    const Instruction *I = Mem.fetchDecoded(SP.CacheAddr, R);
+    ASSERT_TRUE(I && I->Op == SafePointTag) << std::hex << SP.CacheAddr;
+  }
+  // Quarantine every unit on the first cache page; their retranslations
+  // land at the end of the cache.
+  uint64_t FirstPage = Before.front().CacheAddr / PageSize;
+  ASSERT_NE(Before.back().CacheAddr / PageSize, FirstPage);
+  for (const SafePointInfo &SP : Before)
+    if (SP.CacheAddr / PageSize == FirstPage)
+      Translator.quarantineGuestBlock(SP.GuestAddr);
+  unsigned Evicted = 0;
+  for (const SafePointInfo &SP : Before) {
+    const Instruction *I = Mem.fetchDecoded(SP.CacheAddr, R);
+    ASSERT_NE(I, nullptr);
+    if (Translator.safePoints().find(SP.CacheAddr)) {
+      EXPECT_EQ(I->Op, SafePointTag) << std::hex << SP.CacheAddr;
+    } else {
+      ++Evicted;
+      EXPECT_NE(I->Op, SafePointTag)
+          << "stale tag at evicted safe point 0x" << std::hex << SP.CacheAddr;
+    }
+  }
+  EXPECT_GT(Evicted, 0u);
+  Interp.setSafePointHook(nullptr, nullptr);
+}
+
+TEST(RecoveryTest, UndoBudgetCheckpointsAreUnchanged) {
+  // A budget of two pages forces a checkpoint at almost every safe point
+  // once the ring's undo logs outgrow it, across ring pops and rollbacks.
+  // Pinned: checkpoint count, rollbacks, and a fold of every checkpoint's
+  // (instant, guest PC), as the manager that re-summed the ring at every
+  // safe point produced them.
+  struct Pin {
+    const char *Workload;
+    uint64_t Checkpoints;
+    uint64_t Rollbacks;
+    uint64_t Fold;
+  };
+  const Pin Pins[] = {
+      {"164.gzip", 58575, 3, 0x4b190a55745e3d5eULL},
+      {"181.mcf", 727, 1, 0x1bd13830a275dc13ULL},
+      {"186.crafty", 4282, 1, 0x197608704d603502ULL},
+  };
+  /// Flips the signature register once, where it is armed.
+  struct FlipPcp : FaultHook {
+    bool apply(uint64_t, Instruction &, Flags &, CpuState &State) override {
+      State.Regs[RegPCP] ^= 1ull << 5;
+      return true;
+    }
+  };
+  for (const Pin &P : Pins) {
+    AsmProgram Program = assembleWorkload(P.Workload);
+    DbtConfig Config;
+    Config.Tech = Technique::EdgCf;
+    Memory Mem;
+    Interpreter Interp(Mem);
+    Dbt Translator(Mem, Config);
+    telemetry::EventTracer Tracer(1 << 18);
+    Translator.setTracer(&Tracer);
+    ASSERT_TRUE(Translator.load(Program, Interp.state()));
+    FlipPcp Fault;
+    Interp.armFault(&Fault, 200000);
+    RecoveryConfig RC;
+    RC.CheckpointInterval = 5000;
+    RC.MemoryBudget = 2 * PageSize;
+    RC.MaxCheckpoints = 3;
+    RecoveryReport Report =
+        RecoveryManager(Interp, Translator, RC).run(50000000);
+    ASSERT_EQ(Tracer.dropped(), 0u);
+    uint64_t Fold = 0xcbf29ce484222325ULL;
+    for (const telemetry::TraceEvent &E : Tracer.events())
+      if (E.Kind == telemetry::TraceEventKind::CheckpointTaken)
+        for (uint64_t V : {E.Ts, E.Addr, E.Arg}) {
+          Fold ^= V;
+          Fold *= 0x100000001b3ULL;
+        }
+    EXPECT_TRUE(Report.Completed) << P.Workload;
+    EXPECT_EQ(Report.NumCheckpoints, P.Checkpoints) << P.Workload;
+    EXPECT_EQ(Report.NumRollbacks, P.Rollbacks) << P.Workload;
+    EXPECT_EQ(Fold, P.Fold) << P.Workload;
+  }
 }
