@@ -45,19 +45,11 @@ struct SlotPlan {
   uint64_t Hash = 0;
 };
 
-/// What one batch-loop run leaves behind.
-struct LoopResult : BatchTotals {
-  /// The state the final closure decision reads: the merged campaign
-  /// registry for a finished coordinated early-stopping shard, else
-  /// Registry.
-  telemetry::RegistrySnapshot Decision;
-};
-
 /// The kind-independent loop (CampaignEngine.cpp): batches, resume,
-/// sharding, early stopping, coordination, live export and checkpoints.
+/// sharding, early stopping, live export and checkpoints.
 /// \p Category names a candidate's cell; \p RunBatch injects a batch of
 /// candidates and tallies them into the registry in order.
-LoopResult runBatchSchedule(
+BatchTotals runBatchSchedule(
     const EngineConfig &Engine, const char *CheckpointKind, const char *Noun,
     const SlotPlan &Plan,
     const std::function<BranchErrorCategory(uint64_t)> &Category,
@@ -68,7 +60,7 @@ LoopResult runBatchSchedule(
 /// injected in parallel into position-indexed results and tallied
 /// serially, so results never depend on the job count.
 template <typename Kind>
-LoopResult runBatchLoop(const EngineConfig &Engine, Kind &K,
+BatchTotals runBatchLoop(const EngineConfig &Engine, Kind &K,
                         const std::vector<typename Kind::Slot> &Candidates,
                         const SlotPlan &Plan,
                         const char *CheckpointKind = nullptr,
@@ -115,11 +107,11 @@ inline EngineConfig oneBatch(uint64_t PrimarySlots, unsigned Jobs) {
 /// and runs them, under Engine.Recovery when set (adding the recovery.*
 /// ladder counters), with Engine's recorder and tracer attached.
 /// \p Campaign must be prepared.
-LoopResult runFaultPlan(FaultCampaign &Campaign, const EngineConfig &Engine);
+BatchTotals runFaultPlan(FaultCampaign &Campaign, const EngineConfig &Engine);
 
 /// Plans \p Campaign's first Engine.NumInjections actionable attacks and
 /// runs them like runFaultPlan.
-LoopResult runAttackPlan(AttackCampaign &Campaign, const EngineConfig &Engine);
+BatchTotals runAttackPlan(AttackCampaign &Campaign, const EngineConfig &Engine);
 
 } // namespace cfed
 

@@ -10,13 +10,11 @@
 #include "telemetry/LiveExport.h"
 #include "telemetry/Trace.h"
 
-#include <chrono>
 #include <cinttypes>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
-#include <thread>
 #include <unistd.h>
 
 using namespace cfed;
@@ -34,18 +32,6 @@ std::vector<uint64_t> CampaignEngine::latencyBounds() {
 
 std::string CampaignEngine::getLatencyHistogramName(BranchErrorCategory Cat) {
   return std::string("fault.latency.cat_") + getCategoryName(Cat);
-}
-
-std::string CampaignEngine::coordinatorBatchPath(const std::string &Dir,
-                                                 unsigned Shard,
-                                                 uint64_t Batch) {
-  return Dir + "/shard_" + std::to_string(Shard) + ".batch_" +
-         std::to_string(Batch) + ".json";
-}
-
-std::string CampaignEngine::coordinatorLivePath(const std::string &Dir,
-                                                unsigned Shard) {
-  return Dir + "/shard_" + std::to_string(Shard) + ".live.json";
 }
 
 namespace {
@@ -141,16 +127,14 @@ CellStates computeCells(const telemetry::RegistrySnapshot &Snap,
   return Cells;
 }
 
-/// Heartbeat for a live snapshot: this shard's progress, its own
-/// per-cell counts/intervals (\p OwnCells — so merging heartbeats
-/// across shards never double-counts), and the closure flags of
-/// \p ClosedCells.
+/// Heartbeat for a live snapshot: this shard's progress and its own
+/// per-cell counts, intervals and closure flags (\p Cells — so merging
+/// heartbeats across shards never double-counts).
 telemetry::Heartbeat makeHeartbeat(const EngineConfig &Engine,
                                    uint64_t Cursor, uint64_t Planned,
                                    uint64_t Completed,
                                    const telemetry::RegistrySnapshot &Own,
-                                   const CellStates &OwnCells,
-                                   const CellStates &ClosedCells) {
+                                   const CellStates &Cells) {
   telemetry::Heartbeat Beat;
   Beat.Present = true;
   Beat.Shard = Engine.ShardIndex;
@@ -164,17 +148,16 @@ telemetry::Heartbeat makeHeartbeat(const EngineConfig &Engine,
     if (!isCellCategory(Cat))
       continue;
     Beat.Skipped += Own.counterOr(getSkipCounterName(Cat));
-    const CellState &Cell = OwnCells[C];
+    const CellState &Cell = Cells[C];
     Beat.Cells.push_back({getCategoryName(Cat), Cell.Counts.total(),
                           Cell.Counts.Sdc, Cell.Interval.Low,
-                          Cell.Interval.High, ClosedCells[C].Closed});
+                          Cell.Interval.High, Cell.Closed});
   }
   return Beat;
 }
 
 /// Atomic live-snapshot write; failures are fatal like checkpoint
-/// failures (in coordinated mode siblings block on these files, so a
-/// silent skip would hang the campaign, not degrade it).
+/// failures.
 void publishLiveFile(const std::string &Path, const std::string &RunId,
                      uint64_t Seq,
                      const telemetry::RegistrySnapshot &Registry,
@@ -210,8 +193,8 @@ std::string checkpointToJson(const EngineCheckpoint &Ckpt,
   Out += ",\"num_shards\":" + std::to_string(Ckpt.NumShards);
   Out += ",\"cursor\":" + std::to_string(Ckpt.Cursor);
   Out += ",\"completed\":" + std::to_string(Ckpt.Completed);
-  Out += ",\"coordinated\":";
-  Out += Ckpt.Coordinated ? "true" : "false";
+  // Always false: the field stays so checkpoints keep their bytes.
+  Out += ",\"coordinated\":false";
   Out += ",\"reserve_cursors\":[";
   for (unsigned C = 0; C < NumBranchErrorCategories; ++C) {
     if (C)
@@ -275,9 +258,12 @@ LoadStatus loadCheckpointKind(const std::string &Path, EngineCheckpoint &Out,
     Progress = json::readUnsigned(Reserve.Items[C], Out.ReserveCursors[C]);
   if (!Progress)
     return Corrupt("has a malformed progress record");
-  // Absent in pre-coordinator checkpoints, which were by definition
-  // uncoordinated.
-  Out.Coordinated = Root["coordinated"].B;
+  // Lockstep (coordinated) sharded runs, which this build no longer
+  // has, wrote true here; their cursor counts global slots, not owned
+  // ones, so reading it as a plain cursor would skip or repeat slots.
+  if (Root["coordinated"].B)
+    return Corrupt("was written by a coordinated sharded run, which this "
+                   "build cannot continue");
   std::string SnapError;
   if (!telemetry::snapshotFromJson(Root["registry"], Out.Registry,
                                    SnapError))
@@ -477,17 +463,12 @@ bool CampaignEngine::mergeShards(const std::vector<ShardResult> &Shards,
 //
 // Every campaign entry point runs this loop (through runBatchLoop in
 // BatchLoop.h) over the *global* primary schedule, executing only the
-// slots it owns (see the header and DESIGN.md §13). A plain shard's
-// batches span CheckpointInterval x NumShards global slots, so each
-// holds CheckpointInterval owned slots. A coordinated shard walks
-// the unsharded batches and publishes a batch file after each, before its
-// checkpoint (a kill in between only republishes identical content); with
-// early stopping it first merges every sibling's previous batch file into
-// its boundary state (the barrier). Each shard replays the whole global
-// batch construction but counts skips and reallocations only for owned
-// slots, so merged shards equal the unsharded run byte for byte.
+// slots it owns (see the header and DESIGN.md §13). A shard's batches
+// span CheckpointInterval x NumShards global slots, so each holds
+// CheckpointInterval owned slots, and its checkpoint cursor counts owned
+// slots.
 
-LoopResult cfed::runBatchSchedule(
+BatchTotals cfed::runBatchSchedule(
     const EngineConfig &Engine, const char *CheckpointKind, const char *Noun,
     const SlotPlan &Plan,
     const std::function<BranchErrorCategory(uint64_t)> &Category,
@@ -496,35 +477,20 @@ LoopResult cfed::runBatchSchedule(
   const uint64_t Total = Plan.Primary.size();
   const uint64_t NumShards = Engine.NumShards;
   const uint64_t Shard = Engine.ShardIndex;
-  const bool Coordinated = !Engine.CoordinatorDir.empty();
   const bool EarlyStop = Engine.StopHalfWidth > 0.0;
   const uint64_t Interval = Engine.CheckpointInterval;
   const uint64_t BatchSlots =
-      Coordinated ? Interval
-                  : (Interval > UINT64_MAX / NumShards ? UINT64_MAX
-                                                       : Interval * NumShards);
+      Interval > UINT64_MAX / NumShards ? UINT64_MAX : Interval * NumShards;
   auto OwnedBefore = [&](uint64_t Global) -> uint64_t {
     return Global > Shard ? (Global - Shard + NumShards - 1) / NumShards : 0;
   };
   const uint64_t Planned = OwnedBefore(Total);
-  // A plain shard is done after its last owned slot; a coordinated one
-  // walks every global batch, because siblings wait on its batch files.
-  const uint64_t End =
-      Coordinated ? Total
-                  : (Planned ? Shard + (Planned - 1) * NumShards + 1 : 0);
-  auto CheckpointCursor = [&](uint64_t Global) {
-    return Coordinated ? Global : OwnedBefore(Global);
-  };
-  const uint64_t CheckpointLimit = Coordinated ? Total : Planned;
+  // The shard is done after its last owned slot.
+  const uint64_t End = Planned ? Shard + (Planned - 1) * NumShards + 1 : 0;
 
   const std::string RunId = Engine.RunId.empty()
                                 ? "campaign-" + std::to_string(Engine.Seed)
                                 : Engine.RunId;
-  const std::string LivePath =
-      !Engine.LiveExportFile.empty() || !Coordinated
-          ? Engine.LiveExportFile
-          : CampaignEngine::coordinatorLivePath(Engine.CoordinatorDir,
-                                                Engine.ShardIndex);
 
   // Cumulative state; a checkpoint restores it exactly.
   telemetry::MetricsRegistry Cumulative;
@@ -558,88 +524,21 @@ LoopResult cfed::runBatchSchedule(
                           "%u/%u",
                           Path, Ckpt.Shard, Ckpt.NumShards,
                           Engine.ShardIndex, Engine.NumShards);
-      if (Ckpt.Coordinated != Coordinated)
-        reportFatalErrorf(
-            Coordinated
-                ? "checkpoint '%s' was written without "
-                  "--campaign-coordinator (its cursor counts shard slots, "
-                  "not global slots); continue it uncoordinated or delete it"
-                : "checkpoint '%s' was written by a coordinated run (its "
-                  "cursor counts global slots, not shard slots); pass "
-                  "--campaign-coordinator to continue it",
-            Path);
-      if (Ckpt.Cursor > CheckpointLimit)
+      if (Ckpt.Cursor > Planned)
         reportFatalErrorf("checkpoint '%s' cursor %llu exceeds the plan "
                           "(%llu slots)",
                           Path, static_cast<unsigned long long>(Ckpt.Cursor),
-                          static_cast<unsigned long long>(CheckpointLimit));
+                          static_cast<unsigned long long>(Planned));
       Cumulative.merge(Ckpt.Registry);
-      // A plain cursor counts owned slots; each batch ends on a multiple
-      // of NumShards global slots, the last one at End.
-      Cursor = Coordinated               ? Ckpt.Cursor
-               : Ckpt.Cursor < Planned ? Ckpt.Cursor * NumShards
-                                       : End;
+      // Each batch ends on a multiple of NumShards global slots, the
+      // last one at End.
+      Cursor = Ckpt.Cursor < Planned ? Ckpt.Cursor * NumShards : End;
       Completed = Ckpt.Completed;
       ReserveCursors = Ckpt.ReserveCursors;
       Resumed = true;
       break;
     }
   }
-
-  // Waits for sibling \p Sibling's batch \p Batch file. Files are
-  // written atomically, so an unparsable one is corruption, never an
-  // in-progress write.
-  auto AwaitSibling = [&](unsigned Sibling,
-                          uint64_t Batch) -> telemetry::RegistrySnapshot {
-    std::string Path = CampaignEngine::coordinatorBatchPath(
-        Engine.CoordinatorDir, Sibling, Batch);
-    auto Deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(Engine.CoordinatorTimeoutMs);
-    for (std::string Text;;) {
-      if (readWholeFile(Path, Text)) {
-        json::JsonValue Root;
-        json::JsonParser Parser(Text);
-        telemetry::LiveSnapshot Snap;
-        std::string Error = "not valid JSON";
-        if (!Parser.parse(Root) ||
-            !telemetry::liveSnapshotFromJson(Root, Snap, Error))
-          reportFatalErrorf("campaign coordinator: snapshot '%s' is corrupt: "
-                            "%s",
-                            Path.c_str(), Error.c_str());
-        if (!Snap.Beat.Present || Snap.Beat.Shard != Sibling ||
-            Snap.Beat.NumShards != Engine.NumShards)
-          reportFatalErrorf(
-              "campaign coordinator: snapshot '%s' was published by "
-              "shard %u/%u, expected shard %u of %u",
-              Path.c_str(), Snap.Beat.Shard, Snap.Beat.NumShards, Sibling,
-              Engine.NumShards);
-        return Snap.Registry;
-      }
-      if (std::chrono::steady_clock::now() >= Deadline)
-        reportFatalErrorf(
-            "campaign coordinator: shard %u has not published batch %llu "
-            "in '%s' within %llu ms; restart the missing shard (it "
-            "resumes from its checkpoint) or raise the timeout",
-            Sibling, static_cast<unsigned long long>(Batch),
-            Engine.CoordinatorDir.c_str(),
-            static_cast<unsigned long long>(Engine.CoordinatorTimeoutMs));
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
-
-  // Campaign state at the boundary after batch \p Batch - 1: this
-  // shard's own, plus the siblings' when coordinated (the barrier).
-  auto BoundaryState = [&](const telemetry::RegistrySnapshot &Own,
-                           uint64_t Batch) {
-    if (!Coordinated || Batch == 0 || NumShards == 1)
-      return Own;
-    telemetry::MetricsRegistry Merged;
-    Merged.merge(Own);
-    for (unsigned J = 0; J < NumShards; ++J)
-      if (J != Engine.ShardIndex)
-        Merged.merge(AwaitSibling(J, Batch - 1));
-    return Merged.snapshot();
-  };
 
   uint64_t Batches = 0;
   bool Finished = true;
@@ -656,12 +555,11 @@ LoopResult cfed::runBatchSchedule(
         End - BatchBegin > BatchSlots ? BatchBegin + BatchSlots : End;
 
     // Skip decisions read only tallies frozen at the last boundary, so
-    // the schedule is a pure function of checkpointed state. Without
-    // early stopping coordinated shards never wait.
+    // the schedule is a pure function of checkpointed state.
     CellStates Decision{};
     if (EarlyStop)
-      Decision = computeCells(BoundaryState(Cumulative.snapshot(), Batch),
-                              Engine.StopHalfWidth, Engine.StopZ);
+      Decision = computeCells(Cumulative.snapshot(), Engine.StopHalfWidth,
+                              Engine.StopZ);
 
     std::vector<uint64_t> Mine;
     for (; Cursor < BatchEnd; ++Cursor) {
@@ -700,24 +598,14 @@ LoopResult cfed::runBatchSchedule(
     }
 
     telemetry::RegistrySnapshot Boundary = Cumulative.snapshot();
-    if (!LivePath.empty()) {
+    if (!Engine.LiveExportFile.empty()) {
       // One publish per batch, numbered by batch so a resumed run
-      // continues the sequence. A coordinated heartbeat shows the merged
-      // decision the batch used, a plain one the state after it.
-      CellStates Own =
-          computeCells(Boundary, Engine.StopHalfWidth, Engine.StopZ);
+      // continues the sequence; the heartbeat shows the state after it.
       telemetry::Heartbeat Beat = makeHeartbeat(
-          Engine, CheckpointCursor(Cursor), Coordinated ? Total : Planned,
-          Completed, Boundary, Own, Coordinated ? Decision : Own);
-      if (Coordinated)
-        publishLiveFile(CampaignEngine::coordinatorBatchPath(
-                            Engine.CoordinatorDir, Engine.ShardIndex, Batch),
-                        RunId, Batch + 1, Boundary, Beat);
-      publishLiveFile(LivePath, RunId, Batch + 1, Boundary, Beat);
-      if (Coordinated && Batch >= 2)
-        std::remove(CampaignEngine::coordinatorBatchPath(
-                        Engine.CoordinatorDir, Engine.ShardIndex, Batch - 2)
-                        .c_str());
+          Engine, OwnedBefore(Cursor), Planned, Completed, Boundary,
+          computeCells(Boundary, Engine.StopHalfWidth, Engine.StopZ));
+      publishLiveFile(Engine.LiveExportFile, RunId, Batch + 1, Boundary,
+                      Beat);
     }
 
     if (!Engine.CheckpointFile.empty()) {
@@ -726,9 +614,8 @@ LoopResult cfed::runBatchSchedule(
       Ckpt.PlanHash = Plan.Hash;
       Ckpt.Shard = Engine.ShardIndex;
       Ckpt.NumShards = Engine.NumShards;
-      Ckpt.Cursor = CheckpointCursor(Cursor);
+      Ckpt.Cursor = OwnedBefore(Cursor);
       Ckpt.Completed = Completed;
-      Ckpt.Coordinated = Coordinated;
       Ckpt.ReserveCursors = ReserveCursors;
       Ckpt.Registry = std::move(Boundary);
       std::string Error;
@@ -741,17 +628,12 @@ LoopResult cfed::runBatchSchedule(
     }
   }
 
-  LoopResult Out;
+  BatchTotals Out;
   Out.Registry = Cumulative.snapshot();
   Out.Completed = Completed;
   Out.Planned = Planned;
   Out.Finished = Finished;
   Out.Resumed = Resumed;
-  // Every shard publishes its final batch before waiting here, so this
-  // last barrier cannot deadlock.
-  Out.Decision = !EarlyStop || !Finished || Total == 0
-                     ? Out.Registry
-                     : BoundaryState(Out.Registry, (Total - 1) / BatchSlots + 1);
   return Out;
 }
 
@@ -877,8 +759,8 @@ struct FaultSlots : SlotAttachments<PlannedFault> {
 
 } // namespace
 
-LoopResult cfed::runFaultPlan(FaultCampaign &Campaign,
-                              const EngineConfig &Engine) {
+BatchTotals cfed::runFaultPlan(FaultCampaign &Campaign,
+                               const EngineConfig &Engine) {
   // Deterministic plan. Over-plan 4x: a sizeable share of random faults
   // are NoError, and the surplus beyond the primary schedule is the
   // reserve pool early stopping reallocates from. Every slot forks the
@@ -899,8 +781,8 @@ LoopResult cfed::runFaultPlan(FaultCampaign &Campaign,
   }
   Plan.Hash = hashPlan(Engine, Candidates);
   FaultSlots Slots{{Engine}, Campaign};
-  LoopResult Loop = runBatchLoop(Engine, Slots, Candidates, Plan,
-                                 CampaignCheckpointKind, "campaign");
+  BatchTotals Loop = runBatchLoop(Engine, Slots, Candidates, Plan,
+                                  CampaignCheckpointKind, "campaign");
   for (const PlannedFault &Fault : Slots.Bundled)
     Slots.inject(Fault, Engine.Recorder);
   return Loop;
@@ -911,14 +793,13 @@ CampaignEngine::CampaignEngine(const AsmProgram &Program, DbtConfig Config,
     : Program(Program), Config(Config), Engine(std::move(Engine)) {
   const EngineConfig &E = this->Engine;
   checkEngineSpec(E, "campaign");
-  if (E.StopHalfWidth > 0.0 && E.NumShards > 1 && E.CoordinatorDir.empty())
+  if (E.StopHalfWidth > 0.0 && E.NumShards > 1)
     reportFatalError(
         "early stopping cannot be combined with sharding: a shard only "
         "sees its own slice of each cell, so its Wilson intervals say "
-        "nothing about the campaign-wide SDC rate. Pass "
-        "--campaign-coordinator=DIR so shards stop on merged cell "
-        "counts, run the sharded campaign without a stop width, or run "
-        "early stopping unsharded.");
+        "nothing about the campaign-wide SDC rate. Run the sharded "
+        "campaign without a stop width, or run early stopping "
+        "unsharded.");
   if (E.TrackPropagation && E.Recovery)
     reportFatalError("propagation tracking does not compose with recovery: "
                      "rollback rewinds architectural state but not the "
@@ -939,27 +820,22 @@ EngineReport CampaignEngine::run() {
       reportFatalErrorf("campaign engine: %s", Error.c_str());
   }
 
-  LoopResult Loop = runFaultPlan(Campaign, Engine);
   EngineReport Report;
-  static_cast<BatchTotals &>(Report) = Loop;
+  static_cast<BatchTotals &>(Report) = runFaultPlan(Campaign, Engine);
   Report.Result = campaignResultFromSnapshot(Report.Registry);
 
-  // Per-cell counts/intervals describe this shard's own slice; Stopped
-  // reports the closure decision (the merged one when coordinated,
-  // identical on every shard and equal to the unsharded run's).
-  CellStates Own =
+  // Per-cell counts/intervals describe this shard's own slice.
+  CellStates Cells =
       computeCells(Report.Registry, Engine.StopHalfWidth, Engine.StopZ);
-  CellStates Final =
-      computeCells(Loop.Decision, Engine.StopHalfWidth, Engine.StopZ);
   for (unsigned C = 0; C < NumBranchErrorCategories; ++C) {
     auto Cat = static_cast<BranchErrorCategory>(C);
     if (!isCellCategory(Cat))
       continue;
     CellReport Cell;
     Cell.Category = Cat;
-    Cell.Counts = Own[C].Counts;
-    Cell.Interval = Own[C].Interval;
-    Cell.Stopped = Final[C].Closed;
+    Cell.Counts = Cells[C].Counts;
+    Cell.Interval = Cells[C].Interval;
+    Cell.Stopped = Cells[C].Closed;
     uint64_t Total = Cell.Counts.total();
     Cell.SdcRate = Total == 0 ? 0.0
                               : static_cast<double>(Cell.Counts.Sdc) /
@@ -1019,8 +895,8 @@ struct AttackSlots : SlotAttachments<PlannedAttack> {
 
 } // namespace
 
-LoopResult cfed::runAttackPlan(AttackCampaign &Campaign,
-                               const EngineConfig &Engine) {
+BatchTotals cfed::runAttackPlan(AttackCampaign &Campaign,
+                                const EngineConfig &Engine) {
   // Deterministic plan; over-plan 2x so gadget-search misses on tiny
   // programs do not starve the primary schedule. Recovery injections all
   // start at instant 0 and need no snapshots.
@@ -1034,8 +910,8 @@ LoopResult cfed::runAttackPlan(AttackCampaign &Campaign,
       Plan.Primary.push_back(C);
   Plan.Hash = hashAttackPlan(Engine, Candidates);
   AttackSlots Slots{{Engine}, Campaign};
-  LoopResult Loop = runBatchLoop(Engine, Slots, Candidates, Plan,
-                                 AttackCheckpointKind, "attack campaign");
+  BatchTotals Loop = runBatchLoop(Engine, Slots, Candidates, Plan,
+                                  AttackCheckpointKind, "attack campaign");
   for (const PlannedAttack &Attack : Slots.Bundled)
     Slots.inject(Attack, Engine.Recorder);
   return Loop;
@@ -1046,14 +922,13 @@ AttackEngine::AttackEngine(const AsmProgram &Program, DbtConfig Config,
     : Program(Program), Config(Config), Engine(std::move(Engine)) {
   const EngineConfig &E = this->Engine;
   checkEngineSpec(E, "attack");
-  if (E.StopHalfWidth > 0.0 || !E.CoordinatorDir.empty() ||
-      E.TrackPropagation || !E.GoldenTraceFile.empty() ||
-      E.Sites != SiteClass::Any || E.Model != FaultModel::SingleBit)
-    reportFatalError("attack campaigns take no early stopping, coordinator, "
-                     "propagation tracking, golden trace, fault sites or "
-                     "fault model (--campaign-stop-ci, "
-                     "--campaign-coordinator, --prop-trace, --golden-trace "
-                     "and --fault-model apply to --campaign only)");
+  if (E.StopHalfWidth > 0.0 || E.TrackPropagation ||
+      !E.GoldenTraceFile.empty() || E.Sites != SiteClass::Any ||
+      E.Model != FaultModel::SingleBit)
+    reportFatalError("attack campaigns take no early stopping, propagation "
+                     "tracking, golden trace, fault sites or fault model "
+                     "(--campaign-stop-ci, --prop-trace, --golden-trace and "
+                     "--fault-model apply to --campaign only)");
 }
 
 AttackEngineReport AttackEngine::run() {

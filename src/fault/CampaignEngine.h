@@ -28,13 +28,8 @@
 ///  - Recovery, post-mortem bundles and the event trace are per-run
 ///    attachments of the one EngineConfig both kinds take; a field a
 ///    kind cannot honour is refused, never ignored.
-///  - Plain sharding is coordination without the barrier or batch
-///    files. A coordinated shard (CoordinatorDir) walks the unsharded
-///    run's batches, publishes a batch file after each and, when stopping
-///    early, merges its siblings' files before every decision, so the
-///    merged result equals the unsharded early-stopping run; a plain
-///    shard takes CheckpointInterval owned slots per batch and never
-///    waits (DESIGN.md §13).
+///  - A shard takes CheckpointInterval owned slots per batch and never
+///    waits on its siblings (DESIGN.md §13).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,9 +57,8 @@ struct EngineConfig {
   uint64_t MaxInsns = 50000000;
   unsigned Jobs = 1;
 
-  /// Schedule slots per batch (owned ones; global ones when
-  /// coordinated). A checkpoint follows every batch, so this is also the
-  /// unit of work lost to a kill.
+  /// Owned schedule slots per batch. A checkpoint follows every batch,
+  /// so this is also the unit of work lost to a kill.
   uint64_t CheckpointInterval = 64;
   /// Checkpoint file path; empty disables checkpointing and resume.
   std::string CheckpointFile;
@@ -75,24 +69,14 @@ struct EngineConfig {
   unsigned NumShards = 1;
 
   /// Early stopping: close a cell once the Wilson interval on its SDC
-  /// rate has half-width <= StopHalfWidth. 0 disables. With
-  /// NumShards > 1 this requires CoordinatorDir (a lone shard cannot
-  /// see global cell tightness).
+  /// rate has half-width <= StopHalfWidth. 0 disables. Unsharded only:
+  /// a lone shard cannot see global cell tightness.
   double StopHalfWidth = 0.0;
   /// Critical value of the Wilson interval (1.96 = 95%).
   double StopZ = 1.96;
 
-  /// Cross-shard coordination directory (DESIGN.md §13): shards walk
-  /// the unsharded batch sequence, publish a snapshot per batch here and
-  /// stop early on the *merged* counts, so the merged result is
-  /// byte-identical to the unsharded early-stopping run.
-  std::string CoordinatorDir;
-  /// Fatal timeout waiting for a sibling's batch snapshot.
-  uint64_t CoordinatorTimeoutMs = 120000;
-
   /// Live telemetry: when set, a live snapshot (registry + heartbeat) is
-  /// published here atomically after every batch. Coordinated runs
-  /// default to CoordinatorDir/shard_<K>.live.json.
+  /// published here atomically after every batch.
   std::string LiveExportFile;
   /// Run identifier stamped into live snapshots; defaults to
   /// "campaign-<seed>".
@@ -193,13 +177,9 @@ struct EngineCheckpoint {
   uint64_t PlanHash = 0;
   unsigned Shard = 0;
   unsigned NumShards = 1;
-  /// Index of the next unprocessed slot: this shard's own slots for a
-  /// plain run, *global* slots for a coordinated one (so Coordinated is
-  /// validated on resume).
+  /// Index of this shard's next unprocessed owned slot.
   uint64_t Cursor = 0;
   uint64_t Completed = 0;
-  /// The checkpoint was written by a coordinated (lockstep) run.
-  bool Coordinated = false;
   /// Per-category consumption of the reserve plan.
   std::array<uint64_t, NumBranchErrorCategories> ReserveCursors{};
   telemetry::RegistrySnapshot Registry;
@@ -211,9 +191,9 @@ inline constexpr uint64_t EngineCheckpointVersion = 1;
 class CampaignEngine {
 public:
   /// Validates \p Engine (fatal on an invalid shard spec, a zero
-  /// checkpoint interval, early stopping combined with uncoordinated
-  /// sharding, or propagation tracking under recovery, whose runs
-  /// compute no propagation).
+  /// checkpoint interval, early stopping combined with sharding, or
+  /// propagation tracking under recovery, whose runs compute no
+  /// propagation).
   CampaignEngine(const AsmProgram &Program, DbtConfig Config,
                  EngineConfig Engine);
 
@@ -264,13 +244,6 @@ public:
   /// Name of the per-category detection-latency histogram.
   static std::string getLatencyHistogramName(BranchErrorCategory Cat);
 
-  /// Path of shard \p Shard's per-batch barrier snapshot inside \p Dir.
-  static std::string coordinatorBatchPath(const std::string &Dir,
-                                          unsigned Shard, uint64_t Batch);
-  /// Path of shard \p Shard's latest live snapshot inside \p Dir.
-  static std::string coordinatorLivePath(const std::string &Dir,
-                                         unsigned Shard);
-
 private:
   const AsmProgram &Program;
   DbtConfig Config;
@@ -294,8 +267,8 @@ class AttackEngine {
 public:
   /// Validates \p Engine (fatal on an invalid shard spec, a zero
   /// checkpoint interval, or a field only fault campaigns read: early
-  /// stopping, a coordinator, propagation tracking, a golden trace, or
-  /// sites or a fault model other than the defaults).
+  /// stopping, propagation tracking, a golden trace, or sites or a fault
+  /// model other than the defaults).
   AttackEngine(const AsmProgram &Program, DbtConfig Config,
                EngineConfig Engine);
 

@@ -21,7 +21,7 @@ namespace {
 const char *LiveSnapshotKind = "cfed-live-snapshot";
 
 // %.17g so a parse-back reproduces the exact double (Wilson interval
-// endpoints round-trip through the coordinator byte-identically).
+// endpoints round-trip byte-identically).
 std::string formatDoubleExact(double V) {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%.17g", V);

@@ -14,8 +14,8 @@
 /// monotonic sequence number and a wall-clock timestamp, plus an
 /// optional per-shard heartbeat record (engine cursor, completed and
 /// skipped slots, per-cell Wilson intervals, the current recovery
-/// ladder rung). Readers (cfed-top, cfed-stat tail, the campaign
-/// coordinator) always see a complete snapshot, never a torn write.
+/// ladder rung). Readers (cfed-top, cfed-stat tail) always see a
+/// complete snapshot, never a torn write.
 ///
 /// Two drive modes:
 ///  - Service mode: start() spawns a background thread that publishes
@@ -68,10 +68,9 @@ struct Heartbeat {
   bool Present = false;
   unsigned Shard = 0;
   unsigned NumShards = 1;
-  /// Next unprocessed slot in the schedule the cursor counts over
-  /// (global slots in coordinated mode, shard slots otherwise).
+  /// Next unprocessed slot among the shard's own slots.
   uint64_t Cursor = 0;
-  uint64_t Planned = 0; ///< Total slots in that schedule.
+  uint64_t Planned = 0; ///< Total slots the shard owns.
   uint64_t Completed = 0;
   uint64_t Skipped = 0;
   /// Current recovery-ladder rung (recoveryRungFromSnapshot()).

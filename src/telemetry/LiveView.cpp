@@ -167,17 +167,17 @@ std::string telemetry::renderLiveView(const std::vector<ShardSample> &Samples,
                         static_cast<unsigned long long>(Dropped));
 
   // --- Merged campaign cells ---------------------------------------------
-  // Heartbeat cells carry the counts the publishing shard based its last
-  // stopping decision on; summing them across shards and recomputing the
-  // Wilson interval reproduces the coordinator's merged view.
+  // Heartbeat cells carry each publishing shard's own counts; summing
+  // them across shards and recomputing the Wilson interval gives the
+  // campaign-wide view.
   std::map<std::string, MergedCell> Cells;
   for (const ShardSample &S : Samples)
     for (const HeartbeatCell &C : S.Snap.Beat.Cells) {
       MergedCell &M = Cells[C.Name];
       M.Total += C.Total;
       M.Sdc += C.Sdc;
-      // Coordinated shards agree on closure; for uncoordinated shards
-      // the conservative reading is "closed only if every shard closed".
+      // Shards decide closure alone; the conservative reading is
+      // "closed only if every shard closed".
       M.Closed = (M.Any ? M.Closed : true) && C.Closed;
       M.Any = true;
     }

@@ -531,7 +531,6 @@ TEST(AttackDeathTest, FaultOnlyFieldsAreRefused) {
   AsmProgram Program = allFamiliesProgram();
   const std::function<void(EngineConfig &)> Edits[] = {
       [](EngineConfig &E) { E.StopHalfWidth = 0.1; },
-      [](EngineConfig &E) { E.CoordinatorDir = "coord"; },
       [](EngineConfig &E) { E.TrackPropagation = true; },
       [](EngineConfig &E) { E.GoldenTraceFile = "golden.trace"; },
       [](EngineConfig &E) { E.Sites = SiteClass::OriginalOnly; },

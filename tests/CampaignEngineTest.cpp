@@ -22,9 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <signal.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
-#include <thread>
 #include <unistd.h>
 
 using namespace cfed;
@@ -594,263 +592,67 @@ TEST(CampaignEngineTest, ParseShardResultRefusesLiveSnapshots) {
 }
 
 //===----------------------------------------------------------------------===//
-// Coordinated sharded early stopping
+// Live export and checkpoint-format refusals
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Fresh per-test coordinator directory.
-std::string tempDir(const std::string &Name) {
-  std::string Path = tempPath(Name);
-  ::mkdir(Path.c_str(), 0755);
-  return Path;
-}
-
-/// Runs shards 0..NumShards-1 of \p Base concurrently (they barrier on
-/// each other through \p Dir) and returns the per-shard reports plus the
-/// merged result-file fold.
-struct CoordinatedRun {
-  std::vector<EngineReport> Reports;
-  ShardResult Merged;
-};
-
-CoordinatedRun runCoordinated(const AsmProgram &Program,
-                              const DbtConfig &Config,
-                              const EngineConfig &Base,
-                              const std::string &Dir, unsigned NumShards,
-                              const std::string &CheckpointStem = "") {
-  std::vector<EngineConfig> Configs(NumShards, Base);
-  CoordinatedRun Run;
-  Run.Reports.resize(NumShards);
-  std::vector<std::thread> Threads;
-  for (unsigned S = 0; S < NumShards; ++S) {
-    EngineConfig &E = Configs[S];
-    E.ShardIndex = S;
-    E.NumShards = NumShards;
-    E.CoordinatorDir = Dir;
-    // Different parallelism per shard: coordination must be invariant
-    // to each sibling's job count.
-    E.Jobs = S + 1;
-    if (!CheckpointStem.empty())
-      E.CheckpointFile = CheckpointStem + std::to_string(S) + ".ckpt";
-    Threads.emplace_back([&Program, &Config, &E, &Run, S] {
-      Run.Reports[S] = CampaignEngine(Program, Config, E).run();
-    });
-  }
-  for (std::thread &T : Threads)
-    T.join();
-
-  std::vector<ShardResult> Shards;
-  for (unsigned S = 0; S < NumShards; ++S) {
-    std::string Json =
-        CampaignEngine::resultToJson(Run.Reports[S], Configs[S]);
-    ShardResult Parsed;
-    std::string Error;
-    EXPECT_TRUE(CampaignEngine::parseShardResult(Json, Parsed, Error))
-        << Error;
-    Shards.push_back(std::move(Parsed));
-  }
-  std::string Error;
-  EXPECT_TRUE(CampaignEngine::mergeShards(Shards, Run.Merged, Error))
-      << Error;
-  return Run;
-}
-
-} // namespace
-
-TEST(CampaignEngineTest, CoordinatedStopMergesIdenticalToUnshardedStop) {
-  AsmProgram Program = makeProgram();
-  DbtConfig Config = makeDbtConfig();
-  EngineConfig Base = makeEngine(505, 160, 16);
-  Base.StopHalfWidth = 0.12;
-  EngineReport Reference = CampaignEngine(Program, Config, Base).run();
-
-  std::string Dir = tempDir("coord_ident");
-  CoordinatedRun Run = runCoordinated(Program, Config, Base, Dir, 2);
-
-  // The acceptance property: the merged coordinated campaign is
-  // byte-identical to the unsharded early-stopping run.
-  EXPECT_EQ(Run.Merged.Registry, Reference.Registry);
-  EXPECT_EQ(Run.Merged.Registry.toJson(), Reference.Registry.toJson());
-  EXPECT_EQ(Run.Merged.Completed, Reference.Completed);
-  EXPECT_EQ(Run.Merged.Skipped, Reference.Skipped);
-
-  // Both shards report the merged closure decision per cell.
-  ASSERT_EQ(Run.Reports[0].Cells.size(), Reference.Cells.size());
-  for (size_t I = 0; I < Reference.Cells.size(); ++I) {
-    EXPECT_EQ(Run.Reports[0].Cells[I].Stopped, Reference.Cells[I].Stopped)
-        << "cell " << I;
-    EXPECT_EQ(Run.Reports[1].Cells[I].Stopped, Reference.Cells[I].Stopped)
-        << "cell " << I;
-  }
-
-  // Coordination publishes a live snapshot per shard as a side effect.
-  for (unsigned S = 0; S < 2; ++S) {
-    std::ifstream In(CampaignEngine::coordinatorLivePath(Dir, S));
-    ASSERT_TRUE(In.is_open());
-    std::string Text((std::istreambuf_iterator<char>(In)),
-                     std::istreambuf_iterator<char>());
-    json::JsonValue Root;
-    json::JsonParser Parser(Text);
-    ASSERT_TRUE(Parser.parse(Root));
-    telemetry::LiveSnapshot Snap;
-    std::string Error;
-    ASSERT_TRUE(telemetry::liveSnapshotFromJson(Root, Snap, Error))
-        << Error;
-    EXPECT_TRUE(Snap.Beat.Present);
-    EXPECT_EQ(Snap.Beat.Shard, S);
-    EXPECT_EQ(Snap.Beat.NumShards, 2u);
-    EXPECT_EQ(Snap.RunId, "campaign-505");
-  }
-}
-
-// TraceTierTest-style property: over several seeds, the coordinated
-// shards must close exactly the cells the unsharded early-stopping run
-// closes — in particular never a cell the unsharded engine keeps open
-// (which would silently starve that category of injections).
-TEST(CampaignEngineTest, CoordinatedStopNeverClosesACellUnshardedKeepsOpen) {
-  AsmProgram Program = makeProgram();
-  DbtConfig Config = makeDbtConfig();
-  for (uint64_t Seed : {505u, 707u, 909u}) {
-    EngineConfig Base = makeEngine(Seed, 160, 16);
-    Base.StopHalfWidth = 0.12;
-    EngineReport Reference = CampaignEngine(Program, Config, Base).run();
-
-    std::string Dir = tempDir("coord_prop_" + std::to_string(Seed));
-    CoordinatedRun Run = runCoordinated(Program, Config, Base, Dir, 2);
-    ASSERT_EQ(Run.Reports[0].Cells.size(), Reference.Cells.size());
-    for (size_t I = 0; I < Reference.Cells.size(); ++I)
-      for (const EngineReport &Shard : Run.Reports) {
-        if (!Reference.Cells[I].Stopped)
-          EXPECT_FALSE(Shard.Cells[I].Stopped)
-              << "seed " << Seed << ": coordinated run closed cell " << I
-              << " which the unsharded engine keeps open";
-        else
-          EXPECT_TRUE(Shard.Cells[I].Stopped)
-              << "seed " << Seed << ": coordinated run missed closing "
-              << I;
-      }
-    EXPECT_EQ(Run.Merged.Registry.toJson(), Reference.Registry.toJson())
-        << "seed " << Seed;
-  }
-}
-
-TEST(CampaignEngineTest, CoordinatedResumeContinuesToIdenticalMerge) {
-  AsmProgram Program = makeProgram();
-  DbtConfig Config = makeDbtConfig();
-  EngineConfig Base = makeEngine(505, 160, 16);
-  Base.StopHalfWidth = 0.12;
-  EngineReport Reference = CampaignEngine(Program, Config, Base).run();
-
-  std::string Dir = tempDir("coord_resume");
-  std::string Stem = tempPath("coord_resume_shard");
-  // First leg: both shards stop after one batch, checkpointing.
-  EngineConfig Truncated = Base;
-  Truncated.MaxBatches = 1;
-  CoordinatedRun First =
-      runCoordinated(Program, Config, Truncated, Dir, 2, Stem);
-  for (const EngineReport &R : First.Reports)
-    EXPECT_FALSE(R.Finished);
-
-  // Second leg: same checkpoints, run to completion. The barrier files
-  // of the first leg are still in the directory; resume must reuse or
-  // republish them and land byte-identical to the unsharded run.
-  CoordinatedRun Second =
-      runCoordinated(Program, Config, Base, Dir, 2, Stem);
-  for (const EngineReport &R : Second.Reports) {
-    EXPECT_TRUE(R.Resumed);
-    EXPECT_TRUE(R.Finished);
-  }
-  EXPECT_EQ(Second.Merged.Registry, Reference.Registry);
-  EXPECT_EQ(Second.Merged.Registry.toJson(), Reference.Registry.toJson());
-  EXPECT_EQ(Second.Merged.Completed, Reference.Completed);
-  EXPECT_EQ(Second.Merged.Skipped, Reference.Skipped);
-  for (unsigned S = 0; S < 2; ++S)
-    std::remove((Stem + std::to_string(S) + ".ckpt").c_str());
-}
 
 TEST(CampaignEngineTest, InlineLiveExportPublishesEngineHeartbeat) {
   AsmProgram Program = makeProgram();
-  std::string Path = tempPath("inline.live.json");
-  EngineConfig Engine = makeEngine(101, 40, 8);
-  Engine.LiveExportFile = Path;
-  EngineReport Report =
-      CampaignEngine(Program, makeDbtConfig(), Engine).run();
-  EXPECT_TRUE(Report.Finished);
+  // Unsharded, and shard 1 of 2, which owns 20 of the 40 slots.
+  for (unsigned NumShards : {1u, 2u}) {
+    SCOPED_TRACE(NumShards);
+    std::string Path = tempPath("inline.live.json");
+    EngineConfig Engine = makeEngine(101, 40, 8);
+    Engine.ShardIndex = NumShards - 1;
+    Engine.NumShards = NumShards;
+    Engine.LiveExportFile = Path;
+    EngineReport Report =
+        CampaignEngine(Program, makeDbtConfig(), Engine).run();
+    EXPECT_TRUE(Report.Finished);
 
-  std::string Text = readFile(Path);
-  json::JsonValue Root;
-  json::JsonParser Parser(Text);
-  ASSERT_TRUE(Parser.parse(Root)) << Text;
-  telemetry::LiveSnapshot Snap;
-  std::string Error;
-  ASSERT_TRUE(telemetry::liveSnapshotFromJson(Root, Snap, Error)) << Error;
-  EXPECT_EQ(Snap.RunId, "campaign-101");
-  EXPECT_TRUE(Snap.Beat.Present);
-  EXPECT_EQ(Snap.Beat.Cursor, 40u);
-  EXPECT_EQ(Snap.Beat.Planned, 40u);
-  EXPECT_EQ(Snap.Beat.Completed, Report.Completed);
-  // One publish per batch boundary: 40 slots / 8 per batch.
-  EXPECT_EQ(Snap.Seq, 5u);
-  // The final snapshot's registry is the run's cumulative registry.
-  EXPECT_EQ(Snap.Registry, Report.Registry);
+    std::string Text = readFile(Path);
+    json::JsonValue Root;
+    json::JsonParser Parser(Text);
+    ASSERT_TRUE(Parser.parse(Root)) << Text;
+    telemetry::LiveSnapshot Snap;
+    std::string Error;
+    ASSERT_TRUE(telemetry::liveSnapshotFromJson(Root, Snap, Error)) << Error;
+    EXPECT_EQ(Snap.RunId, "campaign-101");
+    EXPECT_TRUE(Snap.Beat.Present);
+    EXPECT_EQ(Snap.Beat.Shard, NumShards - 1);
+    EXPECT_EQ(Snap.Beat.NumShards, NumShards);
+    // The cursor and the plan count the shard's own slots.
+    EXPECT_EQ(Snap.Beat.Cursor, 40u / NumShards);
+    EXPECT_EQ(Snap.Beat.Planned, 40u / NumShards);
+    EXPECT_EQ(Snap.Beat.Completed, Report.Completed);
+    // One publish per batch boundary of 8 owned slots: 40 / 8 unsharded,
+    // 20 / 8 rounded up for the shard.
+    EXPECT_EQ(Snap.Seq, NumShards == 1 ? 5u : 3u);
+    // The final snapshot's registry is the run's cumulative registry.
+    EXPECT_EQ(Snap.Registry, Report.Registry);
+    std::remove(Path.c_str());
+  }
+}
+
+// Lockstep (coordinated) sharded runs of earlier builds marked their
+// checkpoints "coordinated":true; their cursor counts global slots, not
+// owned ones, so resuming one as a plain shard would skip or repeat
+// slots.
+TEST(CampaignEngineDeathTest, CoordinatedCheckpointIsRefused) {
+  AsmProgram Program = makeProgram();
+  std::string Text = readFile(std::string(CFED_TEST_FIXTURE_DIR) +
+                              "/fault_checkpoint_shard1of2.json");
+  const std::string Plain = "\"coordinated\":false";
+  size_t At = Text.find(Plain);
+  ASSERT_NE(At, std::string::npos);
+  std::string Path = tempPath("coordinated_shard1of2.ckpt");
+  writeFile(Path, Text.replace(At, Plain.size(), "\"coordinated\":true"));
+  EngineConfig Resume = makeEngine(404, 40, 8);
+  Resume.ShardIndex = 1;
+  Resume.NumShards = 2;
+  Resume.CheckpointFile = Path;
+  EXPECT_DEATH(CampaignEngine(Program, makeDbtConfig(), Resume).run(),
+               "written by a coordinated sharded run");
   std::remove(Path.c_str());
-}
-
-TEST(CampaignEngineDeathTest, CoordinatorBarrierTimeoutIsFatal) {
-  AsmProgram Program = makeProgram();
-  std::string Dir = tempDir("coord_timeout");
-  EngineConfig Engine = makeEngine(505, 160, 16);
-  Engine.StopHalfWidth = 0.12;
-  Engine.NumShards = 2;
-  Engine.ShardIndex = 0;
-  Engine.CoordinatorDir = Dir;
-  Engine.CoordinatorTimeoutMs = 80; // Sibling never starts.
-  EXPECT_DEATH(CampaignEngine(Program, makeDbtConfig(), Engine).run(),
-               "has not published");
-}
-
-TEST(CampaignEngineDeathTest, CoordinatedAndPlainCheckpointsDoNotMix) {
-  AsmProgram Program = makeProgram();
-  DbtConfig Config = makeDbtConfig();
-
-  // A coordinated checkpoint's cursor counts global slots; resuming it
-  // uncoordinated would misread it as shard slots.
-  std::string Dir = tempDir("coord_mix");
-  std::string CoordCkpt = tempPath("coord_mix_coord.ckpt");
-  {
-    EngineConfig E = makeEngine(404, 40, 8);
-    E.NumShards = 1; // Single coordinated shard: no sibling to wait on.
-    E.CoordinatorDir = Dir;
-    E.CheckpointFile = CoordCkpt;
-    E.MaxBatches = 1;
-    CampaignEngine(Program, Config, E).run();
-  }
-  {
-    EngineConfig E = makeEngine(404, 40, 8);
-    E.CheckpointFile = CoordCkpt;
-    EXPECT_DEATH(CampaignEngine(Program, Config, E).run(),
-                 "written by a coordinated run");
-  }
-
-  // And the reverse: a plain checkpoint into a coordinated resume.
-  std::string PlainCkpt = tempPath("coord_mix_plain.ckpt");
-  {
-    EngineConfig E = makeEngine(404, 40, 8);
-    E.CheckpointFile = PlainCkpt;
-    E.MaxBatches = 1;
-    CampaignEngine(Program, Config, E).run();
-  }
-  {
-    EngineConfig E = makeEngine(404, 40, 8);
-    E.NumShards = 1;
-    E.CoordinatorDir = Dir;
-    E.CheckpointFile = PlainCkpt;
-    EXPECT_DEATH(CampaignEngine(Program, Config, E).run(),
-                 "without --campaign-coordinator");
-  }
-  std::remove(CoordCkpt.c_str());
-  std::remove(PlainCkpt.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -907,9 +709,10 @@ TEST(CampaignEngineTest, PlainShardCutAfterOneBatchResumesIdentically) {
   ASSERT_EQ(CampaignEngine::loadCheckpoint(Path, Ckpt, Error),
             CampaignEngine::LoadStatus::Ok)
       << Error;
-  // Plain checkpoints keep counting this shard's own slots.
+  // Plain checkpoints keep counting this shard's own slots, and keep
+  // the format's constant lockstep flag.
   EXPECT_EQ(Ckpt.Cursor, 8u);
-  EXPECT_FALSE(Ckpt.Coordinated);
+  EXPECT_NE(readFile(Path).find("\"coordinated\":false"), std::string::npos);
 
   EngineConfig Resume = Shard1;
   Resume.CheckpointFile = Path;

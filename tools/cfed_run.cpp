@@ -50,10 +50,10 @@
 //   Both campaign modes take --recover (with --watchdog/--ckpt-interval),
 //   --postmortem-dir, --trace, --jobs, --seed, --max-insns, --live-export,
 //   --run-id and the --campaign-checkpoint/-interval/-shard/-out flags.
-//   --campaign-stop-ci, --campaign-coordinator, --fault-model,
-//   --golden-trace and --prop-trace apply to --campaign only; an attack
-//   campaign refuses them, and --prop-trace/--golden-trace refuse
-//   --recover.
+//   --campaign-stop-ci, --fault-model, --golden-trace and --prop-trace
+//   apply to --campaign only; an attack campaign refuses them, and
+//   --prop-trace/--golden-trace refuse --recover. A run without a
+//   campaign mode refuses the --campaign-* flags and --fault-model.
 //
 //   --campaign-checkpoint=<file>
 //                        checkpoint file; an existing one resumes the
@@ -68,14 +68,7 @@
 //   --campaign-stop-ci=<w>
 //                        early stopping: close a category cell once the
 //                        95% Wilson interval on its SDC rate is tighter
-//                        than half-width w (sharded runs additionally
-//                        need --campaign-coordinator)
-//   --campaign-coordinator=<dir>
-//                        coordinate sharded early stopping through live
-//                        snapshots in <dir>: shards run the global batch
-//                        sequence in lockstep and close cells on merged
-//                        counts, so the merged result equals the
-//                        unsharded --campaign-stop-ci run
+//                        than half-width w (unsharded runs only)
 //   --live-export=<file> publish an atomic live telemetry snapshot to
 //                        <file> while the run executes (tail it with
 //                        cfed-top or `cfed-stat tail`); campaign-engine
@@ -169,6 +162,8 @@ struct Options {
   /// configuration (see engineConfig()).
   EngineConfig Engine;
   std::string CampaignOut;
+  /// The first flag given that only a campaign mode reads.
+  std::string CampaignOnlyFlag;
   std::string LiveExport;
   uint64_t LiveIntervalMs = 1000;
   std::string RunId;
@@ -204,10 +199,9 @@ int usage() {
                "[--campaign-checkpoint=FILE] [--campaign-interval=N]\n"
                "                [--campaign-shard=K/N] "
                "[--campaign-out=FILE] [--campaign-stop-ci=W]\n"
-               "                [--campaign-coordinator=DIR] "
-               "[--live-export=FILE] [--live-interval=MS]\n"
-               "                [--run-id=ID] "
-               "[--fault-model=single|multi|burst] "
+               "                [--live-export=FILE] [--live-interval=MS] "
+               "[--run-id=ID]\n"
+               "                [--fault-model=single|multi|burst] "
                "[--jobs=N]\n"
                "                [--dump-cache] [--stats[=json|csv]] "
                "[--trace=FILE] [--trace-buffer=N]\n"
@@ -262,6 +256,11 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.Input = Arg;
       continue;
     }
+    for (const char *Name :
+         {"--campaign-checkpoint", "--campaign-interval", "--campaign-shard",
+          "--campaign-out", "--campaign-stop-ci", "--fault-model"})
+      if (F.Name == Name && Opts.CampaignOnlyFlag.empty())
+        Opts.CampaignOnlyFlag = F.Name;
     // A bare flag: "--eager=5" is an error, not a silent mismatch.
     auto Bare = [&F](bool &Out) {
       if (F.HasValue)
@@ -371,10 +370,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       if (!F.HasValue || !cli::parseDouble(F.Value, Width) || Width <= 0.0 ||
           Width >= 0.5)
         return cli::badValue(F.Name, "<half-width in (0, 0.5)>", F.Value);
-    } else if (F.Name == "--campaign-coordinator") {
-      if (!F.HasValue || F.Value.empty())
-        return cli::badValue(F.Name, "<directory>", F.Value);
-      Opts.Engine.CoordinatorDir = F.Value;
     } else if (F.Name == "--live-export") {
       if (!F.HasValue || F.Value.empty())
         return cli::badValue(F.Name, "<file>", F.Value);
@@ -445,8 +440,13 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     std::fprintf(stderr, "error: missing <file.s | workload> argument\n");
     return false;
   }
-  if (!Opts.Engine.CoordinatorDir.empty() && Opts.CampaignInjections == 0) {
-    std::fprintf(stderr, "error: --campaign-coordinator needs --campaign\n");
+  // A plain run reads none of the campaign engine's knobs.
+  bool Campaign = Opts.AttackCount > 0 || Opts.CampaignInjections > 0;
+  if (!Campaign && !Opts.CampaignOnlyFlag.empty()) {
+    std::fprintf(stderr,
+                 "error: %s needs --campaign or --campaign-attack (a plain "
+                 "run would ignore it)\n",
+                 Opts.CampaignOnlyFlag.c_str());
     return false;
   }
   if (Opts.AttackCount > 0 && Opts.CampaignInjections > 0) {
@@ -457,7 +457,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   // Campaign modes record their own oracle during prepare() (and the
   // engines refuse what a campaign kind cannot honour); only a plain-run
   // replay needs an external trace file.
-  bool Campaign = Opts.AttackCount > 0 || Opts.CampaignInjections > 0;
   if (Opts.PropTrace && Opts.GoldenTraceFile.empty() && !Campaign) {
     std::fprintf(stderr,
                  "error: --prop-trace on a plain run needs "

@@ -11,8 +11,8 @@
 ///
 /// Each PATH is either a live snapshot file (cfed-run --live-export,
 /// campaign-engine inline export) or a directory to scan for
-/// "*.live.json" files — pass a campaign's --campaign-coordinator
-/// directory to watch every shard at once. The view refreshes every
+/// "*.live.json" files — export every shard's snapshot into one
+/// directory to watch them all at once. The view refreshes every
 /// --interval ms (default 1000): per-shard status rows (sequence, age,
 /// progress, recovery rung; shards whose heartbeat is older than
 /// --stall-after seconds flag as STALLED), merged top counters with
@@ -54,8 +54,7 @@ int usage() {
                "                <file-or-dir>...\n"
                "\n"
                "Watches live telemetry snapshots (cfed-run --live-export "
-               "files, or a\n--campaign-coordinator directory scanned for "
-               "*.live.json).\n");
+               "files, or a\ndirectory scanned for *.live.json).\n");
   return 2;
 }
 

@@ -103,6 +103,7 @@ EOF
 for K in 0 1; do
   "$BUILD/tools/cfed-run" --tech=edgcf --campaign=40 --seed=7 \
     --jobs=$((K + 1)) --campaign-shard=$K/2 \
+    --live-export="$CAMP/shard$K.live.json" \
     --campaign-out="$CAMP/shard$K.json" "$CAMP/smoke.s" >/dev/null
 done
 REF_SUM=$("$BUILD/tools/cfed-stat" merge "$CAMP/ref.json" \
@@ -119,6 +120,16 @@ if [ "$REF_SUM" != "$MERGED_SUM" ]; then
 fi
 echo "sharded campaign merge matches unsharded reference"
 echo "  $MERGED_SUM"
+# The shards leave their final live snapshots behind; the one-shot tail
+# view must render them, and merge must refuse them as inputs.
+"$BUILD/tools/cfed-stat" tail "$CAMP/shard0.live.json" \
+  "$CAMP/shard1.live.json" >/dev/null
+if "$BUILD/tools/cfed-stat" merge "$CAMP/shard0.live.json" \
+     >/dev/null 2>&1; then
+  echo "check_bench_regression: cfed-stat merge accepted a live snapshot" >&2
+  exit 1
+fi
+echo "cfed-stat tail renders shard live snapshots; merge refuses them"
 
 # --- Sharded recovery-campaign smoke ----------------------------------------
 # The same comparison with every injection under checkpoint/rollback
@@ -178,53 +189,6 @@ if [ "$PROP_REF" != "$PROP_MERGED" ]; then
 fi
 echo "sharded propagation tallies match unsharded reference"
 echo "  $PROP_MERGED"
-
-# --- Coordinated early-stop smoke -------------------------------------------
-# Two shards sharing a --campaign-coordinator directory run the Wilson
-# early-stop protocol in lockstep: each merges every sibling heartbeat at
-# every batch boundary, so closure decisions — and therefore the merged
-# result — must reproduce the unsharded --campaign-stop-ci reference
-# verbatim. The shards run concurrently (the protocol barriers on sibling
-# batch files; sequential runs would deadlock).
-mkdir "$CAMP/coord"
-"$BUILD/tools/cfed-run" --tech=edgcf --campaign=120 --campaign-interval=16 \
-  --campaign-stop-ci=0.25 --seed=7 --jobs=2 \
-  --campaign-out="$CAMP/stopref.json" "$CAMP/smoke.s" >/dev/null
-( "$BUILD/tools/cfed-run" --tech=edgcf --campaign=120 --campaign-interval=16 \
-    --campaign-stop-ci=0.25 --seed=7 --jobs=1 --campaign-shard=0/2 \
-    --campaign-coordinator="$CAMP/coord" \
-    --campaign-out="$CAMP/coord0.json" "$CAMP/smoke.s" >/dev/null ) &
-COORD_PID0=$!
-( "$BUILD/tools/cfed-run" --tech=edgcf --campaign=120 --campaign-interval=16 \
-    --campaign-stop-ci=0.25 --seed=7 --jobs=2 --campaign-shard=1/2 \
-    --campaign-coordinator="$CAMP/coord" \
-    --campaign-out="$CAMP/coord1.json" "$CAMP/smoke.s" >/dev/null ) &
-COORD_PID1=$!
-wait "$COORD_PID0"
-wait "$COORD_PID1"
-STOPREF_SUM=$("$BUILD/tools/cfed-stat" merge "$CAMP/stopref.json" \
-              | grep '^campaign-summary:')
-COORD_SUM=$("$BUILD/tools/cfed-stat" merge "$CAMP/coord0.json" \
-            "$CAMP/coord1.json" | grep '^campaign-summary:')
-if [ "$STOPREF_SUM" != "$COORD_SUM" ]; then
-  echo "check_bench_regression: coordinated 2-shard early stop diverged" \
-       "from the unsharded --campaign-stop-ci reference" >&2
-  echo "  unsharded: $STOPREF_SUM" >&2
-  echo "  merged:    $COORD_SUM" >&2
-  exit 1
-fi
-echo "coordinated 2-shard early stop matches unsharded reference"
-echo "  $COORD_SUM"
-# The shards leave their final live snapshots behind; the one-shot tail
-# view must render them, and merge must refuse them as inputs.
-"$BUILD/tools/cfed-stat" tail "$CAMP/coord/shard_0.live.json" \
-  "$CAMP/coord/shard_1.live.json" >/dev/null
-if "$BUILD/tools/cfed-stat" merge "$CAMP/coord/shard_0.live.json" \
-     >/dev/null 2>&1; then
-  echo "check_bench_regression: cfed-stat merge accepted a live snapshot" >&2
-  exit 1
-fi
-echo "cfed-stat tail renders shard live snapshots; merge refuses them"
 
 # --- Adversarial attack-campaign smoke ---------------------------------------
 # The same 2-shard/unsharded comparison for the attack engine on the
