@@ -6,6 +6,7 @@
 #include "support/Diagnostics.h"
 #include "support/Format.h"
 #include "support/Prng.h"
+#include "vm/Layout.h"
 
 #include <algorithm>
 #include <optional>
@@ -202,12 +203,13 @@ BranchErrorCategory classifyCacheTarget(const Dbt &Translator,
                                    : BranchErrorCategory::E;
 }
 
-/// Determines the branch-error category a (Kind, Mask) fault would cause
-/// at this dynamic branch execution, without applying it.
-BranchErrorCategory categorize(const Dbt &Translator, uint64_t InsnAddr,
-                               const Instruction &I, const Flags &F,
-                               const CpuState &State, FaultKind Kind,
-                               uint64_t Mask) {
+} // namespace
+
+BranchErrorCategory cfed::categorizeFault(const Dbt &Translator,
+                                          uint64_t InsnAddr,
+                                          const Instruction &I, const Flags &F,
+                                          const CpuState &State, FaultKind Kind,
+                                          uint64_t Mask) {
   if (Kind == FaultKind::FlagBit) {
     if (I.Op != Opcode::Jcc)
       return BranchErrorCategory::NoError;
@@ -229,28 +231,25 @@ BranchErrorCategory categorize(const Dbt &Translator, uint64_t InsnAddr,
   return classifyCacheTarget(Translator, InsnAddr, Target);
 }
 
-/// Counts dynamic branch executions per site (golden run).
-class CountingHook : public FaultHook {
-public:
-  std::unordered_map<uint64_t, uint64_t> PerSite;
-  bool apply(uint64_t InsnAddr, Instruction &, Flags &, CpuState &) override {
-    ++PerSite[InsnAddr];
-    return true;
-  }
-};
+namespace {
+
+/// Where the planning hook takes over before one candidate: the golden
+/// run's index entry just before it.
+using PlanWindow = BranchCounter::IndexEntry;
 
 /// Planning hook: indexes dynamic branch executions within the site
 /// class and, at each candidate's instance, records the analytic category
 /// and retired-instruction index for the pre-drawn fault. It offers
 /// deviating candidates to the snapshot set and ends the run at the last
-/// candidate.
+/// candidate, or at a candidate whose successor's window starts later:
+/// the planner runs hook-free up to that window and seeks the hook there.
 class PlanningHook : public FaultHook {
 public:
   PlanningHook(SiteClass Sites, const std::unordered_set<uint64_t> &InstrSites,
                GuestRun &Planner, std::vector<PlannedFault> &Faults,
-               SnapshotSet &Snaps)
+               const std::vector<PlanWindow> &Windows, SnapshotSet &Snaps)
       : Sites(Sites), InstrSites(InstrSites), Planner(Planner),
-        Faults(Faults), Snaps(Snaps) {}
+        Faults(Faults), Windows(Windows), Snaps(Snaps) {}
 
   bool apply(uint64_t InsnAddr, Instruction &I, Flags &F,
              CpuState &State) override {
@@ -261,24 +260,34 @@ public:
     ++Counter;
     while (Next < Faults.size() && Faults[Next].Instance == Counter) {
       PlannedFault &Fault = Faults[Next++];
-      Fault.Category = categorize(Planner.Translator, InsnAddr, I, F, State,
-                                  Fault.Kind, Fault.Mask);
+      Fault.Category = categorizeFault(Planner.Translator, InsnAddr, I, F,
+                                       State, Fault.Kind, Fault.Mask);
       Fault.InstrSite = Instr;
       Fault.SiteAddr = InsnAddr;
       Fault.InsnIndex = Planner.Interp.instructionCount();
       if (Fault.Category != BranchErrorCategory::NoError)
         Snaps.offer(Planner, I.Op);
     }
-    if (Next == Faults.size())
+    // Inside a window the next candidate's window never opens later, so
+    // this stops only right after a candidate.
+    if (Next == Faults.size() ||
+        Windows[Next].Insns > Planner.Interp.instructionCount())
       Planner.Interp.requestStop();
     return true;
   }
+
+  /// The next candidate to reach.
+  size_t next() const { return Next; }
+  /// The planner stands at \p Window, which holds the next candidate.
+  /// Windows exist for SiteClass::Any only, so Window.Any is the count.
+  void seek(const PlanWindow &Window) { Counter = Window.Any; }
 
 private:
   SiteClass Sites;
   const std::unordered_set<uint64_t> &InstrSites;
   GuestRun &Planner;
   std::vector<PlannedFault> &Faults; // Sorted by Instance.
+  const std::vector<PlanWindow> &Windows; // One per fault.
   SnapshotSet &Snaps;
   uint64_t Counter = 0;
   size_t Next = 0;
@@ -319,8 +328,9 @@ bool FaultCampaign::prepare(uint64_t MaxInsns) {
   // The load-time snapshot, instant 0: every later run forks from it or
   // from a plan-time snapshot, never loads again.
   Snaps.reset(Ref);
-  CountingHook Hook;
-  Ref.Interp.setFaultHook(&Hook);
+  // The hook-free counting loop counts the golden run's branches.
+  BranchCounter Counter(CacheBase, CacheMaxSize);
+  Ref.Interp.setBranchCounter(&Counter);
   if (!Ref.golden(MaxInsns, Reference))
     return false;
   if (PropEnabled) {
@@ -337,13 +347,17 @@ bool FaultCampaign::prepare(uint64_t MaxInsns) {
     if (Site.IsInstrumentation)
       InstrSites.insert(Site.CacheAddr);
 
+  // Populations go by each site's end-state class, which the planning
+  // hook classifies by too.
   BranchExecs = {};
-  for (const auto &[Addr, Count] : Hook.PerSite) {
-    SiteClass Class = InstrSites.count(Addr) ? SiteClass::InstrumentationOnly
-                                             : SiteClass::OriginalOnly;
-    BranchExecs[static_cast<unsigned>(SiteClass::Any)] += Count;
-    BranchExecs[static_cast<unsigned>(Class)] += Count;
+  for (const BranchCounter::Site &Site : Counter.sites()) {
+    SiteClass Class = InstrSites.count(Site.Addr)
+                          ? SiteClass::InstrumentationOnly
+                          : SiteClass::OriginalOnly;
+    BranchExecs[static_cast<unsigned>(SiteClass::Any)] += Site.Count;
+    BranchExecs[static_cast<unsigned>(Class)] += Site.Count;
   }
+  Index = Counter.index();
   Prepared = true;
   return true;
 }
@@ -392,13 +406,46 @@ std::vector<PlannedFault> FaultCampaign::plan(uint64_t NumCandidates,
     Faults.push_back(Fault);
   }
 
+  // Each candidate's window opens at the last indexed branch before it.
+  // The index counts every branch, so class-restricted plans open every
+  // window at instant 0: one hooked run.
+  std::vector<PlanWindow> Windows(Faults.size());
+  if (!Index.empty() && Class == SiteClass::Any)
+    for (size_t I = 0; I < Faults.size(); ++I)
+      // Entry 0 stands before the first branch, so it precedes every
+      // instance.
+      Windows[I] = *std::prev(std::partition_point(
+          Index.begin(), Index.end(), [&](const PlanWindow &Entry) {
+            return Entry.Any < Faults[I].Instance;
+          }));
+
   // The planning run forks the load-time snapshot, so a prop-enabled
   // campaign's Digest markers (and with them the cache layout and the
-  // site addresses recorded in prepare()) reproduce.
+  // site addresses recorded in prepare()) reproduce. It runs hook-free
+  // to each window the hook did not reach, then hooked until the hook
+  // stops it.
   GuestRun Planner(Snaps.start());
-  PlanningHook Hook(Class, InstrSites, Planner, Faults, Snaps);
-  Planner.Interp.setFaultHook(&Hook);
-  Planner.Translator.run(Planner.Interp, Reference.budget());
+  Interpreter &Interp = Planner.Interp;
+  PlanningHook Hook(Class, InstrSites, Planner, Faults, Windows, Snaps);
+  const uint64_t Budget = Reference.budget();
+  while (Hook.next() < Faults.size()) {
+    const PlanWindow &Window = Windows[Hook.next()];
+    if (Window.Insns > Interp.instructionCount()) {
+      StopInfo Stop = Planner.Translator.run(
+          Interp, Window.Insns - Interp.instructionCount());
+      if (Stop.Kind != StopKind::InsnLimit)
+        break;
+      assert(Interp.instructionCount() == Window.Insns);
+      Hook.seek(Window);
+    }
+    Interp.setFaultHook(&Hook);
+    StopInfo Stop =
+        Planner.Translator.run(Interp, Budget - Interp.instructionCount());
+    Interp.setFaultHook(nullptr);
+    if (Stop.Kind != StopKind::InsnLimit ||
+        Interp.instructionCount() >= Budget)
+      break;
+  }
   return Faults;
 }
 

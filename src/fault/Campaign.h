@@ -12,16 +12,19 @@
 ///
 /// A campaign runs in three phases:
 ///
-///  1. prepare(): a golden run records the reference output hash, the
-///     instruction budget, the stabilized code-cache layout and the
-///     per-site dynamic branch execution counts (translation is
-///     deterministic, so later runs reproduce the same cache layout).
+///  1. prepare(): a hook-free golden run records the reference output
+///     hash, the instruction budget, the stabilized code-cache layout,
+///     the per-site dynamic branch execution counts (translation is
+///     deterministic, so later runs reproduce the same cache layout) and
+///     an index of branch instants (vm/BranchCount.h).
 ///  2. plan():    a planning run picks random dynamic branch instances
 ///     and one single-bit fault each (32 offset bits + 4 flag bits, as
 ///     in Section 2's model) and classifies each candidate's branch-error
 ///     category analytically, enabling stratified per-category sampling.
-///     It snapshots the run just before deviating candidates and stops
-///     at the last candidate.
+///     Over all sites it runs hook-free between candidates, hooking
+///     branches only in a window from the indexed instant before each
+///     (DESIGN.md §12); it snapshots the run just before deviating candidates and stops at
+///     the last candidate.
 ///  3. inject():  one run per planned fault, forked copy-on-write from
 ///     the latest snapshot at or before the fault's instant (DESIGN.md
 ///     §12) and faulted at the branch's retired-instruction index; the
@@ -45,6 +48,7 @@
 #include "fault/GuestRun.h"
 #include "recovery/Recovery.h"
 #include "telemetry/Provenance.h"
+#include "vm/BranchCount.h"
 
 #include <array>
 #include <cstdint>
@@ -91,6 +95,15 @@ struct PlannedFault {
   /// fault then never fires).
   uint64_t InsnIndex = 0;
 };
+
+/// The branch-error category a (\p Kind, \p Mask) fault would cause at
+/// the offset branch \p I about to execute at \p InsnAddr, with flags
+/// \p F and state \p State, against \p Translator's live block layout,
+/// without applying it. NoError when control flow would not change.
+BranchErrorCategory categorizeFault(const Dbt &Translator, uint64_t InsnAddr,
+                                    const Instruction &I, const Flags &F,
+                                    const CpuState &State, FaultKind Kind,
+                                    uint64_t Mask);
 
 /// How one injected run ended. Keep NumOutcomes in sync.
 enum class Outcome : uint8_t {
@@ -328,6 +341,9 @@ private:
   std::unordered_set<uint64_t> InstrSites;
   /// Golden-run branch executions per SiteClass.
   std::array<uint64_t, 3> BranchExecs{};
+  /// The golden run's branch-instant index, where SiteClass::Any plans
+  /// open windows.
+  std::vector<BranchCounter::IndexEntry> Index;
   bool Prepared = false;
   bool PropEnabled = false;
   telemetry::GoldenTrace Golden;

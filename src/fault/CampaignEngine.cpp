@@ -462,11 +462,10 @@ bool CampaignEngine::mergeShards(const std::vector<ShardResult> &Shards,
 //===----------------------------------------------------------------------===//
 //
 // Every campaign entry point runs this loop (through runBatchLoop in
-// BatchLoop.h) over the *global* primary schedule, executing only the
-// slots it owns (see the header and DESIGN.md §13). A shard's batches
-// span CheckpointInterval x NumShards global slots, so each holds
-// CheckpointInterval owned slots, and its checkpoint cursor counts owned
-// slots.
+// BatchLoop.h) over the *global* primary schedule, stepping through only
+// the slots it owns (see the header and DESIGN.md §13). A shard's
+// batches hold CheckpointInterval owned slots, and its cursor, in
+// checkpoints and live heartbeats too, counts owned slots.
 
 BatchTotals cfed::runBatchSchedule(
     const EngineConfig &Engine, const char *CheckpointKind, const char *Noun,
@@ -479,14 +478,9 @@ BatchTotals cfed::runBatchSchedule(
   const uint64_t Shard = Engine.ShardIndex;
   const bool EarlyStop = Engine.StopHalfWidth > 0.0;
   const uint64_t Interval = Engine.CheckpointInterval;
-  const uint64_t BatchSlots =
-      Interval > UINT64_MAX / NumShards ? UINT64_MAX : Interval * NumShards;
-  auto OwnedBefore = [&](uint64_t Global) -> uint64_t {
-    return Global > Shard ? (Global - Shard + NumShards - 1) / NumShards : 0;
-  };
-  const uint64_t Planned = OwnedBefore(Total);
-  // The shard is done after its last owned slot.
-  const uint64_t End = Planned ? Shard + (Planned - 1) * NumShards + 1 : 0;
+  // The shard owns global slots Shard, Shard + NumShards, ...
+  const uint64_t Planned =
+      Total > Shard ? (Total - Shard + NumShards - 1) / NumShards : 0;
 
   const std::string RunId = Engine.RunId.empty()
                                 ? "campaign-" + std::to_string(Engine.Seed)
@@ -530,9 +524,7 @@ BatchTotals cfed::runBatchSchedule(
                           Path, static_cast<unsigned long long>(Ckpt.Cursor),
                           static_cast<unsigned long long>(Planned));
       Cumulative.merge(Ckpt.Registry);
-      // Each batch ends on a multiple of NumShards global slots, the
-      // last one at End.
-      Cursor = Ckpt.Cursor < Planned ? Ckpt.Cursor * NumShards : End;
+      Cursor = Ckpt.Cursor;
       Completed = Ckpt.Completed;
       ReserveCursors = Ckpt.ReserveCursors;
       Resumed = true;
@@ -543,16 +535,16 @@ BatchTotals cfed::runBatchSchedule(
   uint64_t Batches = 0;
   bool Finished = true;
 
-  while (Cursor < End) {
+  while (Cursor < Planned) {
     if (Engine.MaxBatches && Batches >= Engine.MaxBatches) {
       Finished = false;
       break;
     }
     ++Batches;
-    const uint64_t Batch = Cursor / BatchSlots;
-    const uint64_t BatchBegin = Batch * BatchSlots;
+    const uint64_t Batch = Cursor / Interval;
+    const uint64_t BatchBegin = Batch * Interval;
     const uint64_t BatchEnd =
-        End - BatchBegin > BatchSlots ? BatchBegin + BatchSlots : End;
+        Planned - BatchBegin > Interval ? BatchBegin + Interval : Planned;
 
     // Skip decisions read only tallies frozen at the last boundary, so
     // the schedule is a pure function of checkpointed state.
@@ -561,17 +553,17 @@ BatchTotals cfed::runBatchSchedule(
       Decision = computeCells(Cumulative.snapshot(), Engine.StopHalfWidth,
                               Engine.StopZ);
 
+    // Early stopping is unsharded only (both engines refuse it with
+    // NumShards > 1), so its skips and reallocations are this run's own.
     std::vector<uint64_t> Mine;
     for (; Cursor < BatchEnd; ++Cursor) {
-      uint64_t Chosen = Plan.Primary[Cursor];
-      const bool Owned = Cursor % NumShards == Shard;
+      uint64_t Chosen = Plan.Primary[Shard + Cursor * NumShards];
       BranchErrorCategory Cat = EarlyStop ? Category(Chosen)
                                           : BranchErrorCategory::NoError;
       if (EarlyStop && Decision[static_cast<unsigned>(Cat)].Closed) {
         // The cell closed: record the skip (never silently) and hand
         // the slot to the loosest still-open cell with reserve left.
-        if (Owned)
-          Cumulative.counter(getSkipCounterName(Cat)).inc();
+        Cumulative.counter(getSkipCounterName(Cat)).inc();
         int Loosest = -1;
         for (unsigned C = 0; C < NumBranchErrorCategories; ++C) {
           if (!isCellCategory(static_cast<BranchErrorCategory>(C)) ||
@@ -585,11 +577,9 @@ BatchTotals cfed::runBatchSchedule(
         if (Loosest < 0)
           continue;
         Chosen = Plan.Reserve[Loosest][ReserveCursors[Loosest]++];
-        if (Owned)
-          Cumulative.counter(getReallocCounterName(Category(Chosen))).inc();
+        Cumulative.counter(getReallocCounterName(Category(Chosen))).inc();
       }
-      if (Owned)
-        Mine.push_back(Chosen);
+      Mine.push_back(Chosen);
     }
 
     if (!Mine.empty()) {
@@ -602,7 +592,7 @@ BatchTotals cfed::runBatchSchedule(
       // One publish per batch, numbered by batch so a resumed run
       // continues the sequence; the heartbeat shows the state after it.
       telemetry::Heartbeat Beat = makeHeartbeat(
-          Engine, OwnedBefore(Cursor), Planned, Completed, Boundary,
+          Engine, Cursor, Planned, Completed, Boundary,
           computeCells(Boundary, Engine.StopHalfWidth, Engine.StopZ));
       publishLiveFile(Engine.LiveExportFile, RunId, Batch + 1, Boundary,
                       Beat);
@@ -614,7 +604,7 @@ BatchTotals cfed::runBatchSchedule(
       Ckpt.PlanHash = Plan.Hash;
       Ckpt.Shard = Engine.ShardIndex;
       Ckpt.NumShards = Engine.NumShards;
-      Ckpt.Cursor = OwnedBefore(Cursor);
+      Ckpt.Cursor = Cursor;
       Ckpt.Completed = Completed;
       Ckpt.ReserveCursors = ReserveCursors;
       Ckpt.Registry = std::move(Boundary);

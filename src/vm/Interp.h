@@ -21,6 +21,8 @@
 ///                    the hook-free loop (DESIGN.md §6, §7).
 ///  * BranchObserver— passive profiling of every executed offset branch
 ///                    (drives the Figure 2/3 analytic error model).
+///  * BranchCounter — counts and indexes every offset branch on the
+///                    hook-free loop (campaign golden runs, DESIGN.md §6).
 ///  * DbtHooks      — services code-cache exits (Tramp/TrampR) and
 ///                    write-protection faults, turning the interpreter
 ///                    into the execution engine under the DBT.
@@ -37,6 +39,8 @@
 #include <string>
 
 namespace cfed {
+
+class BranchCounter;
 
 /// Architectural CPU state.
 struct CpuState {
@@ -242,6 +246,11 @@ public:
   void setBlockProfile(telemetry::BlockProfile *Profile) {
     BlockProf = Profile;
   }
+  /// Binds / clears the branch counter. While one is bound and no
+  /// per-instruction hook is installed, run() takes the counting
+  /// instantiation of the hook-free loop, which notes every offset
+  /// branch with it; hooked runs count nothing.
+  void setBranchCounter(BranchCounter *Counter) { BranchCount = Counter; }
   /// Binds / clears the architectural digest recorder (DESIGN.md §14).
   /// In Interp mode the transfer handlers capture directly; in Marker
   /// mode capture is driven by translator-planted Digest instructions,
@@ -287,8 +296,9 @@ private:
   /// hooks (PreInsnHook, FaultHook, BranchObserver); run() picks one.
   /// Both hand safe-point tags to the SafePointHook.
   /// With \p Armed (hooked only) Fault is the armed hook, offered the
-  /// instruction whatever its opcode.
-  template <bool Hooked, bool Armed = false>
+  /// instruction whatever its opcode. With \p Counting (hook-free only)
+  /// every offset branch is noted with the bound BranchCounter.
+  template <bool Hooked, bool Armed = false, bool Counting = false>
   StopInfo runLoop(uint64_t MaxInsns);
   /// run() without an armed fault in reach: picks the loop.
   StopInfo runSelected(uint64_t MaxInsns);
@@ -309,6 +319,7 @@ private:
   uint64_t Cycles = 0;
   uint64_t FusedInsns = 0;
   std::string OutputBuffer;
+  BranchCounter *BranchCount = nullptr;
 };
 
 /// FNV-1a hash of \p Data — the silent-data-corruption oracle: a run is an

@@ -12,6 +12,12 @@
 // load that counts dynamic branch executions to find the fault's
 // instance, so the index-armed fault fires where the counting one did.
 //
+// Planning runs hook-free between short hooked windows, opened at the
+// golden run's index of branch instants (DESIGN.md §12); every plan is
+// held to one hooked run from instant 0 over the whole program: the same
+// candidates, categories, sites, instants and snapshot count, for every
+// site class.
+//
 // Attack, register and integrity faults take the same path, and each is
 // held to a fresh-load replay under the instance-counting injector its
 // kind used before arming: outcome, Fired and latency, plain and under
@@ -31,6 +37,7 @@
 
 #include <array>
 #include <map>
+#include <set>
 #include <tuple>
 #include <utility>
 
@@ -299,28 +306,127 @@ uint64_t foldPlan(const std::vector<PlannedFault> &Plan) {
   return Hash;
 }
 
-/// Records the site and retired-instruction index of chosen dynamic
-/// branch instances over a whole run.
+/// Counts the dynamic branches of one site class over a whole hooked run
+/// and, at each wanted instance, records what a planner records: the
+/// fault's analytic category, the site, its class and the
+/// retired-instruction index. Sites are classed by \p InstrSites, the
+/// golden run's end state.
 class InstanceProbe : public FaultHook {
 public:
-  InstanceProbe(const Interpreter &Interp, std::vector<uint64_t> Wanted)
-      : Interp(Interp), Wanted(std::move(Wanted)) {}
+  InstanceProbe(const GuestRun &Run, SiteClass Sites,
+                const std::set<uint64_t> &InstrSites,
+                std::vector<PlannedFault> &Wanted)
+      : Run(Run), Sites(Sites), InstrSites(InstrSites), Wanted(Wanted) {}
 
-  std::vector<std::pair<uint64_t, uint64_t>> Seen; // (site, insn index)
+  /// Branches of the class seen so far.
+  uint64_t Counter = 0;
 
-  bool apply(uint64_t InsnAddr, Instruction &, Flags &,
-             CpuState &) override {
+  bool apply(uint64_t InsnAddr, Instruction &I, Flags &F,
+             CpuState &State) override {
+    bool Instr = InstrSites.count(InsnAddr) != 0;
+    if (Sites != SiteClass::Any &&
+        (Sites == SiteClass::InstrumentationOnly) != Instr)
+      return true;
     ++Counter;
-    if (Seen.size() < Wanted.size() && Wanted[Seen.size()] == Counter)
-      Seen.emplace_back(InsnAddr, Interp.instructionCount());
+    for (; Next < Wanted.size() && Wanted[Next].Instance == Counter; ++Next) {
+      PlannedFault &Fault = Wanted[Next];
+      Fault.Category = categorizeFault(Run.Translator, InsnAddr, I, F, State,
+                                       Fault.Kind, Fault.Mask);
+      Fault.InstrSite = Instr;
+      Fault.SiteAddr = InsnAddr;
+      Fault.InsnIndex = Run.Interp.instructionCount();
+    }
     return true;
   }
 
 private:
-  const Interpreter &Interp;
-  std::vector<uint64_t> Wanted;
-  uint64_t Counter = 0;
+  const GuestRun &Run;
+  SiteClass Sites;
+  const std::set<uint64_t> &InstrSites;
+  std::vector<PlannedFault> &Wanted; // Sorted by Instance.
+  size_t Next = 0;
 };
+
+/// The whole-run hooked plan of an indexed plan's draws.
+struct HookedPlan {
+  std::vector<PlannedFault> Plan;
+  /// Branches of the site class in the whole run.
+  uint64_t Population = 0;
+  /// Snapshots the plan's deviating candidates earn under SnapshotSet's
+  /// spacing (one per 1/MaxPlanSnapshots of the golden run).
+  size_t Snapshots = 0;
+};
+
+/// Replans \p Indexed's instances, kinds and masks with an InstanceProbe
+/// over a fresh load, after a golden run for the end-state site classes.
+HookedPlan hookedPlan(const AsmProgram &Program, const DbtConfig &Config,
+                      bool Propagation, SiteClass Sites,
+                      const std::vector<PlannedFault> &Indexed) {
+  std::set<uint64_t> InstrSites;
+  GoldenRun Golden;
+  {
+    GuestRun Run(Program, Config, Propagation);
+    EXPECT_TRUE(Run.golden(GoldenBudget, Golden));
+    for (const BranchSiteInfo &Site : Run.Translator.enumerateBranchSites())
+      if (Site.IsInstrumentation)
+        InstrSites.insert(Site.CacheAddr);
+  }
+  HookedPlan Out;
+  for (const PlannedFault &F : Indexed) {
+    PlannedFault Draw;
+    Draw.Instance = F.Instance;
+    Draw.Kind = F.Kind;
+    Draw.Bit = F.Bit;
+    Draw.Mask = F.Mask;
+    Out.Plan.push_back(Draw);
+  }
+  GuestRun Run(Program, Config, Propagation);
+  InstanceProbe Probe(Run, Sites, InstrSites, Out.Plan);
+  Run.Interp.setFaultHook(&Probe);
+  EXPECT_EQ(Run.Translator.run(Run.Interp, Golden.budget()).Kind,
+            StopKind::Halted);
+  Out.Population = Probe.Counter;
+  const uint64_t Spacing =
+      (Golden.Insns + SnapshotSet::MaxPlanSnapshots - 1) /
+      SnapshotSet::MaxPlanSnapshots;
+  uint64_t Last = 0;
+  for (const PlannedFault &F : Out.Plan)
+    if (F.Category != BranchErrorCategory::NoError &&
+        F.InsnIndex >= Last + Spacing) {
+      ++Out.Snapshots;
+      Last = F.InsnIndex;
+    }
+  return Out;
+}
+
+/// Plans plan(PlanCandidates, 7, \p Sites) on \p Campaign (prepared
+/// over \p Program) and holds it to the hooked plan.
+void expectHookedPlan(FaultCampaign &Campaign, const AsmProgram &Program,
+                      const DbtConfig &Config, bool Propagation,
+                      SiteClass Sites, const std::string &Where) {
+  std::vector<PlannedFault> Plan = Campaign.plan(PlanCandidates, 7, Sites);
+  HookedPlan Ref = hookedPlan(Program, Config, Propagation, Sites, Plan);
+  EXPECT_EQ(Campaign.branchExecutions(Sites), Ref.Population) << Where;
+  EXPECT_EQ(Plan.size(), std::min(PlanCandidates, Ref.Population)) << Where;
+  EXPECT_EQ(foldPlan(Plan), foldPlan(Ref.Plan)) << Where;
+  for (size_t I = 0; I < Plan.size(); ++I) {
+    EXPECT_NE(Plan[I].InsnIndex, 0u) << Where << ", " << describe(Plan[I]);
+    EXPECT_EQ(Plan[I].InsnIndex, Ref.Plan[I].InsnIndex)
+        << Where << ", " << describe(Plan[I]);
+  }
+  EXPECT_EQ(Campaign.numSnapshots(), Ref.Snapshots) << Where;
+}
+
+constexpr SiteClass AllSiteClasses[] = {
+    SiteClass::Any, SiteClass::OriginalOnly, SiteClass::InstrumentationOnly};
+
+std::string siteClassName(SiteClass Sites) {
+  return Sites == SiteClass::Any            ? "any"
+         : Sites == SiteClass::OriginalOnly ? "original"
+                                            : "instrumentation";
+}
+
+class FaultPlanIndexTest : public ::testing::TestWithParam<std::string> {};
 
 } // namespace
 
@@ -361,21 +467,15 @@ TEST(FaultPlanTest, PlanningStopAtTheLastCandidateMovesNoCandidate) {
                                      /*TakeSnapshots=*/false)),
               P.Fingerprint)
         << Where;
-    if (P.Sites != SiteClass::Any)
-      continue;
-    // Every candidate's site and instant match a whole run's.
-    std::vector<uint64_t> Instances;
-    for (const PlannedFault &F : Plan)
-      Instances.push_back(F.Instance);
-    GuestRun Run(Program, techConfig(P.Tech));
-    InstanceProbe Probe(Run.Interp, Instances);
-    Run.Interp.setFaultHook(&Probe);
-    GoldenRun Golden;
-    ASSERT_TRUE(Run.golden(GoldenBudget, Golden)) << Where;
-    ASSERT_EQ(Probe.Seen.size(), Plan.size()) << Where;
+    // Every candidate's site and instant match a whole run's, counted
+    // within the pin's site class.
+    HookedPlan Ref =
+        hookedPlan(Program, techConfig(P.Tech), false, P.Sites, Plan);
+    ASSERT_EQ(Ref.Plan.size(), Plan.size()) << Where;
     for (size_t I = 0; I < Plan.size(); ++I) {
-      EXPECT_EQ(Plan[I].SiteAddr, Probe.Seen[I].first) << Where;
-      EXPECT_EQ(Plan[I].InsnIndex, Probe.Seen[I].second) << Where;
+      ASSERT_NE(Ref.Plan[I].InsnIndex, 0u) << Where;
+      EXPECT_EQ(Plan[I].SiteAddr, Ref.Plan[I].SiteAddr) << Where;
+      EXPECT_EQ(Plan[I].InsnIndex, Ref.Plan[I].InsnIndex) << Where;
     }
   }
 }
@@ -397,6 +497,89 @@ TEST(FaultPlanTest, SnapshotsAreBoundedWhateverThePlanSize) {
   Campaign.plan(8000, 7, SiteClass::Any, FaultModel::SingleBit,
                 /*TakeSnapshots=*/false);
   EXPECT_EQ(Campaign.numSnapshots(), 0u);
+}
+
+TEST_P(FaultPlanIndexTest, IndexedPlanEqualsHookedPlan) {
+  const std::string &Workload = GetParam();
+  AsmProgram Program = assembleWorkload(Workload);
+  for (Technique Tech : {Technique::Ecf, Technique::EdgCf, Technique::Rcf}) {
+    FaultCampaign Campaign(Program, techConfig(Tech));
+    ASSERT_TRUE(Campaign.prepare(GoldenBudget)) << Workload;
+    for (SiteClass Sites : AllSiteClasses)
+      expectHookedPlan(Campaign, Program, techConfig(Tech), false, Sites,
+                       Workload + " " + getTechniqueName(Tech) + " " +
+                           siteClassName(Sites));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, FaultPlanIndexTest,
+                         ::testing::ValuesIn([] {
+                           std::vector<std::string> Names;
+                           for (const WorkloadInfo &Info : getWorkloadSuite())
+                             Names.push_back(Info.Name);
+                           return Names;
+                         }()),
+                         [](const auto &Info) {
+                           std::string Name = Info.param;
+                           for (char &Ch : Name)
+                             if (Ch == '.')
+                               Ch = '_';
+                           return Name;
+                         });
+
+TEST(FaultPlanTest, IndexedPlanWithPropagationEqualsHookedPlan) {
+  // Digest markers change the cache layout and retire no instruction.
+  for (const char *Workload : {"164.gzip", "186.crafty", "179.art"}) {
+    AsmProgram Program = assembleWorkload(Workload);
+    FaultCampaign Campaign(Program, techConfig(Technique::EdgCf));
+    Campaign.enablePropagation(true);
+    ASSERT_TRUE(Campaign.prepare(GoldenBudget)) << Workload;
+    for (SiteClass Sites : AllSiteClasses)
+      expectHookedPlan(Campaign, Program, techConfig(Technique::EdgCf), true,
+                       Sites,
+                       std::string(Workload) + " with propagation, " +
+                           siteClassName(Sites));
+  }
+}
+
+TEST(FaultPlanTest, SelfModifyingProgramPlansLikeTheHookedRun) {
+  // The program of DbtTest.SelfModifyingCodeIsRetranslated: its store
+  // flushes the cache and the retranslation reuses the flushed slots, so
+  // the index spans two cache layouts. Plans over all sites seek through
+  // it; class-restricted plans class by the end state, as the hooked
+  // run does.
+  AsmResult Source = assembleProgram(R"(
+.entry main
+main:
+  movi r1, patch
+  movi r2, 99
+  stb [r1+4], r2
+  jmp cont
+cont:
+patch:
+  movi r3, 7
+  out r3
+  halt
+)");
+  ASSERT_TRUE(Source.succeeded()) << Source.errorText();
+  const AsmProgram &Program = Source.Program;
+  for (Technique Tech : {Technique::Ecf, Technique::EdgCf, Technique::Rcf}) {
+    std::string Where = getTechniqueName(Tech);
+    {
+      // The premise: the golden run flushes the cache once.
+      GuestRun Run(Program, techConfig(Tech));
+      GoldenRun Golden;
+      ASSERT_TRUE(Run.golden(GoldenBudget, Golden)) << Where;
+      EXPECT_EQ(Run.Translator.flushCount(), 1u) << Where;
+    }
+    FaultCampaign Campaign(Program, techConfig(Tech));
+    ASSERT_TRUE(Campaign.prepare(GoldenBudget)) << Where;
+    for (SiteClass Sites : AllSiteClasses) {
+      EXPECT_GT(Campaign.branchExecutions(Sites), 0u) << Where;
+      expectHookedPlan(Campaign, Program, techConfig(Tech), false, Sites,
+                       Where + " " + siteClassName(Sites));
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,18 +8,27 @@
 // counts. A pass-through PreInsnHook forces the hooked loop without
 // changing anything else.
 //
+// A bound BranchCounter selects a third instantiation, the counting
+// hook-free loop. It is held to the hooked loop under a FaultHook that
+// counts the same branches and keeps the same index of their instants,
+// written independently of BranchCounter.
+//
 //===----------------------------------------------------------------------===//
 
 #include "asm/Assembler.h"
 #include "dbt/Dbt.h"
 #include "telemetry/BlockProfile.h"
 #include "telemetry/Provenance.h"
+#include "vm/BranchCount.h"
 #include "vm/Interp.h"
+#include "vm/Layout.h"
 #include "vm/Loader.h"
 #include "workloads/Workloads.h"
 
 #include <cstring>
 #include <gtest/gtest.h>
+#include <map>
+#include <optional>
 
 using namespace cfed;
 
@@ -43,6 +52,10 @@ struct RunResult {
   std::vector<uint64_t> ProfileCounts;
   /// The digest records, when a recorder was attached.
   std::vector<telemetry::DigestRecord> Digests;
+  /// Branch counts and index, for a counted run (runCounted).
+  std::vector<BranchCounter::Site> Sites;
+  std::vector<BranchCounter::IndexEntry> Index;
+  uint64_t Stride = 0;
 };
 
 RunResult finish(const Memory &Mem, const Interpreter &Interp,
@@ -99,6 +112,82 @@ RunResult runTranslated(const AsmProgram &Program, const DbtConfig &Config,
   return R;
 }
 
+/// What the counting loop must note, seen from the hooked loop: as an
+/// installed FaultHook it is offered every offset branch before it
+/// executes, with the branch already counted in instructionCount().
+class CountingReference : public FaultHook {
+public:
+  explicit CountingReference(const Interpreter &Interp) : Interp(Interp) {}
+
+  std::map<uint64_t, BranchCounter::Site> PerSite;
+  std::vector<BranchCounter::IndexEntry> Index;
+  uint64_t Stride = 1;
+
+  bool apply(uint64_t InsnAddr, Instruction &, Flags &, CpuState &) override {
+    auto [It, First] = PerSite.try_emplace(InsnAddr);
+    BranchCounter::Site &Site = It->second;
+    if (First)
+      Site.Addr = InsnAddr;
+    ++Site.Count;
+    if (Any % Stride == 0) {
+      Index.push_back({Interp.instructionCount() - 1, Any});
+      if (Index.size() == BranchCounter::IndexCap) {
+        std::vector<BranchCounter::IndexEntry> Kept;
+        for (size_t I = 0; I < Index.size(); I += 2)
+          Kept.push_back(Index[I]);
+        Index = std::move(Kept);
+        Stride *= 2;
+      }
+    }
+    ++Any;
+    return true;
+  }
+
+private:
+  const Interpreter &Interp;
+  uint64_t Any = 0;
+};
+
+/// Runs \p Program natively (\p Config null) or translated, counting its
+/// branches: on the counting loop, or with \p Reference on the hooked loop
+/// under a CountingReference.
+RunResult runCounted(const AsmProgram &Program, const DbtConfig *Config,
+                     bool Reference, uint64_t MaxInsns) {
+  Memory Mem;
+  Interpreter Interp(Mem);
+  std::optional<Dbt> Translator;
+  if (Config)
+    Translator.emplace(Mem, *Config);
+  BranchCounter Counter(Config ? CacheBase : CodeBase,
+                        Config ? CacheMaxSize : CodeMaxSize);
+  CountingReference Hook(Interp);
+  if (Reference)
+    Interp.setFaultHook(&Hook);
+  else
+    Interp.setBranchCounter(&Counter);
+  StopInfo Stop;
+  if (Translator) {
+    EXPECT_TRUE(Translator->load(Program, Interp.state()))
+        << Translator->loadError();
+    Stop = Translator->run(Interp, MaxInsns);
+  } else {
+    loadProgram(Program, LoadMode::Native, Mem, Interp.state());
+    Stop = Interp.run(MaxInsns);
+  }
+  RunResult R = finish(Mem, Interp, Stop);
+  if (Reference) {
+    for (const auto &[Addr, Site] : Hook.PerSite)
+      R.Sites.push_back(Site);
+    R.Index = Hook.Index;
+    R.Stride = Hook.Stride;
+  } else {
+    R.Sites = Counter.sites();
+    R.Index = Counter.index();
+    R.Stride = Counter.stride();
+  }
+  return R;
+}
+
 void expectSameRun(const RunResult &Free, const RunResult &Hooked,
                    const std::string &What) {
   SCOPED_TRACE(What);
@@ -120,6 +209,15 @@ void expectSameRun(const RunResult &Free, const RunResult &Hooked,
   EXPECT_EQ(Free.Output, Hooked.Output);
   // The hooked loop never fuses.
   EXPECT_EQ(Hooked.Fused, 0u);
+}
+
+/// expectSameRun plus the branch counts and index of two counted runs.
+void expectSameCounts(const RunResult &Counted, const RunResult &Reference,
+                      const std::string &What) {
+  expectSameRun(Counted, Reference, What);
+  EXPECT_TRUE(Counted.Sites == Reference.Sites) << What;
+  EXPECT_TRUE(Counted.Index == Reference.Index) << What;
+  EXPECT_EQ(Counted.Stride, Reference.Stride) << What;
 }
 
 /// The seven translated configurations of the host benchmark.
@@ -207,6 +305,25 @@ TEST_P(InterpDiffWorkloadTest, ProfileAndDigestsMatchHookedLoop) {
   }
 }
 
+TEST_P(InterpDiffWorkloadTest, CountingLoopMatchesHookedReference) {
+  // Per-slot counts, the index of branch instants and its stride after thinning, and the
+  // run itself must be those of the hooked loop; and the counting loop
+  // still fuses check code exactly as the plain hook-free loop does.
+  AsmProgram Program = assembleWorkload(GetParam());
+  for (const NamedConfig &C : translatedConfigs()) {
+    RunResult Counted = runCounted(Program, &C.Config, false, WorkloadBudget);
+    RunResult Reference = runCounted(Program, &C.Config, true, WorkloadBudget);
+    expectSameCounts(Counted, Reference, C.Name);
+    EXPECT_EQ(Counted.Stop.Kind, StopKind::Halted) << C.Name;
+    EXPECT_GT(Counted.Index.size(), 1u) << C.Name;
+    RunResult Free = runTranslated(Program, C.Config, false, WorkloadBudget);
+    EXPECT_EQ(Counted.Fused, Free.Fused) << C.Name;
+    if (C.Config.Tech != Technique::None) {
+      EXPECT_GT(Counted.Fused, 0u) << C.Name;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, InterpDiffWorkloadTest,
                          ::testing::ValuesIn(allWorkloadNames()),
                          [](const auto &Info) {
@@ -257,10 +374,15 @@ TEST(InterpDiffTest, EveryBudgetStopsAtTheSameInstruction) {
   RunResult Full = runNative(Program, false, 100000);
   ASSERT_EQ(Full.Stop.Kind, StopKind::Halted);
   ASSERT_GT(Full.Fused, 0u);
-  for (uint64_t Budget = 0; Budget <= Full.Insns + 1; ++Budget)
+  for (uint64_t Budget = 0; Budget <= Full.Insns + 1; ++Budget) {
     expectSameRun(runNative(Program, false, Budget),
                   runNative(Program, true, Budget),
                   "budget " + std::to_string(Budget));
+    // With a counter bound, too, counts and index included.
+    expectSameCounts(runCounted(Program, nullptr, false, Budget),
+                     runCounted(Program, nullptr, true, Budget),
+                     "counted, budget " + std::to_string(Budget));
+  }
 }
 
 TEST(InterpDiffTest, BudgetEndingOnLeaStopsAtItsJzr) {
