@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <tuple>
 
 using namespace cfed;
 
@@ -90,6 +91,50 @@ Dbt::Dbt(Memory &Mem, const Dbt &Parent) : Dbt(Mem, Parent.Config) {
 }
 
 Dbt::~Dbt() = default;
+
+bool Dbt::sameTranslations(const Dbt &Other) const {
+  if (Profile || Other.Profile || CacheAlloc != Other.CacheAlloc ||
+      BlockMap.size() != Other.BlockMap.size() ||
+      Patches.size() != Other.Patches.size() ||
+      Retired.size() != Other.Retired.size() ||
+      NumCheckSites != Other.NumCheckSites ||
+      CodePagesWritable != Other.CodePagesWritable ||
+      Config.EagerTranslate != Other.Config.EagerTranslate ||
+      Config.Policy != Other.Config.Policy ||
+      Config.ChainDirectExits != Other.Config.ChainDirectExits ||
+      Config.SuperblockLimit != Other.Config.SuperblockLimit ||
+      EagerLeaders != Other.EagerLeaders)
+    return false;
+  auto SameBlock = [](const TranslatedBlock &A, const TranslatedBlock &B) {
+    return A.GuestAddr == B.GuestAddr && A.CacheAddr == B.CacheAddr &&
+           A.CacheSize == B.CacheSize && A.UnitHead == B.UnitHead;
+  };
+  auto SamePoint = [](const SafePointInfo &A, const SafePointInfo &B) {
+    return A.CacheAddr == B.CacheAddr && A.GuestAddr == B.GuestAddr &&
+           A.Checked == B.Checked;
+  };
+  if (!std::equal(BlockMap.begin(), BlockMap.end(), Other.BlockMap.begin(),
+                  SameBlock) ||
+      !std::equal(SafePoints.begin(), SafePoints.end(),
+                  Other.SafePoints.begin(), Other.SafePoints.end(),
+                  SamePoint))
+    return false;
+  // Chaining order differs between runs that dispatched differently; only
+  // the set of patched exits matters (unchaining restores each one).
+  auto Sorted = [](std::vector<ChainPatch> P) {
+    std::sort(P.begin(), P.end(), [](const ChainPatch &A, const ChainPatch &B) {
+      return std::tie(A.SiteAddr, A.GuestTarget) <
+             std::tie(B.SiteAddr, B.GuestTarget);
+    });
+    return P;
+  };
+  std::vector<ChainPatch> Mine = Sorted(Patches), Theirs = Sorted(Other.Patches);
+  return std::equal(Mine.begin(), Mine.end(), Theirs.begin(),
+                    [](const ChainPatch &A, const ChainPatch &B) {
+                      return A.SiteAddr == B.SiteAddr &&
+                             A.GuestTarget == B.GuestTarget;
+                    });
+}
 
 bool Dbt::load(const AsmProgram &Program, CpuState &State) {
   LoadError.clear();

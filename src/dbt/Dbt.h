@@ -240,6 +240,15 @@ public:
   /// a predecode invalidation of the range, which drops its tags.
   const SafePointTable &safePoints() const { return SafePoints; }
 
+  /// True when this translator and \p Other hold the same translations
+  /// at the same cache addresses, with the same chain patches, safe
+  /// points and retired ranges, in the same configuration: what decides
+  /// the code the rest of a run executes, besides memory. State that
+  /// only re-verifies translations (IBTC contents, per-block hit counts,
+  /// the scrubber's clock) is not compared. A translator keeping a block
+  /// profile never compares equal: its counts steer later translation.
+  bool sameTranslations(const Dbt &Other) const;
+
   /// True when at least one live safe point carries a signature check —
   /// the precondition for the errant-flow watchdog to be meaningful.
   bool hasCheckSites() const { return NumCheckSites > 0; }

@@ -247,9 +247,10 @@ class PlanningHook : public FaultHook {
 public:
   PlanningHook(SiteClass Sites, const std::unordered_set<uint64_t> &InstrSites,
                GuestRun &Planner, std::vector<PlannedFault> &Faults,
-               const std::vector<PlanWindow> &Windows, SnapshotSet &Snaps)
+               const std::vector<PlanWindow> &Windows, SnapshotSet &Snaps,
+               RecoveryManager *Manager)
       : Sites(Sites), InstrSites(InstrSites), Planner(Planner),
-        Faults(Faults), Windows(Windows), Snaps(Snaps) {}
+        Faults(Faults), Windows(Windows), Snaps(Snaps), Manager(Manager) {}
 
   bool apply(uint64_t InsnAddr, Instruction &I, Flags &F,
              CpuState &State) override {
@@ -266,7 +267,7 @@ public:
       Fault.SiteAddr = InsnAddr;
       Fault.InsnIndex = Planner.Interp.instructionCount();
       if (Fault.Category != BranchErrorCategory::NoError)
-        Snaps.offer(Planner, I.Op);
+        Snaps.offer(Planner, I.Op, Manager);
     }
     // Inside a window the next candidate's window never opens later, so
     // this stops only right after a candidate.
@@ -289,6 +290,7 @@ private:
   std::vector<PlannedFault> &Faults; // Sorted by Instance.
   const std::vector<PlanWindow> &Windows; // One per fault.
   SnapshotSet &Snaps;
+  RecoveryManager *Manager;
   uint64_t Counter = 0;
   size_t Next = 0;
 };
@@ -369,9 +371,10 @@ uint64_t FaultCampaign::branchExecutions(SiteClass Class) const {
 std::vector<PlannedFault> FaultCampaign::plan(uint64_t NumCandidates,
                                               uint64_t Seed, SiteClass Class,
                                               FaultModel Model,
-                                              bool TakeSnapshots) {
+                                              bool TakeSnapshots,
+                                              const RecoveryConfig *Recovery) {
   assert(Prepared && "call prepare() first");
-  Snaps.beginPlan(Reference.Insns, TakeSnapshots);
+  Snaps.beginPlan(Reference.Insns, TakeSnapshots, Recovery);
   uint64_t Population = branchExecutions(Class);
   if (Population == 0)
     return {};
@@ -423,28 +426,45 @@ std::vector<PlannedFault> FaultCampaign::plan(uint64_t NumCandidates,
   // campaign's Digest markers (and with them the cache layout and the
   // site addresses recorded in prepare()) reproduce. It runs hook-free
   // to each window the hook did not reach, then hooked until the hook
-  // stops it.
+  // stops it. A recovery plan's runs under a RecoveryManager, whose
+  // pauses leave the run as it would have been, and on to the end.
   GuestRun Planner(Snaps.start());
   Interpreter &Interp = Planner.Interp;
-  PlanningHook Hook(Class, InstrSites, Planner, Faults, Windows, Snaps);
   const uint64_t Budget = Reference.budget();
+  std::optional<RecoveryManager> Manager;
+  if (Recovery && TakeSnapshots) {
+    Manager.emplace(Interp, Planner.Translator, *Recovery);
+    Manager->start(Budget);
+  }
+  PlanningHook Hook(Class, InstrSites, Planner, Faults, Windows, Snaps,
+                    Manager ? &*Manager : nullptr);
+  // Runs the planner up to instant Until (the budget: to the end) or
+  // until the hook stops it; false once the run has ended.
+  auto Advance = [&](uint64_t Until) {
+    if (Manager)
+      return !Manager->advance(Until);
+    StopInfo Stop =
+        Planner.Translator.run(Interp, Until - Interp.instructionCount());
+    return Stop.Kind == StopKind::InsnLimit &&
+           Interp.instructionCount() < Budget;
+  };
   while (Hook.next() < Faults.size()) {
     const PlanWindow &Window = Windows[Hook.next()];
     if (Window.Insns > Interp.instructionCount()) {
-      StopInfo Stop = Planner.Translator.run(
-          Interp, Window.Insns - Interp.instructionCount());
-      if (Stop.Kind != StopKind::InsnLimit)
+      if (!Advance(Window.Insns))
         break;
       assert(Interp.instructionCount() == Window.Insns);
       Hook.seek(Window);
     }
     Interp.setFaultHook(&Hook);
-    StopInfo Stop =
-        Planner.Translator.run(Interp, Budget - Interp.instructionCount());
+    bool Running = Advance(Budget);
     Interp.setFaultHook(nullptr);
-    if (Stop.Kind != StopKind::InsnLimit ||
-        Interp.instructionCount() >= Budget)
+    if (!Running)
       break;
+  }
+  if (Manager) {
+    Manager->advance();
+    Snaps.endRecoveryPlan(Planner, *Manager, Reference);
   }
   return Faults;
 }
@@ -499,6 +519,13 @@ FaultCampaign::injectFrom(const PlannedFault &Fault, RunFrom From,
                           telemetry::FlightRecorder *Recorder,
                           telemetry::RegistrySnapshot *Final) const {
   assert(Prepared && "call prepare() first");
+  // Under recovery a run from a snapshot needs the plan's recovery
+  // snapshots for this configuration; without them (or with a bundle to
+  // write) it runs from instant 0 to the end.
+  bool Rejoin = Recovery && From == RunFrom::Snapshot && !Recorder &&
+                Snaps.forksRecovery(*Recovery);
+  if (Recovery && !Rejoin && From == RunFrom::Snapshot)
+    From = RunFrom::Start;
   std::optional<GuestRun> Run;
   if (From == RunFrom::Load)
     Run.emplace(Program, Config, PropEnabled);
@@ -512,13 +539,14 @@ FaultCampaign::injectFrom(const PlannedFault &Fault, RunFrom From,
     Tracer = std::make_unique<telemetry::EventTracer>(Recorder->maxEvents());
     Run->Translator.setTracer(Tracer.get());
   }
-  RunEnd End = Run->finish(Reference, Recovery);
+  RunEnd End = Run->finish(Reference, Recovery, Rejoin ? &Snaps : nullptr,
+                           Fault.InsnIndex);
 
   InjectionReport Report;
   Report.Result = toOutcome(classifyRun(FaultDetectors, End));
   Report.Fired = Hook.Fired;
-  Report.LatencyInsns =
-      Hook.Fired ? Run->Interp.instructionCount() - Fault.InsnIndex : 0;
+  Report.LatencyInsns = Hook.Fired ? End.Insns - Fault.InsnIndex : 0;
+  Report.RejoinedAt = End.RejoinedAt;
   if (PropEnabled && !Recovery)
     Report.Prop = telemetry::analyzePropagation(
         Golden.Records, Run->Digests->records(), toPropOutcome(Report.Result),
@@ -544,9 +572,10 @@ FaultCampaign::RecoveryInjection
 FaultCampaign::injectWithRecovery(const PlannedFault &Fault,
                                   const RecoveryConfig &Recovery,
                                   telemetry::FlightRecorder *Recorder) const {
-  // Recovery starts at instant 0: its checkpoint ring and rollbacks
-  // depend on the whole run.
-  return injectFrom(Fault, RunFrom::Start, &Recovery, Recorder);
+  // A bundle replay starts at instant 0 so its event ring starts at
+  // program start.
+  return injectFrom(Fault, Recorder ? RunFrom::Start : RunFrom::Snapshot,
+                    &Recovery, Recorder);
 }
 
 CampaignResult FaultCampaign::runOneBatch(uint64_t NumInjections,

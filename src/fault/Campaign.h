@@ -170,6 +170,10 @@ struct InjectionReport {
   telemetry::PropagationReport Prop;
   /// Full recovery-subsystem record, for runs executed under recovery.
   RecoveryReport Recovery;
+  /// The instant where a recovery run rejoined the golden recovery run
+  /// and was cut off (its Recovery fields then describe the whole run,
+  /// the rest rebuilt from the golden run); 0 when it ran to its end.
+  uint64_t RejoinedAt = 0;
 };
 
 /// Outcome tallies.
@@ -240,14 +244,16 @@ public:
   /// \p Model selects the mask shape (the default reproduces the
   /// Section 2 single-bit model draw-for-draw). The planning run
   /// snapshots itself before deviating candidates (SnapshotSet),
-  /// replacing the previous plan's snapshots; pass \p TakeSnapshots
-  /// false when no injection of the plan forks one (recovery runs start
-  /// at instant 0). The candidates are the same either way. Not
-  /// thread-safe with injections.
+  /// replacing the previous plan's snapshots, unless \p TakeSnapshots is
+  /// false. With \p Recovery it runs under a RecoveryManager for that
+  /// configuration and on to the end, so its snapshots carry the recovery
+  /// run for injections under it (injectWithRecovery). The candidates
+  /// are the same either way. Not thread-safe with injections.
   std::vector<PlannedFault> plan(uint64_t NumCandidates, uint64_t Seed,
                                  SiteClass Sites,
                                  FaultModel Model = FaultModel::SingleBit,
-                                 bool TakeSnapshots = true);
+                                 bool TakeSnapshots = true,
+                                 const RecoveryConfig *Recovery = nullptr);
 
   /// Snapshots the current plan took.
   size_t numSnapshots() const { return Snaps.numPlanSnapshots(); }
@@ -267,12 +273,14 @@ public:
 
   /// Where an injected run starts.
   enum class RunFrom : uint8_t {
-    /// The latest plan-time snapshot at or before the fault's instant
-    /// (plain injections).
+    /// The latest plan-time snapshot at or before the fault's instant.
+    /// Under recovery it must carry the recovery run (a plan under the
+    /// same RecoveryConfig), and the run stops where it rejoins the golden
+    /// recovery run; otherwise the run takes Start.
     Snapshot,
-    /// The load-time snapshot, instant 0 (recovery runs and bundle
-    /// replays, whose checkpoint ring and event stream start at program
-    /// start).
+    /// The load-time snapshot, instant 0, run to the end (bundle
+    /// replays, whose event stream starts at program start, and the
+    /// reference every recovery fork must equal).
     Start,
     /// A fresh load of the program: the replay every fork must equal.
     Load,
@@ -280,8 +288,9 @@ public:
 
   /// One injected run from \p From, plain or under \p Recovery, with a
   /// bundle when \p Recorder is set; \p Final, when set, receives the
-  /// run's final translator registry. The fork-equals-replay
-  /// differential runs one fault from each RunFrom and compares.
+  /// run's final translator registry (where it was cut off, for a run
+  /// that rejoined the golden run). The fork-equals-replay differential
+  /// runs one fault from each RunFrom and compares.
   InjectionReport injectFrom(const PlannedFault &Fault, RunFrom From,
                              const RecoveryConfig *Recovery = nullptr,
                              telemetry::FlightRecorder *Recorder = nullptr,
@@ -294,7 +303,9 @@ public:
   /// Executes one planned fault under checkpoint/rollback recovery. A run
   /// that detects, rolls back and reproduces the golden output classifies
   /// as Recovered; a rolled-back run with wrong output or no forward
-  /// progress classifies as RecoveryFailed. Thread-safe like inject().
+  /// progress classifies as RecoveryFailed. Forks the plan's recovery
+  /// snapshots when the plan ran under \p Recovery (RunFrom::Snapshot),
+  /// else runs from instant 0. Thread-safe like inject().
   RecoveryInjection
   injectWithRecovery(const PlannedFault &Fault,
                      const RecoveryConfig &Recovery,

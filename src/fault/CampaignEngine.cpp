@@ -754,11 +754,11 @@ BatchTotals cfed::runFaultPlan(FaultCampaign &Campaign,
   // Deterministic plan. Over-plan 4x: a sizeable share of random faults
   // are NoError, and the surplus beyond the primary schedule is the
   // reserve pool early stopping reallocates from. Every slot forks the
-  // nearest plan-time snapshot at or before its instant; recovery
-  // injections all start at instant 0 and need none.
+  // nearest plan-time snapshot at or before its instant; a recovery plan
+  // runs under recovery, so its snapshots carry the recovery run.
   std::vector<PlannedFault> Candidates =
       Campaign.plan(Engine.NumInjections * 4, Engine.Seed, Engine.Sites,
-                    Engine.Model, /*TakeSnapshots=*/!Engine.Recovery);
+                    Engine.Model, /*TakeSnapshots=*/true, Engine.Recovery);
   SlotPlan Plan;
   for (uint64_t C = 0; C < Candidates.size(); ++C) {
     BranchErrorCategory Cat = Candidates[C].Category;

@@ -23,6 +23,9 @@
 #include "dbt/Dbt.h"
 #include "recovery/Recovery.h"
 
+#include <memory>
+#include <vector>
+
 namespace cfed {
 
 enum class Outcome : uint8_t;       // fault/Campaign.h
@@ -50,6 +53,12 @@ struct RunEnd {
   /// The self-integrity layer found (and healed) tampered code or
   /// metadata during the run.
   bool Healed = false;
+  /// The instruction count the run ended at.
+  uint64_t Insns = 0;
+  /// Under recovery, the instant where the run rejoined the golden
+  /// recovery run and was cut off (SnapshotSet::rejoin); 0 when it ran to
+  /// its end.
+  uint64_t RejoinedAt = 0;
   /// The trap instruction lies in checker-inserted code (read only for
   /// div-by-zero traps, ECCA's error report).
   bool TrapInInstrumentation = false;
@@ -57,6 +66,8 @@ struct RunEnd {
 
 /// One execution instance: a fresh one with the program loaded, a
 /// copy-on-write fork of a snapshot, or a snapshot (DESIGN.md §12).
+class SnapshotSet;
+
 struct GuestRun {
   Memory Mem;
   /// The run's digest stream, when it tracks propagation.
@@ -64,6 +75,9 @@ struct GuestRun {
   Dbt Translator;
   Interpreter Interp;
   bool Loaded;
+  /// In a recovery plan's snapshot, the state of the planning run's
+  /// recovery manager there; a fork shares it and resumes that run.
+  std::shared_ptr<const RecoveryManager::RunState> RecoveryState;
 
   /// Loads \p Program. With \p TrackDigests the digest recorder is
   /// attached before load(): eager configurations translate at load
@@ -90,10 +104,15 @@ struct GuestRun {
 
   /// Runs a planning or injected run up to \p Golden's budget (counted
   /// from program start, so a fork gets what is left of it): plain
-  /// Dbt::run, or RecoveryManager::run when \p Recovery is given. Fatal
-  /// when the program did not load (its golden run did).
+  /// Dbt::run, or under a RecoveryManager for \p Recovery, which starts
+  /// at instant 0 or resumes the recovery run of the snapshot this run
+  /// forks. With \p Plan (whose recovery snapshots this run forks) the
+  /// run is cut off where it rejoins the golden recovery run at or after
+  /// instant \p RejoinFrom (SnapshotSet::rejoin). Fatal when the program
+  /// did not load (its golden run did).
   RunEnd finish(const GoldenRun &Golden,
-                const RecoveryConfig *Recovery = nullptr);
+                const RecoveryConfig *Recovery = nullptr,
+                const SnapshotSet *Plan = nullptr, uint64_t RejoinFrom = 0);
 
 private:
   /// Copies \p From's run state onto a memory made by
@@ -106,6 +125,12 @@ private:
 /// order, at most MaxPlanSnapshots spaced over the golden run. The owner
 /// replaces them only between injections, so they outlive every fork and
 /// frozen pages are freed on the planning thread.
+///
+/// A recovery plan's planning run runs under a RecoveryManager to its
+/// end: its snapshots carry the recovery run's state, and the set keeps
+/// how that golden recovery run ended, so an injection under the same
+/// RecoveryConfig forks the latest snapshot before its fault and stops
+/// where it rejoins the golden run (DESIGN.md §7).
 class SnapshotSet {
 public:
   static constexpr uint64_t MaxPlanSnapshots = 64;
@@ -113,25 +138,70 @@ public:
   /// Takes \p Loaded's load-time snapshot, dropping every other one.
   void reset(GuestRun &Loaded);
   /// Drops the plan snapshots; the next plan over a golden run of
-  /// \p GoldenInsns instructions takes its own only when \p Take.
-  void beginPlan(uint64_t GoldenInsns, bool Take);
+  /// \p GoldenInsns instructions takes its own only when \p Take, under
+  /// \p Recovery when given.
+  void beginPlan(uint64_t GoldenInsns, bool Take,
+                 const RecoveryConfig *Recovery = nullptr);
   /// A planning hook offers the planned instruction \p Planner has
   /// charged (opcode \p Op) but not executed. It is snapshotted just
   /// before, counts adjusted like a recovery checkpoint's, when it stands
-  /// 1/MaxPlanSnapshots of the golden run past the previous snapshot.
-  void offer(GuestRun &Planner, Opcode Op);
+  /// 1/MaxPlanSnapshots of the golden run past the previous snapshot,
+  /// with the state of \p Manager, the planner's recovery manager in a
+  /// recovery plan.
+  void offer(GuestRun &Planner, Opcode Op,
+             RecoveryManager *Manager = nullptr);
+  /// Ends a recovery plan whose planning run \p Planner, under
+  /// \p Manager, has ended: records how the golden recovery run ended.
+  /// Its snapshots serve injections only when it reproduced \p Golden
+  /// without a rollback, a watchdog fire or a healed translation.
+  void endRecoveryPlan(GuestRun &Planner, RecoveryManager &Manager,
+                       const GoldenRun &Golden);
 
   const GuestRun &start() const { return *Start; }
   /// The latest snapshot before the instruction that retires as number
   /// \p InsnIndex: what an injection armed there forks.
   const GuestRun &before(uint64_t InsnIndex) const;
   size_t numPlanSnapshots() const { return Plan.size(); }
+  /// The plan's snapshots carry a golden recovery run under \p Config.
+  bool forksRecovery(const RecoveryConfig &Config) const {
+    return RecoveryPlan && RecoveryPlan->Usable &&
+           RecoveryPlan->Config == Config;
+  }
+
+  /// Advances \p Manager's run of \p Run (a fork of this recovery plan's
+  /// snapshots) through each later snapshot instant from \p From on and
+  /// compares the paused run with that snapshot: guest registers, FLAGS,
+  /// FP file and PC, cycles, output, every mapped page and its
+  /// permissions, the translations, and the recovery manager's schedule
+  /// (RecoveryManager::rejoins). When equal, the rest of the run is the
+  /// golden run's: \p End is filled from the golden recovery run's end
+  /// (Recovered if it rolled back, Masked otherwise) and true returned.
+  /// Returns false when the run ended or passed the last snapshot without
+  /// rejoining.
+  bool rejoin(GuestRun &Run, RecoveryManager &Manager, uint64_t From,
+              RunEnd &End) const;
 
 private:
+  /// How a recovery plan's golden run ended.
+  struct GoldenRecovery {
+    RecoveryConfig Config;
+    bool Usable = false;
+    RecoveryReport End;
+    uint64_t Insns = 0;
+    /// Per plan snapshot: the longest check-free stretch of the golden
+    /// run from there on, counted from the snapshot's watchdog anchor.
+    std::vector<uint64_t> Stretch;
+  };
+
   std::unique_ptr<GuestRun> Start;
   std::vector<std::unique_ptr<GuestRun>> Plan;
   uint64_t Spacing = 0; ///< 0: the plan takes none.
   uint64_t Last = 0;    ///< Instant of the latest snapshot.
+  /// Set by beginPlan() under recovery; endRecoveryPlan() completes it.
+  std::unique_ptr<GoldenRecovery> RecoveryPlan;
+  /// Per plan snapshot of a recovery plan: the longest check-free
+  /// stretch that ended between the previous snapshot and this one.
+  std::vector<uint64_t> GapBefore;
 };
 
 /// Which detectors a campaign kind credits beyond the signature check's

@@ -74,6 +74,8 @@ struct RecoveryConfig {
   /// Checkpoint ring depth (>= 1). Deeper rings survive detections that
   /// cross a checkpoint boundary before firing.
   unsigned MaxCheckpoints = 2;
+
+  bool operator==(const RecoveryConfig &Other) const = default;
 };
 
 /// What happened across a recovered run. This is the structured
@@ -102,20 +104,117 @@ struct RecoveryReport {
 /// Drives an Interpreter + Dbt pair with checkpointing, watchdog
 /// supervision and rollback recovery. Use after Dbt::load in place of
 /// Dbt::run. Installs itself as the interpreter's SafePointHook (over the
-/// translator's safe points) and as the Memory's page-write observer for
-/// the duration of run(), so an unhooked run stays on the hook-free loop;
-/// a fault injector composes by arming at its instant
-/// (Interpreter::armFault).
+/// translator's safe points) and as the Memory's page-write observer
+/// while a run is attached (start() or resume() to finish()), so an
+/// unhooked run stays on the hook-free loop; a fault injector composes by
+/// arming at its instant (Interpreter::armFault).
+///
+/// A run can stop between two instructions and go on (advance()), and
+/// its state there can be copied out (pausedState()) and resumed by
+/// another manager on a fork of the guest run (resume()): that is how a
+/// recovery plan's snapshots carry the recovery run (DESIGN.md §7, §12).
 class RecoveryManager : public SafePointHook, public PageWriteObserver {
 public:
+  /// One entry of the checkpoint ring.
+  struct Checkpoint {
+    uint64_t GuestPC = 0;
+    CpuState State;
+    uint64_t Insns = 0;
+    uint64_t Cycles = 0;
+    size_t OutputLen = 0;
+    /// Page base -> pre-image of the page at checkpoint time, for every
+    /// page written since this checkpoint (while it was newest).
+    std::unordered_map<uint64_t, std::vector<uint8_t>> UndoLog;
+    uint64_t UndoBytes = 0;
+  };
+
+  /// Everything a recovery run carries from one instruction to the next
+  /// besides the guest run itself (memory, CPU state, translator).
+  struct RunState {
+    RecoveryReport Report;
+    std::deque<Checkpoint> Checkpoints;
+    std::unordered_map<uint64_t, unsigned> SiteRollbacks;
+    /// Sites already given the quarantine-retranslate rung; a second
+    /// escalation at such a site climbs to degradeToConservative().
+    std::unordered_set<uint64_t> QuarantinedSites;
+    unsigned TotalRollbacks = 0;
+    /// Instruction count at the newest checkpoint.
+    uint64_t CheckpointInsns = 0;
+    /// Undo-log bytes across the ring: the sum of every checkpoint's
+    /// UndoBytes, kept as they change.
+    uint64_t RingUndoBytes = 0;
+    /// Instruction count when a signature check site last executed.
+    uint64_t LastCheck = 0;
+    bool Fallback = false;
+    /// The watchdog slice in progress (InSlice) ends at SliceEnd; the
+    /// watchdog is checked there when WatchdogOn.
+    bool InSlice = false;
+    bool WatchdogOn = false;
+    uint64_t SliceEnd = 0;
+    /// The safe point at SettledPC already took effect for the
+    /// instruction that retires as number SettledAt + 1 (settle()), so
+    /// the manager passes over it once when that instruction executes.
+    bool Settled = false;
+    uint64_t SettledAt = 0;
+    uint64_t SettledPC = 0;
+  };
+
   RecoveryManager(Interpreter &Interp, Dbt &Translator,
                   RecoveryConfig Config);
   ~RecoveryManager() override;
 
-  /// Runs to completion with recovery. \p MaxInsns bounds forward
-  /// progress (like Interpreter::run); total work including re-execution
-  /// is additionally bounded by MaxInsns * (MaxTotalRollbacks + 2).
+  /// Runs to completion with recovery: start(), advance(), finish().
+  /// \p MaxInsns bounds forward progress (like Interpreter::run); total
+  /// work including re-execution is additionally bounded by
+  /// MaxInsns * (MaxTotalRollbacks + 2).
   RecoveryReport run(uint64_t MaxInsns);
+
+  /// Attaches a new run at the program entry: the seed checkpoint is
+  /// taken there and the watchdog anchored at the current instant.
+  void start(uint64_t MaxInsns);
+  /// Attaches a run that goes on from \p From, a pausedState() of
+  /// another manager's run over the guest run this one's interpreter,
+  /// memory and translator fork; nothing is seeded.
+  void resume(const RunState &From, uint64_t MaxInsns);
+  /// Runs the attached run until it ends (returns true: Halt, a trap
+  /// below the last ladder rung, or a budget) or pauses between two
+  /// instructions (returns false): when the instruction count reaches
+  /// \p Until (a count at or past the budget never pauses), or when a
+  /// fault hook asked the interpreter to stop. Pausing does not move
+  /// the watchdog's slices: the run goes on exactly as an uninterrupted
+  /// one. After the end it returns true at once.
+  bool advance(uint64_t Until = ~0ull);
+  /// Detaches the run and returns its report.
+  RecoveryReport finish();
+
+  /// Lets the safe point of the instruction about to execute, if it is
+  /// one, take effect now instead of when it executes: a paused run then
+  /// stands where a snapshot taken by a hook of that instruction stands.
+  void settle();
+  /// The run's state as a hook of the instruction that retires as number
+  /// \p Insns + 1 sees it (inside advance()), settled: what a snapshot
+  /// taken there carries.
+  RunState pausedState(uint64_t Insns) const;
+  /// The run's state while paused.
+  const RunState &runState() const { return Run; }
+
+  /// Whether this run, paused and settled at the instant where the
+  /// fault-free run of the same program stood in \p Golden, takes the
+  /// same course from there as that run did when the guest runs are
+  /// equal: no ladder rung was climbed, the checkpoint ring will take the
+  /// same checkpoints, the watchdog cannot fire in the \p RestInsns
+  /// instructions \p Golden went on for (given its longest check-free
+  /// stretch from there, \p Stretch) and the work budget lasts.
+  bool rejoins(const RunState &Golden, uint64_t Stretch,
+               uint64_t RestInsns) const;
+
+  /// The longest check-free stretch ended by a signature check since the
+  /// previous call (a planning run's per-snapshot statistic).
+  uint64_t takeLongestCheckGap() {
+    uint64_t Gap = LongestCheckGap;
+    LongestCheckGap = 0;
+    return Gap;
+  }
 
   /// Attaches/detaches a flight recorder: every detection (trap,
   /// watchdog fire) and every ladder escalation (quarantine,
@@ -135,18 +234,8 @@ public:
   void onPageDirtied(uint64_t PageBase, const uint8_t *OldBytes) override;
 
 private:
-  struct Checkpoint {
-    uint64_t GuestPC = 0;
-    CpuState State;
-    uint64_t Insns = 0;
-    uint64_t Cycles = 0;
-    size_t OutputLen = 0;
-    /// Page base -> pre-image of the page at checkpoint time, for every
-    /// page written since this checkpoint (while it was newest).
-    std::unordered_map<uint64_t, std::vector<uint8_t>> UndoLog;
-    uint64_t UndoBytes = 0;
-  };
-
+  /// Installs the hooks and the budgets of a run of \p MaxInsns.
+  void attach(uint64_t MaxInsns);
   void takeCheckpoint(uint64_t GuestPC, uint64_t InsnsNow, uint64_t CyclesNow);
   /// Rolls back \p Depth checkpoints (1 = newest). Returns the guest PC
   /// of the restored checkpoint.
@@ -162,7 +251,6 @@ private:
   Interpreter &Interp;
   Dbt &Translator;
   RecoveryConfig Config;
-  RecoveryReport Report;
 
   // Registry-backed counters (the translator's registry), cached once.
   // The per-run RecoveryReport fields are kept alongside: the report is
@@ -173,20 +261,15 @@ private:
   telemetry::Counter &DegradeCounter;
   telemetry::Counter &FallbackCounter;
 
-  std::deque<Checkpoint> Checkpoints;
-  std::unordered_map<uint64_t, unsigned> SiteRollbacks;
-  /// Sites already given the quarantine-retranslate rung; a second
-  /// escalation at such a site climbs to degradeToConservative().
-  std::unordered_set<uint64_t> QuarantinedSites;
-  unsigned TotalRollbacks = 0;
-  /// Instruction count at the newest checkpoint.
-  uint64_t CheckpointInsns = 0;
-  /// Undo-log bytes across the ring: the sum of every checkpoint's
-  /// UndoBytes, kept as they change.
-  uint64_t RingUndoBytes = 0;
-  /// Instruction count when a signature check site last executed.
-  uint64_t LastCheck = 0;
-  bool Fallback = false;
+  RunState Run;
+  uint64_t MaxInsns = 0;
+  uint64_t TotalBudget = 0;
+  /// Instruction count where the interpreter run in progress began.
+  uint64_t ChunkStart = 0;
+  /// The run ended; LastStop is how.
+  bool Ended = false;
+  StopInfo LastStop;
+  uint64_t LongestCheckGap = 0;
   bool InRestore = false;
   telemetry::FlightRecorder *Recorder = nullptr;
 };

@@ -44,6 +44,20 @@ Memory::~Memory() {
         delete Table[Index];
 }
 
+bool Memory::sameContents(const Memory &Image) const {
+  assert(!Image.Table && "comparing with a Memory that is not an image");
+  if (Mapped != Image.Mapped)
+    return false;
+  for (size_t I = 0; I < Mapped.size(); ++I) {
+    const Page *Mine = Table[Mapped[I]], *Theirs = Image.ImagePages[I];
+    if (Mine != Theirs &&
+        (Mine->Perms != Theirs->Perms ||
+         std::memcmp(Mine->Bytes, Theirs->Bytes, PageSize) != 0))
+      return false;
+  }
+  return true;
+}
+
 void Memory::freeze() {
   std::shared_ptr<PageStore> Frozen;
   for (uint32_t Index : Mapped) {

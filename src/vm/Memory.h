@@ -128,6 +128,11 @@ public:
   /// no write observer.
   Memory(const Memory &Image, ForkTag);
 
+  /// True when this Memory maps the pages of \p Image, in the same order,
+  /// with equal permissions and bytes. Pages both share compare by
+  /// reference, so the cost is the pages either side privatised.
+  bool sameContents(const Memory &Image) const;
+
   /// Maps [Base, Base+Size) with \p Perms, zero-filled. Rounds outward to
   /// page boundaries. Remapping an existing page just updates permissions.
   /// Mapping at or beyond AddrLimit is a fatal error.

@@ -53,7 +53,9 @@
 //   --campaign-stop-ci, --fault-model, --golden-trace and --prop-trace
 //   apply to --campaign only; an attack campaign refuses them, and
 //   --prop-trace/--golden-trace refuse --recover. A run without a
-//   campaign mode refuses the --campaign-* flags and --fault-model.
+//   campaign mode refuses the --campaign-* flags and --fault-model, a run
+//   without --recover refuses --watchdog and --ckpt-interval, and one
+//   without --trace or --postmortem-dir refuses --trace-buffer.
 //
 //   --campaign-checkpoint=<file>
 //                        checkpoint file; an existing one resumes the
@@ -141,6 +143,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -162,8 +165,8 @@ struct Options {
   /// configuration (see engineConfig()).
   EngineConfig Engine;
   std::string CampaignOut;
-  /// The first flag given that only a campaign mode reads.
-  std::string CampaignOnlyFlag;
+  /// Every flag given, by name.
+  std::set<std::string> Given;
   std::string LiveExport;
   uint64_t LiveIntervalMs = 1000;
   std::string RunId;
@@ -256,11 +259,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.Input = Arg;
       continue;
     }
-    for (const char *Name :
-         {"--campaign-checkpoint", "--campaign-interval", "--campaign-shard",
-          "--campaign-out", "--campaign-stop-ci", "--fault-model"})
-      if (F.Name == Name && Opts.CampaignOnlyFlag.empty())
-        Opts.CampaignOnlyFlag = F.Name;
+    Opts.Given.insert(F.Name);
     // A bare flag: "--eager=5" is an error, not a silent mismatch.
     auto Bare = [&F](bool &Out) {
       if (F.HasValue)
@@ -440,15 +439,31 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     std::fprintf(stderr, "error: missing <file.s | workload> argument\n");
     return false;
   }
-  // A plain run reads none of the campaign engine's knobs.
+  // A flag only read together with another one is refused without it,
+  // never silently ignored.
   bool Campaign = Opts.AttackCount > 0 || Opts.CampaignInjections > 0;
-  if (!Campaign && !Opts.CampaignOnlyFlag.empty()) {
-    std::fprintf(stderr,
-                 "error: %s needs --campaign or --campaign-attack (a plain "
-                 "run would ignore it)\n",
-                 Opts.CampaignOnlyFlag.c_str());
-    return false;
-  }
+  bool Tracing = !Opts.TraceFile.empty() || !Opts.PostmortemDir.empty();
+  const struct {
+    const char *Flag;
+    bool Met;
+    const char *Needs;
+  } Requires[] = {
+      {"--campaign-checkpoint", Campaign, "--campaign or --campaign-attack"},
+      {"--campaign-interval", Campaign, "--campaign or --campaign-attack"},
+      {"--campaign-shard", Campaign, "--campaign or --campaign-attack"},
+      {"--campaign-out", Campaign, "--campaign or --campaign-attack"},
+      {"--campaign-stop-ci", Campaign, "--campaign or --campaign-attack"},
+      {"--fault-model", Campaign, "--campaign or --campaign-attack"},
+      {"--watchdog", Opts.Recover, "--recover"},
+      {"--ckpt-interval", Opts.Recover, "--recover"},
+      {"--trace-buffer", Tracing, "--trace or --postmortem-dir"},
+  };
+  for (const auto &R : Requires)
+    if (!R.Met && Opts.Given.count(R.Flag)) {
+      std::fprintf(stderr, "error: %s needs %s (the run would ignore it)\n",
+                   R.Flag, R.Needs);
+      return false;
+    }
   if (Opts.AttackCount > 0 && Opts.CampaignInjections > 0) {
     std::fprintf(stderr, "error: --campaign-attack excludes --campaign "
                          "(one campaign mode per run)\n");

@@ -158,6 +158,21 @@ fi
 echo "sharded recovery campaign merge matches unsharded reference"
 echo "  $REC_MERGED"
 
+# --- Forked recovery-campaign smoke -----------------------------------------
+# On a real workload the recovery injections fork the plan's recovery
+# snapshots and stop where they rejoin the golden run; the result file must
+# not depend on how many workers fork a snapshot at once.
+for J in 1 4; do
+  "$BUILD/tools/cfed-run" --tech=edgcf --campaign=40 --seed=7 --jobs=$J \
+    --recover --campaign-out="$CAMP/recfork$J.json" 186.crafty >/dev/null
+done
+if ! cmp -s "$CAMP/recfork1.json" "$CAMP/recfork4.json"; then
+  echo "check_bench_regression: forked recovery campaign on 186.crafty" \
+       "differs between --jobs=1 and --jobs=4" >&2
+  exit 1
+fi
+echo "forked recovery campaign on 186.crafty matches across job counts"
+
 # --- Sharded propagation-tally smoke ----------------------------------------
 # The same 2-shard/unsharded comparison with fault-propagation tracking
 # on: every injection replays against the campaign's golden digest trace
