@@ -2,6 +2,7 @@
 
 #include "support/Format.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -22,4 +23,10 @@ std::string cfed::formatString(const char *Fmt, ...) {
   std::vsnprintf(Result.data(), Result.size() + 1, Fmt, ArgsCopy);
   va_end(ArgsCopy);
   return Result;
+}
+
+std::string cfed::formatDoubleExact(double V) {
+  char Buf[32]; // The longest shortest form, "-2.2250738585072014e-308", is 24.
+  std::to_chars_result R = std::to_chars(Buf, Buf + sizeof(Buf), V);
+  return std::string(Buf, R.ptr);
 }

@@ -3,10 +3,10 @@
 #include "telemetry/LiveExport.h"
 
 #include "support/FileIO.h"
+#include "support/Format.h"
 #include "support/Json.h"
 
 #include <chrono>
-#include <cstdio>
 #include <unistd.h>
 
 using namespace cfed;
@@ -19,14 +19,6 @@ using namespace cfed::telemetry;
 namespace {
 
 const char *LiveSnapshotKind = "cfed-live-snapshot";
-
-// %.17g so a parse-back reproduces the exact double (Wilson interval
-// endpoints round-trip byte-identically).
-std::string formatDoubleExact(double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  return Buf;
-}
 
 bool numberField(const json::JsonValue &Obj, const char *Name, uint64_t &Out,
                  std::string &Error) {

@@ -3,6 +3,7 @@
 #include "telemetry/Metrics.h"
 
 #include "support/Diagnostics.h"
+#include "support/Format.h"
 #include "support/Json.h"
 
 #include <algorithm>
@@ -142,7 +143,9 @@ double RegistrySnapshot::gaugeOr(const std::string &Name,
 
 namespace {
 
-std::string formatDouble(double V) {
+/// Six significant digits for the human-readable summary; the JSON and
+/// CSV forms print gauges exactly (formatDoubleExact).
+std::string formatDoubleShort(double V) {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%.6g", V);
   return Buf;
@@ -169,7 +172,7 @@ std::string RegistrySnapshot::toJson() const {
     First = false;
     json::appendString(Out, Name);
     Out += ':';
-    Out += formatDouble(Value);
+    Out += formatDoubleExact(Value);
   }
   Out += "},\"histograms\":{";
   First = true;
@@ -205,7 +208,7 @@ std::string RegistrySnapshot::toCsv() const {
   for (const auto &[Name, Value] : Counters)
     Out += "counter," + Name + ',' + std::to_string(Value) + '\n';
   for (const auto &[Name, Value] : Gauges)
-    Out += "gauge," + Name + ',' + formatDouble(Value) + '\n';
+    Out += "gauge," + Name + ',' + formatDoubleExact(Value) + '\n';
   for (const auto &[Name, H] : Histograms)
     Out += "histogram," + Name + ',' + std::to_string(H.Count) + '\n';
   return Out;
@@ -227,7 +230,7 @@ std::string RegistrySnapshot::toText() const {
   }
   for (const auto &[Name, Value] : Gauges) {
     Out += "  " + Name + std::string(Width - Name.size() + 2, ' ') +
-           formatDouble(Value) + '\n';
+           formatDoubleShort(Value) + '\n';
   }
   for (const auto &[Name, H] : Histograms) {
     Out += "  " + Name + std::string(Width - Name.size() + 2, ' ') +

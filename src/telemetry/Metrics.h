@@ -120,11 +120,12 @@ struct RegistrySnapshot {
   double gaugeOr(const std::string &Name, double Default = 0.0) const;
 
   /// Single-line JSON object (BENCH_perf.json's merge parser is
-  /// line-based, so snapshots must never span lines).
+  /// line-based, so snapshots must never span lines). Gauges print in
+  /// their shortest exact form, so a parse-back reproduces every value.
   std::string toJson() const;
-  /// One "kind,name,value" row per instrument.
+  /// One "kind,name,value" row per instrument, gauges exact as in toJson.
   std::string toCsv() const;
-  /// Human-readable aligned listing.
+  /// Human-readable aligned listing, gauges to six significant digits.
   std::string toText() const;
 
   bool operator==(const RegistrySnapshot &) const = default;

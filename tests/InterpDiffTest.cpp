@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "asm/Assembler.h"
+#include "cfc/Checker.h"
 #include "dbt/Dbt.h"
 #include "telemetry/BlockProfile.h"
 #include "telemetry/Provenance.h"
@@ -23,8 +24,10 @@
 #include "vm/Interp.h"
 #include "vm/Layout.h"
 #include "vm/Loader.h"
+#include "vm/SafePoints.h"
 #include "workloads/Workloads.h"
 
+#include <array>
 #include <cstring>
 #include <gtest/gtest.h>
 #include <map>
@@ -56,6 +59,8 @@ struct RunResult {
   std::vector<BranchCounter::Site> Sites;
   std::vector<BranchCounter::IndexEntry> Index;
   uint64_t Stride = 0;
+  /// Every safe point the hook saw: address, checked bit, insns, cycles.
+  std::vector<std::array<uint64_t, 4>> SafePoints;
 };
 
 RunResult finish(const Memory &Mem, const Interpreter &Interp,
@@ -444,4 +449,257 @@ TEST(InterpDiffTest, PairSplitAcrossPageEndDoesNotFuse) {
   expectSameRun(Fused, runNative(Whole, true, 10000), "whole pair");
   EXPECT_EQ(Fused.Stop.Kind, StopKind::Halted);
   EXPECT_EQ(Fused.Fused, 1u);
+}
+
+namespace {
+
+// The shadow-signature check prologue of an EdgCF block, as the
+// translator emits it, in native code. Its slots:
+//   0..4   not aux, pcp'; lea aux, aux, 1; lear aux, pcp, aux; jzr aux; brk 0x5EC
+//   5..9   the same cross-check of rts against rts'
+//   10..12 lea pcp, pcp, -L; jzr pcp; brk 0xCFE   (the primary check)
+//   13..15 lea pcp', pcp', -L; jzr pcp'; brk 0x5EC (its shadow copy)
+constexpr uint64_t PrologueL = 0x1234;
+constexpr uint64_t PrologueRts = 77;
+constexpr unsigned PrologueSize = 16;
+/// movi x4 and the nop (or jmp) in front of the prologue.
+constexpr unsigned SetupSlots = 5;
+
+std::vector<Instruction> shadowPrologue() {
+  std::unique_ptr<ControlFlowChecker> Checker =
+      createChecker(Technique::EdgCf, UpdateFlavor::Jcc);
+  Checker->setShadowSignature(true);
+  std::vector<Instruction> Out;
+  Checker->emitPrologue(Out, PrologueL, /*DoCheck=*/true);
+  return Out;
+}
+
+/// Which of the prologue's four checks fails, if any.
+enum class Failing { None, PcpCross, RtsCross, Primary, Shadow };
+
+struct PrologueProgram {
+  AsmProgram Program;
+  uint64_t Start = 0; ///< Address of the prologue's first slot.
+};
+
+/// Four movi set the signature registers, then a nop (or, with
+/// \p JumpTo, a jmp to that prologue slot) and \p Pad nops precede the
+/// prologue, which a halt follows. The nop keeps the movi's fused run
+/// from reaching into the prologue, so the prologue's not is dispatched
+/// as after a block entry.
+PrologueProgram prologueProgram(Failing Fail, unsigned Pad = 0,
+                                std::optional<unsigned> JumpTo = {}) {
+  std::vector<Instruction> Prologue = shadowPrologue();
+  int32_t Pcp = static_cast<int32_t>(PrologueL), PcpShadow = Pcp;
+  int32_t Rts = static_cast<int32_t>(PrologueRts), RtsShadow = Rts;
+  switch (Fail) {
+  case Failing::None:
+    break;
+  case Failing::PcpCross:
+    PcpShadow ^= 4;
+    break;
+  case Failing::RtsCross:
+    RtsShadow ^= 4;
+    break;
+  case Failing::Primary: // A wrong signature in both copies.
+    Pcp = PcpShadow = Pcp + 8;
+    break;
+  case Failing::Shadow: // The shadow copy's own update went wrong.
+    Prologue[13].Imm += 1;
+    break;
+  }
+  PrologueProgram Out;
+  Out.Start = CodeBase + (SetupSlots + Pad) * InsnSize;
+  std::vector<Instruction> Code = {insn::ri(Opcode::MovI, RegPCP, Pcp),
+                                   insn::ri(Opcode::MovI, RegPCPShadow, PcpShadow),
+                                   insn::ri(Opcode::MovI, RegRTS, Rts),
+                                   insn::ri(Opcode::MovI, RegRTSShadow, RtsShadow)};
+  uint64_t JmpAddr = CodeBase + Code.size() * InsnSize;
+  Code.push_back(JumpTo ? insn::i(Opcode::Jmp,
+                                  Instruction::offsetFor(
+                                      JmpAddr, Out.Start + *JumpTo * InsnSize))
+                        : insn::i(Opcode::Nop, 0));
+  Code.insert(Code.end(), Pad, insn::i(Opcode::Nop, 0));
+  Code.insert(Code.end(), Prologue.begin(), Prologue.end());
+  Code.push_back(insn::i(Opcode::Halt, 0));
+  Out.Program.Entry = CodeBase;
+  Out.Program.Code.resize(Code.size() * InsnSize);
+  for (size_t I = 0; I < Code.size(); ++I)
+    Code[I].encode(&Out.Program.Code[I * InsnSize]);
+  return Out;
+}
+
+const Failing AllCases[] = {Failing::None, Failing::PcpCross,
+                            Failing::RtsCross, Failing::Primary,
+                            Failing::Shadow};
+
+std::string caseName(Failing Fail) {
+  const char *Names[] = {"passing", "pcp cross-check fails",
+                         "rts cross-check fails", "primary check fails",
+                         "shadow check fails"};
+  return Names[static_cast<int>(Fail)];
+}
+
+/// The hook-free loop against the hooked one, and the counting loop
+/// against its hooked reference, on \p Program at \p Budget.
+void expectAllLoopsAgree(const AsmProgram &Program, uint64_t Budget,
+                         const std::string &What) {
+  expectSameRun(runNative(Program, false, Budget),
+                runNative(Program, true, Budget), What);
+  expectSameCounts(runCounted(Program, nullptr, false, Budget),
+                   runCounted(Program, nullptr, true, Budget),
+                   "counted, " + What);
+}
+
+class SafePointLog : public SafePointHook {
+public:
+  std::vector<std::array<uint64_t, 4>> Seen;
+  void onSafePoint(uint64_t CacheAddr, bool Checked, uint64_t Insns,
+                   uint64_t Cycles) override {
+    Seen.push_back({CacheAddr, Checked, Insns, Cycles});
+  }
+};
+
+/// runNative with one safe point tagged at \p TagAddr.
+RunResult runTagged(const AsmProgram &Program, bool Hooked, uint64_t TagAddr) {
+  Memory Mem;
+  Interpreter Interp(Mem);
+  PassThroughHook Hook;
+  if (Hooked)
+    Interp.setPreInsnHook(&Hook);
+  SafePointTable Points;
+  Points.add(SafePointInfo{TagAddr, 0, /*Checked=*/true});
+  SafePointLog Log;
+  Interp.setSafePointHook(&Log, &Points);
+  loadProgram(Program, LoadMode::Native, Mem, Interp.state());
+  RunResult R = finish(Mem, Interp, Interp.run(100000));
+  R.SafePoints = Log.Seen;
+  return R;
+}
+
+} // namespace
+
+TEST(InterpDiffTest, ShadowPrologueIsTheTranslatorsShape) {
+  // The idiom the hook-free loop retires is the one emitCrossCheck and
+  // the EdgCF check pair emit; a change on either side shows here.
+  std::vector<Instruction> Prologue = shadowPrologue();
+  ASSERT_EQ(Prologue.size(), PrologueSize);
+  const Opcode Cross[] = {Opcode::Not, Opcode::Lea, Opcode::LeaR, Opcode::Jzr,
+                          Opcode::Brk};
+  for (unsigned I = 0; I < 10; ++I)
+    EXPECT_EQ(Prologue[I].Op, Cross[I % 5]) << "slot " << I;
+  for (unsigned I : {10u, 13u}) {
+    EXPECT_EQ(Prologue[I].Op, Opcode::Lea) << "slot " << I;
+    EXPECT_EQ(Prologue[I + 1].Op, Opcode::Jzr) << "slot " << I + 1;
+    EXPECT_EQ(Prologue[I + 1].Imm, static_cast<int32_t>(InsnSize));
+    EXPECT_EQ(Prologue[I + 2].Op, Opcode::Brk) << "slot " << I + 2;
+  }
+}
+
+TEST(InterpDiffTest, PassingShadowPrologueRetiresInOneDispatch) {
+  PrologueProgram P = prologueProgram(Failing::None);
+  RunResult Free = runNative(P.Program, false, 100);
+  expectSameRun(Free, runNative(P.Program, true, 100), "passing prologue");
+  ASSERT_EQ(Free.Stop.Kind, StopKind::Halted);
+  // The movi, the nop, the 12 prologue instructions that run (each check
+  // jumps over its brk) and the halt.
+  EXPECT_EQ(Free.Insns, 4u + 1 + 12 + 1);
+  // Dispatches: the movi run, the nop, the prologue and the halt.
+  EXPECT_EQ(Free.Insns - Free.Fused, 4u);
+}
+
+TEST(InterpDiffTest, ShadowPrologueChecksStopAtTheirBrk) {
+  struct Expect {
+    Failing Fail;
+    unsigned BrkSlot;
+    int32_t Code;
+  };
+  const Expect Cases[] = {{Failing::PcpCross, 4, BrkMonitorCorruption},
+                          {Failing::RtsCross, 9, BrkMonitorCorruption},
+                          {Failing::Primary, 12, BrkControlFlowError},
+                          {Failing::Shadow, 15, BrkMonitorCorruption}};
+  for (const Expect &E : Cases) {
+    PrologueProgram P = prologueProgram(E.Fail);
+    RunResult Free = runNative(P.Program, false, 100);
+    expectSameRun(Free, runNative(P.Program, true, 100), caseName(E.Fail));
+    EXPECT_EQ(Free.Stop.Kind, StopKind::Trapped) << caseName(E.Fail);
+    EXPECT_EQ(Free.Stop.Trap, TrapKind::BreakTrap) << caseName(E.Fail);
+    EXPECT_EQ(Free.Stop.BreakCode, E.Code) << caseName(E.Fail);
+    EXPECT_EQ(Free.Stop.PC, P.Start + E.BrkSlot * InsnSize)
+        << caseName(E.Fail);
+  }
+}
+
+TEST(InterpDiffTest, ShadowPrologueEveryBudgetOnEveryLoop) {
+  for (Failing Fail : AllCases) {
+    PrologueProgram P = prologueProgram(Fail);
+    RunResult Full = runNative(P.Program, false, 100);
+    for (uint64_t Budget = 0; Budget <= Full.Insns + 1; ++Budget)
+      expectAllLoopsAgree(P.Program, Budget,
+                          caseName(Fail) + ", budget " +
+                              std::to_string(Budget));
+  }
+}
+
+TEST(InterpDiffTest, ShadowPrologueAcrossThePageEnd) {
+  // Start the prologue at every slot from where it ends just before the
+  // page end to where it starts right after it.
+  constexpr unsigned SlotsPerPage = PageSize / InsnSize;
+  for (unsigned Start = SlotsPerPage - PrologueSize - 2;
+       Start <= SlotsPerPage + 1; ++Start) {
+    for (Failing Fail : AllCases) {
+      PrologueProgram P = prologueProgram(Fail, Start - SetupSlots);
+      std::string What = caseName(Fail) + ", prologue at slot " +
+                         std::to_string(Start);
+      RunResult Full = runNative(P.Program, false, 100000);
+      EXPECT_NE(Full.Stop.Kind, StopKind::InsnLimit) << What;
+      expectAllLoopsAgree(P.Program, 100000, What);
+      // And, for the prologue that runs to its end, every budget that
+      // stops inside it.
+      if (Fail != Failing::None)
+        continue;
+      for (uint64_t Budget = Full.Insns - 16; Budget < Full.Insns; ++Budget)
+        expectAllLoopsAgree(P.Program, Budget,
+                            What + ", budget " + std::to_string(Budget));
+    }
+  }
+}
+
+TEST(InterpDiffTest, ShadowPrologueSafePointOnEachSlot) {
+  // A tagged slot ends the idiom before it, so its safe point is
+  // dispatched with the counts of one dispatch per instruction; a tag on
+  // a skipped brk is never reached.
+  for (Failing Fail : AllCases) {
+    PrologueProgram P = prologueProgram(Fail);
+    for (unsigned Slot = 0; Slot <= PrologueSize; ++Slot) {
+      std::string What = caseName(Fail) + ", tag on slot " +
+                         std::to_string(Slot);
+      uint64_t Addr = P.Start + Slot * InsnSize;
+      RunResult Free = runTagged(P.Program, false, Addr);
+      RunResult Hooked = runTagged(P.Program, true, Addr);
+      expectSameRun(Free, Hooked, What);
+      EXPECT_EQ(Free.SafePoints, Hooked.SafePoints) << What;
+    }
+  }
+  // Every slot the passing prologue executes reports its safe point.
+  PrologueProgram P = prologueProgram(Failing::None);
+  for (unsigned Slot : {0u, 3u, 5u, 8u, 10u, 11u, 13u, 14u, 16u})
+    EXPECT_EQ(runTagged(P.Program, false, P.Start + Slot * InsnSize)
+                  .SafePoints.size(),
+              1u)
+        << "slot " << Slot;
+}
+
+TEST(InterpDiffTest, JumpIntoTheMiddleOfTheShadowPrologue) {
+  for (Failing Fail : AllCases)
+    for (unsigned Slot = 0; Slot <= PrologueSize; ++Slot) {
+      PrologueProgram P = prologueProgram(Fail, 0, Slot);
+      std::string What = caseName(Fail) + ", jump to slot " +
+                         std::to_string(Slot);
+      RunResult Full = runNative(P.Program, false, 1000);
+      EXPECT_NE(Full.Stop.Kind, StopKind::InsnLimit) << What;
+      for (uint64_t Budget = 0; Budget <= Full.Insns + 1; ++Budget)
+        expectAllLoopsAgree(P.Program, Budget,
+                            What + ", budget " + std::to_string(Budget));
+    }
 }

@@ -57,10 +57,9 @@ LiveSnapshot sampleSnapshot(bool WithHeartbeat) {
   MetricsRegistry Registry;
   Registry.counter("dbt.dispatches").inc(12345);
   Registry.counter("fault.injections").inc(97);
-  // Registry gauges serialize through Metrics' %.6g formatter (shared
-  // with the human-readable summary), so the embedded registry only
-  // round-trips values %.6g can represent. The exporter's own doubles
-  // (Wilson bounds below) use %.17g and round-trip bit-exact.
+  // Registry gauges and the exporter's own doubles (Wilson bounds below)
+  // both print through formatDoubleExact, the shortest form that parses
+  // back bit-exact, so every value below round-trips.
   Registry.gauge("dbt.ibtc_hit_rate").set(0.875);
   Registry.gauge("run.output_hash").set(1234.5);
   Registry.histogram("fault.latency.cat_C", {1, 2, 4, 8}).observe(3);

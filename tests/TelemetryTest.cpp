@@ -18,7 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -191,6 +194,43 @@ TEST(MetricsTest, CsvHasOneRowPerInstrument) {
   std::string Csv = Registry.snapshot().toCsv();
   EXPECT_NE(Csv.find("counter,a,1"), std::string::npos);
   EXPECT_NE(Csv.find("gauge,b,"), std::string::npos);
+}
+
+TEST(MetricsTest, JsonAndCsvGaugesRoundTripExactly) {
+  // Gauges that six significant digits would round: an instruction count
+  // and an output hash shifted to 53 bits (both exact in a double), and
+  // values with a fraction or a short exponent form.
+  const double Values[] = {1497926.0,   32455312345678.0, 9007199254740991.0,
+                           2.0 / 3.0,   0.1,              1e-7,
+                           100000.0,    -0.0001,          0.999996123,
+                           1.72205e+06, 0.0};
+  MetricsRegistry Registry;
+  for (size_t I = 0; I < std::size(Values); ++I)
+    Registry.gauge("g" + std::to_string(I)).set(Values[I]);
+  RegistrySnapshot Snap = Registry.snapshot();
+
+  JsonValue Root;
+  ASSERT_TRUE(JsonParser(Snap.toJson()).parse(Root));
+  RegistrySnapshot Back;
+  std::string Error;
+  ASSERT_TRUE(snapshotFromJson(Root, Back, Error)) << Error;
+  EXPECT_TRUE(Back == Snap) << Snap.toJson();
+
+  std::istringstream Csv(Snap.toCsv());
+  std::string Row;
+  std::getline(Csv, Row); // Header.
+  size_t Gauges = 0;
+  while (std::getline(Csv, Row)) {
+    std::string Name = Row.substr(6, Row.rfind(',') - 6);
+    double Value = std::strtod(Row.c_str() + Row.rfind(',') + 1, nullptr);
+    EXPECT_EQ(Value, Snap.gaugeOr(Name, -1.0)) << Row;
+    EXPECT_EQ(std::signbit(Value), std::signbit(Snap.gaugeOr(Name, -1.0)))
+        << Row;
+    ++Gauges;
+  }
+  EXPECT_EQ(Gauges, std::size(Values));
+  EXPECT_NE(Snap.toCsv().find("gauge,g0,1497926\n"), std::string::npos);
+  EXPECT_NE(Snap.toJson().find("\"g1\":32455312345678,"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

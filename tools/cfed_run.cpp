@@ -54,8 +54,9 @@
 //   apply to --campaign only; an attack campaign refuses them, and
 //   --prop-trace/--golden-trace refuse --recover. A run without a
 //   campaign mode refuses the --campaign-* flags and --fault-model, a run
-//   without --recover refuses --watchdog and --ckpt-interval, and one
-//   without --trace or --postmortem-dir refuses --trace-buffer.
+//   without --recover refuses --watchdog and --ckpt-interval, one
+//   without --trace or --postmortem-dir refuses --trace-buffer, and one
+//   with --tech=none, --native or --tier=interp refuses --shadow-sig.
 //
 //   --campaign-checkpoint=<file>
 //                        checkpoint file; an existing one resumes the
@@ -443,6 +444,10 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   // never silently ignored.
   bool Campaign = Opts.AttackCount > 0 || Opts.CampaignInjections > 0;
   bool Tracing = !Opts.TraceFile.empty() || !Opts.PostmortemDir.empty();
+  // Shadow signatures duplicate a technique's signature registers in
+  // translated code: with --tech=none they would cross-check registers
+  // no code writes, and a native run translates nothing.
+  bool Signatures = !Opts.Native && Opts.Config.Tech != Technique::None;
   const struct {
     const char *Flag;
     bool Met;
@@ -457,6 +462,9 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       {"--watchdog", Opts.Recover, "--recover"},
       {"--ckpt-interval", Opts.Recover, "--recover"},
       {"--trace-buffer", Tracing, "--trace or --postmortem-dir"},
+      {"--shadow-sig", Signatures,
+       "a --tech other than none on the translator (not --native or "
+       "--tier=interp)"},
   };
   for (const auto &R : Requires)
     if (!R.Met && Opts.Given.count(R.Flag)) {
